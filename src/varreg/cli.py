@@ -35,7 +35,7 @@ from varreg.operators import (
     make_sampled,
     save_image_csv,
 )
-from varreg.regularizers import l1, quadratic, tv_aniso
+from varreg.regularizers import SubgradientError, l1, quadratic, tv_aniso
 from varreg.risk import build_risk_pair, check_operator_error_estimate, check_risk_theorem
 from varreg.solvers import SolverConfig, SolverError, solve_variational
 from varreg.core import identity_map
@@ -315,8 +315,10 @@ def _cmd_convergence(conf, seed, out_dir):
     reg = build_regularizer(conf, op)
     cfg = solver_config(conf, seed)
     sec = conf["convergence"]
-    instance = construct_source_instance(op, reg, seed)
     steps = sec.getint("steps")
+    if steps < 1:
+        raise ConfigError("[convergence] steps must be >= 1")
+    instance = construct_source_instance(op, reg, seed)
     deltas = sec.getfloat("delta0") * sec.getfloat("decay") ** np.arange(steps)
     alphas = sec.getfloat("alpha_over_delta") * deltas
     rows = convergence_study(op, reg, instance, deltas, alphas, seed=seed, config=cfg)
@@ -491,6 +493,10 @@ def run(argv=None) -> int:
         return 2
     except SolverError as err:
         print(f"error: solver failed: {err}", file=sys.stderr)
+        return 1
+    except (SubgradientError, ArithmeticError, RuntimeError) as err:
+        # SubgradientError is a ValueError, so it must be caught first
+        print(f"error: certificate failed: {err}", file=sys.stderr)
         return 1
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sp
 
 from varreg.core import LinearForwardMap, as_vector, inner, norm, operator_norm_estimate, substream
 from varreg.regularizers import Regularizer, Subgradient
@@ -44,8 +44,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        if not np.isfinite(self.tol) or self.tol <= 0.0:
+            raise ValueError("tol must be finite and positive")
         if not 0.0 < self.step_safety <= 1.0:
             raise ValueError("step_safety must be in (0, 1]")
 
@@ -185,31 +185,18 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     raise SolverError(f"FISTA stalled at defect {defect:.3e} > {target:.3e}", defect)
 
 
-def _gram_matrix(op: LinearForwardMap) -> np.ndarray:
-    if op.matrix is not None:
-        a = op.matrix
-        if hasattr(a, "toarray"):
-            return (a.T @ a).toarray()
-        return a.T @ a
-    g = np.empty((op.in_dim, op.in_dim))
-    e = np.zeros(op.in_dim)
-    for j in range(op.in_dim):
-        e[j] = 1.0
-        g[:, j] = op.adjoint(op.apply(e))
-        e[j] = 0.0
-    return 0.5 * (g + g.T)
-
-
 def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
                       config: SolverConfig | None = None, u0=None,
                       check_every: int = 25) -> RegularizedSolution:
-    """First-order primal-dual iteration for the anisotropic-TV problem.
+    """Diagonally preconditioned primal-dual (Chambolle-Pock) on [F; D], matrix-free.
 
-    Works on the saddle formulation min_u max_{|q|<=alpha} 0.5*||Fu-v||^2 +
-    <q, Du> with step sizes tau*sigma*||D||^2 < 1; the data term is handled by
-    its exact prox via a prefactorized (I + tau F*F).  The result is certified
-    by a primal-dual gap combining the optimality defect of p = D^T q / alpha
-    with the complementarity slack alpha*||Du||_1 - <q, Du>.
+    Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>,
+    with both dual blocks stacked against K = [F; D], stored the way F is (an F
+    without a matrix is materialized through ``apply``).  The diagonal steps
+    tau_j = step_safety / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
+    Chambolle, ICCV 2011) need no norm estimate.  The result is certified by a
+    primal-dual gap combining the optimality defect of p = D^T q / alpha with
+    the complementarity slack alpha*||Du||_1 - <q, Du>.
     """
     cfg = config or SolverConfig()
     if alpha <= 0.0:
@@ -221,25 +208,37 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
         raise ValueError("regularizer shape does not match operator")
     d_mat = reg.D
     dt_mat = d_mat.T.tocsr()
-    d_norm = max(reg.edge_map_norm(), 1e-30)
-    tau = cfg.step_safety / (1.001 * d_norm)
-    sig = tau
+    f_mat = op.matrix
+    if f_mat is None:
+        f_mat = np.column_stack([op.apply(e) for e in np.eye(op.in_dim)])
+    if sp.issparse(f_mat):
+        k_mat = sp.vstack([f_mat, d_mat]).tocsr()
+        kt_mat = k_mat.T.tocsr()
+    else:
+        k_mat = np.vstack([f_mat, d_mat.toarray()])
+        kt_mat = k_mat.T
+    abs_k = abs(k_mat)
+    tau = cfg.step_safety / np.asarray(abs_k.sum(axis=0)).ravel()
+    # rows of F that see no pixel (rays missing the grid) get any finite step
+    sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
 
-    b = op.adjoint(v)
-    target = _defect_target(cfg, norm(b))
-    gram = _gram_matrix(op)
-    factor = scipy.linalg.cho_factor(np.eye(op.in_dim) + tau * gram)
-
+    target = _defect_target(cfg, norm(op.adjoint(v)))
+    m = op.out_dim
     u = _init_point(op.in_dim, cfg, u0)
     u_bar = u.copy()
-    q = np.zeros(d_mat.shape[0])
-    tau_b = tau * b
+    z = np.zeros(k_mat.shape[0])
+    y, q = z[:m], z[m:]  # views: the data dual and the edge dual
+    sig_v = sig[:m] * v
+    damp = 1.0 / (1.0 + sig[:m])
 
     defect = np.inf
     gap = np.inf
     for iterations in range(1, cfg.max_iters + 1):
-        q = np.clip(q + sig * (d_mat @ u_bar), -alpha, alpha)
-        u_new = scipy.linalg.cho_solve(factor, u + tau_b - tau * (dt_mat @ q))
+        z += sig * (k_mat @ u_bar)
+        y -= sig_v
+        y *= damp
+        np.clip(q, -alpha, alpha, out=q)
+        u_new = u - tau * (kt_mat @ z)
         u_bar = 2.0 * u_new - u
         u = u_new
         if iterations % check_every == 0 or iterations == cfg.max_iters:

@@ -6,7 +6,7 @@ dual witness q because membership certificates for TV need it.
 
 import numpy as np
 
-from varreg import l1, quadratic, tv_aniso
+from varreg import RadonGeometry, l1, make_radon, quadratic, substream, tv_aniso
 from varreg.regularizers import difference_matrix
 
 # verdict lines recorded by test_acceptance.py, echoed after the run so they
@@ -61,3 +61,14 @@ def make_regularizer(kind, n):
 
 def subgradient_pair(kind, rng, n):
     return PAIR_GENERATORS[kind][1](rng, n)
+
+
+def radon_phantom_problem(grid_n):
+    """The radon-demo TV problem: its phantom under 18x18 rays, demo noise (seed 0, 0.01)."""
+    xs = (np.arange(grid_n) + 0.5) * (2.0 / grid_n) - 1.0
+    X, Y = np.meshgrid(xs, xs, indexing="xy")
+    phantom = (X ** 2 + Y ** 2 <= 0.5 ** 2).astype(float)
+    phantom[(np.abs(X - 0.45) <= 0.2) & (np.abs(Y + 0.4) <= 0.15)] += 0.5
+    op = make_radon(RadonGeometry.regular(grid_n, 18, 18))
+    v = op.apply(phantom.ravel()) + 0.01 * substream(0, "noise").standard_normal(op.out_dim)
+    return op, tv_aniso((grid_n, grid_n)), v

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from varreg import is_subgradient, l1, load_image_csv
+from varreg import SubgradientError, is_subgradient, l1, load_image_csv
 from varreg.cli import load_config, run
 from varreg.estimates import EstimateReport
 
@@ -84,6 +84,31 @@ def test_invalid_parameter_exits_two(tmp_path, capsys):
     conf = _write(tmp_path, "[solve]\nalpha = -1.0\ndata = 1,1\n[operator]\nkind = identity\nn = 2\n")
     assert run(["solve", "--config", conf, "--output", str(tmp_path)]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_non_finite_tol_exits_two(tmp_path, capsys):
+    assert run(["solve", "--set", "solver.tol=nan", "--output", str(tmp_path)]) == 2
+    assert "tol" in capsys.readouterr().err
+
+
+def test_empty_convergence_table_exits_two(tmp_path, capsys):
+    assert run(["convergence", "--set", "convergence.steps=0", "--output", str(tmp_path)]) == 2
+    assert "steps" in capsys.readouterr().err
+    assert not (tmp_path / "convergence_summary.json").exists()
+
+
+@pytest.mark.parametrize("command, target, error", [
+    ("operator-error", "check_operator_error_estimate", SubgradientError("p fails membership")),
+    ("bregman", "bregman_iterate", ArithmeticError("Bregman distance is negative beyond roundoff")),
+    ("solve", "construct_source_instance", RuntimeError("no verifiable source instance")),
+], ids=["subgradient", "arithmetic", "runtime"])
+def test_certificate_errors_exit_one(tmp_path, capsys, monkeypatch, command, target, error):
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"varreg.cli.{target}", broken)
+    assert run([command, "--output", str(tmp_path)]) == 1
+    assert str(error) in capsys.readouterr().err
 
 
 def test_convergence_csv_schema(tmp_path):

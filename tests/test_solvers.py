@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from conftest import radon_phantom_problem
 from varreg import (
     SolverConfig,
     SolverError,
     identity_map,
     is_subgradient,
     l1,
+    make_convolution,
     make_dense,
     make_random_dense,
     quadratic,
@@ -27,8 +29,9 @@ TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(step_safety=1.5)
 
@@ -167,6 +170,55 @@ def test_dispatcher_routes_by_kind():
     )
     with pytest.raises(ValueError, match="unknown regularizer"):
         solve_variational(op, v, 0.3, Regularizer(kind="huber"))
+
+
+def _tv_problem(name):
+    if name == "dense-1d":
+        v = substream(0, "pd-equivalence").standard_normal(14)
+        return make_random_dense(14, 10, seed=11), tv_aniso(10), v, 0.2
+    if name == "identity-3x4":
+        v = substream(1, "pd-equivalence").standard_normal(12)
+        return identity_map(12), tv_aniso((3, 4)), v, 0.3
+    op, reg, v = radon_phantom_problem(16)
+    return op, reg, v, 0.1
+
+
+# objectives 0.5*||Fu-v||^2 + alpha*TV(u) from the Cholesky data-prox
+# primal-dual solver this one replaced, run at tol 1e-12
+REPLACED_SOLVER_OBJECTIVE = {
+    "dense-1d": 5.473239906299086,
+    "identity-3x4": 2.80686163576192,
+    "radon-16": 3.0986749725314615,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLACED_SOLVER_OBJECTIVE))
+def test_primal_dual_matches_replaced_solver(name):
+    op, reg, v, alpha = _tv_problem(name)
+    cfg = SolverConfig()
+    sol = solve_primal_dual(op, v, alpha, reg, cfg)
+    obj = sol.data_residual + alpha * sol.J_value
+    ref = REPLACED_SOLVER_OBJECTIVE[name]
+    assert abs(obj - ref) <= 1e-7 * (1.0 + abs(ref))
+    assert sol.optimality_defect <= cfg.tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+
+
+def test_primal_dual_operator_without_matrix():
+    # convolution has no backing matrix: the solver materializes it by apply
+    op = make_convolution([0.25, 0.5, 0.25], 32)
+    assert op.matrix is None
+    reg, alpha = tv_aniso(32), 0.1
+    v = substream(2, "pd-equivalence").standard_normal(32)
+    cfg = SolverConfig()
+    sol = solve_primal_dual(op, v, alpha, reg, cfg)
+    assert sol.optimality_defect <= cfg.tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+    dense = make_dense(np.column_stack([op.apply(e) for e in np.eye(32)]))
+    ref = solve_primal_dual(dense, v, alpha, reg, cfg)
+    obj = sol.data_residual + alpha * sol.J_value
+    obj_ref = ref.data_residual + alpha * ref.J_value
+    assert abs(obj - obj_ref) <= 1e-8 * abs(obj_ref)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "l1", "tv"])
