@@ -346,11 +346,16 @@ def _cmd_bias_variance(conf, seed, out_dir):
     reg = build_regularizer(conf, op)
     cfg = solver_config(conf, seed)
     sec = conf["bias_variance"]
+    n_alphas = sec.getint("n_alphas")
+    replicates = sec.getint("replicates")
+    if n_alphas < 1:
+        raise ConfigError("[bias_variance] n_alphas must be >= 1")
+    if replicates < 2:
+        raise ConfigError("[bias_variance] replicates must be >= 2 for a standard error")
     instance = construct_source_instance(op, reg, seed)
-    alphas = np.geomspace(sec.getfloat("alpha_min"), sec.getfloat("alpha_max"),
-                          sec.getint("n_alphas"))
+    alphas = np.geomspace(sec.getfloat("alpha_min"), sec.getfloat("alpha_max"), n_alphas)
     result = bias_variance_study(op, reg, instance, sec.getfloat("sigma"), alphas,
-                                 sec.getint("replicates"), seed=seed, config=cfg)
+                                 replicates, seed=seed, config=cfg)
     _write_csv(
         out_dir / "bias_variance.csv",
         "alpha,mean_bregman,stderr,bound",
@@ -378,6 +383,8 @@ def _pair_study(conf, seed, out_dir, section: str, checker, filename: str):
     cfg = solver_config(conf, seed)
     sec = conf[section]
     n_instances = sec.getint("instances")
+    if n_instances < 1:
+        raise ConfigError(f"[{section}] instances must be >= 1")
     alpha = conf["solve"].getfloat("alpha")
     # source certificates must live on the quadrature-weighted population map,
     # not on the raw base operator

@@ -67,6 +67,9 @@ class LinearForwardMap:
     matrix : optional dense or scipy.sparse backing matrix.  Purely an
         implementation detail used for fast row sampling; the public contract
         is ``apply``/``adjoint``.
+
+    Operators are immutable: ``_norm_cache`` memoizes
+    :func:`operator_norm_estimate` per ``(iters, seed)``.
     """
 
     def __init__(self, apply_fn, adjoint_fn, in_dim: int, out_dim: int, matrix=None):
@@ -77,6 +80,7 @@ class LinearForwardMap:
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self.matrix = matrix
+        self._norm_cache: dict[tuple[int, int], float] = {}
 
     def apply(self, u) -> np.ndarray:
         u = as_vector(u, self.in_dim, "model vector")
@@ -95,6 +99,7 @@ class LinearForwardMap:
 
 def identity_map(dim: int) -> LinearForwardMap:
     eye = np.eye(dim)
+    eye.flags.writeable = False
     return LinearForwardMap(lambda u: u.copy(), lambda v: v.copy(), dim, dim, matrix=eye)
 
 
@@ -118,22 +123,36 @@ def operator_norm_estimate(op: LinearForwardMap, iters: int = 200, seed: int = 0
     """Largest singular value of ``op`` by power iteration on F*F.
 
     Returns the Rayleigh estimate ||F x|| for the final unit iterate, which is
-    nondecreasing in ``iters`` and never exceeds the true norm.
+    nondecreasing in ``iters`` and never exceeds the true norm.  The result is
+    computed once per operator and ``(iters, seed)``.
+    """
+    key = (int(iters), int(seed))
+    sigma = op._norm_cache.get(key)
+    if sigma is None:
+        sigma = op._norm_cache[key] = _power_iteration(op._apply, op._adjoint, op.in_dim, iters, seed)
+    return sigma
+
+
+def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> float:
+    """Power iteration on ``adjoint_fn(apply_fn(.))`` from a seeded Gaussian start.
+
+    Calls the raw kernels without validation; returns ||apply_fn(x)|| for the
+    final unit iterate x.
     """
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.in_dim)
+    x = rng.standard_normal(dim)
     nx = norm(x)
     if nx == 0.0:  # pragma: no cover - measure-zero draw
         return 0.0
     x /= nx
     for _ in range(iters):
-        w = op.adjoint(op.apply(x))
+        w = adjoint_fn(apply_fn(x))
         nw = norm(w)
         if nw == 0.0:
             # x is in the kernel of F*F, hence of F
             return 0.0
         x = w / nw
-    return norm(op.apply(x))
+    return norm(apply_fn(x))
 
 
 def substream(seed: int, name: str, index: int = 0) -> np.random.Generator:

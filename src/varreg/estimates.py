@@ -28,7 +28,7 @@ from varreg.regularizers import (
     is_subgradient,
     symmetric_bregman,
 )
-from varreg.solvers import SolverConfig, accelerated_projected_gradient, solve_variational
+from varreg.solvers import SolverConfig, _check_finite, accelerated_projected_gradient, solve_variational
 
 __all__ = [
     "SourceInstance",
@@ -106,12 +106,14 @@ class SourceElement:
 def solve_source_element(op: LinearForwardMap, p_star, config: SolverConfig | None = None) -> SourceElement:
     """Least-squares source element: minimize ||F* z - p*|| via CG on F F* z = F p*.
 
-    Never raises; the residual defect is reported and tells the caller whether
-    p* is (numerically) in the range of F*.
+    Does not raise on a loose fit: the residual defect is reported and tells
+    the caller whether p* is (numerically) in the range of F*.  Raises
+    SolverError if an iterate goes non-finite.
     """
     cfg = config or _TIGHT
     p = as_vector(p_star, op.in_dim, "p_star")
-    b = op.apply(p)
+    fwd, adj = op._apply, op._adjoint
+    b = fwd(p)
     z = np.zeros(op.out_dim)
     r = b.copy()
     d = r.copy()
@@ -119,9 +121,11 @@ def solve_source_element(op: LinearForwardMap, p_star, config: SolverConfig | No
     target = cfg.tol * (1.0 + np.sqrt(rs))
     max_iters = min(cfg.max_iters, max(60, 4 * op.out_dim))
     for _ in range(max_iters):
-        if np.sqrt(rs) <= target:
+        residual = np.sqrt(rs)
+        if residual <= target:
             break
-        ad = op.apply(op.adjoint(d))
+        _check_finite(residual, "source-element CG")
+        ad = fwd(adj(d))
         dad = float(np.dot(d, ad))
         if dad <= 0.0:
             break
@@ -131,7 +135,9 @@ def solve_source_element(op: LinearForwardMap, p_star, config: SolverConfig | No
         rs_new = float(np.dot(r, r))
         d = r + (rs_new / rs) * d
         rs = rs_new
-    return SourceElement(z=z, defect=norm(op.adjoint(z) - p))
+    defect = norm(adj(z) - p)
+    _check_finite(defect, "source-element CG")
+    return SourceElement(z=z, defect=defect)
 
 
 def distance_function(op: LinearForwardMap, p_star, rho: float,

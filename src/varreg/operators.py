@@ -9,7 +9,7 @@ quadrature norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,12 +35,13 @@ OFFSET_BOUND = float(np.sqrt(2.0))
 
 
 def make_dense(matrix) -> LinearForwardMap:
-    """Forward map backed by an explicit dense matrix."""
-    a = np.asarray(matrix, dtype=float)
+    """Forward map backed by its own read-only copy of a dense matrix."""
+    a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError("matrix must be 2-d and non-empty")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
+    a.flags.writeable = False
     return LinearForwardMap(lambda u: a @ u, lambda v: a.T @ v, a.shape[1], a.shape[0], matrix=a)
 
 
@@ -281,15 +282,16 @@ def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMa
             at = a.T.tocsr()
             return LinearForwardMap(lambda u: a @ u, lambda v: at @ v, op.in_dim, design.size, matrix=a)
         a = sqw[:, None] * np.asarray(a)
+        a.flags.writeable = False
         return LinearForwardMap(lambda u: a @ u, lambda v: a.T @ v, op.in_dim, design.size, matrix=a)
 
     def apply_fn(u):
-        return sqw * op.apply(u)[rows]
+        return sqw * op._apply(u)[rows]
 
     def adjoint_fn(v):
         full = np.zeros(op.out_dim)
         np.add.at(full, rows, sqw * v)
-        return op.adjoint(full)
+        return op._adjoint(full)
 
     return LinearForwardMap(apply_fn, adjoint_fn, op.in_dim, design.size)
 

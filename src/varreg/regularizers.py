@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import DimensionMismatchError, LinearForwardMap, as_vector, inner, norm
+from varreg.core import DimensionMismatchError, LinearForwardMap, _power_iteration, as_vector, inner, norm
 
 __all__ = [
     "Regularizer",
@@ -98,11 +98,15 @@ class Regularizer:
 
     def value(self, u) -> float:
         u = as_vector(u, name="u")
+        self._check_dim(u)
+        return self._value(u)
+
+    def _value(self, u: np.ndarray) -> float:
+        """J(u) without validation."""
         if self.kind == "quadratic":
             return 0.5 * float(np.dot(u, u))
         if self.kind == "l1":
             return float(np.sum(np.abs(u)))
-        self._check_dim(u)
         return float(np.sum(np.abs(self.D @ u)))
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
@@ -119,18 +123,24 @@ class Regularizer:
         if tau < 0.0:
             raise ValueError("tau must be nonnegative")
         x = as_vector(x, name="x")
+        if self.kind == "tv_aniso":
+            raise NotImplementedError("tv_aniso has no closed-form prox; use solve_primal_dual")
+        return self._prox(tau, x)
+
+    def _prox(self, tau: float, x: np.ndarray) -> np.ndarray:
+        """Closed-form prox of quadratic or l1, without validation."""
         if self.kind == "quadratic":
             return x / (1.0 + tau)
-        if self.kind == "l1":
-            return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-        raise NotImplementedError("tv_aniso has no closed-form prox; use solve_primal_dual")
+        return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
     def edge_map_norm(self) -> float:
         """Spectral norm of D (cached); only meaningful for tv_aniso."""
         if self.D is None:
             raise ValueError("regularizer has no edge map")
         if self._dual_norm is None:
-            self._dual_norm = _sparse_spectral_norm(self.D)
+            d, dt = self.D, self.D.T.tocsr()
+            self._dual_norm = _power_iteration(lambda x: d @ x, lambda y: dt @ y, d.shape[1],
+                                               iters=100, seed=0)
         return self._dual_norm
 
     def _check_dim(self, u):
@@ -148,20 +158,6 @@ def l1() -> Regularizer:
 
 def tv_aniso(shape) -> Regularizer:
     return Regularizer(kind="tv_aniso", shape=shape, D=difference_matrix(shape))
-
-
-def _sparse_spectral_norm(m: sp.spmatrix, iters: int = 100, seed: int = 0) -> float:
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m.shape[1])
-    x /= norm(x)
-    mt = m.T.tocsr()
-    for _ in range(iters):
-        w = mt @ (m @ x)
-        nw = norm(w)
-        if nw == 0.0:
-            return 0.0
-        x = w / nw
-    return norm(m @ x)
 
 
 def subgradient_from_optimality(op: LinearForwardMap, data, u_alpha, alpha: float) -> Subgradient:

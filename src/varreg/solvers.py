@@ -7,12 +7,13 @@ downstream error estimates consume exactly that pair (u_alpha, p_alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import LinearForwardMap, as_vector, inner, norm, operator_norm_estimate, substream
+from varreg.core import LinearForwardMap, as_vector, inner, norm, operator_norm_estimate
 from varreg.regularizers import Regularizer, Subgradient
 
 __all__ = [
@@ -74,18 +75,28 @@ def _init_point(dim: int, cfg: SolverConfig, u0) -> np.ndarray:
     return as_vector(u0, dim, "u0").copy()
 
 
+def _check_finite(defect: float, solver: str) -> None:
+    """Fail fast once an iterate has gone non-finite, instead of spinning to max_iters."""
+    if not math.isfinite(defect):
+        raise SolverError(f"{solver} iterate is not finite (defect {defect})", defect)
+
+
 def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
                          config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
-    """Quadratic regularizer: conjugate gradients on (F*F + alpha I) u = F*v."""
+    """Quadratic regularizer: conjugate gradients on (F*F + alpha I) u = F*v.
+
+    ``data`` and ``u0`` are validated once; the loop runs on the raw kernels.
+    """
     cfg = config or SolverConfig()
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     v = as_vector(data, op.out_dim, "data")
-    b = op.adjoint(v)
+    fwd, adj = op._apply, op._adjoint
+    b = adj(v)
     target = _defect_target(cfg, norm(b))
 
     def normal_op(x):
-        return op.adjoint(op.apply(x)) + alpha * x
+        return adj(fwd(x)) + alpha * x
 
     u = _init_point(op.in_dim, cfg, u0)
     r = b - normal_op(u)
@@ -93,7 +104,8 @@ def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
     rs = float(np.dot(r, r))
     iterations = 0
     defect = np.sqrt(rs)
-    while defect > target:
+    while not defect <= target:
+        _check_finite(defect, "CG")
         if iterations >= cfg.max_iters:
             raise SolverError(f"CG stalled at defect {defect:.3e} > {target:.3e}", defect)
         q = normal_op(d)
@@ -111,7 +123,7 @@ def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
             d = r.copy()
         defect = np.sqrt(rs)
 
-    residual = op.apply(u) - v
+    residual = fwd(u) - v
     return RegularizedSolution(
         u_alpha=u,
         p_alpha=Subgradient(p=u.copy(), owner=u.copy()),
@@ -129,7 +141,8 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
 
     The declared subgradient is the one implied by the final prox step, which
     is an exact member of the subdifferential; the optimality defect is
-    measured against it.
+    measured against it.  ``data`` and ``u0`` are validated once; the loop
+    runs on the raw operator kernels and the closed-form prox and value.
     """
     cfg = config or SolverConfig()
     if alpha <= 0.0:
@@ -137,48 +150,51 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     if reg.kind not in ("quadratic", "l1"):
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
     v = as_vector(data, op.out_dim, "data")
-    b = op.adjoint(v)
+    fwd, adj = op._apply, op._adjoint
+    prox, value = reg._prox, reg._value
+    b = adj(v)
     target = _defect_target(cfg, norm(b))
     sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
     lip = max((1.01 * sigma) ** 2, 1e-30)
     tau = cfg.step_safety / lip
 
     def objective(u, residual):
-        return 0.5 * float(np.dot(residual, residual)) + alpha * reg.value(u)
+        return 0.5 * float(np.dot(residual, residual)) + alpha * value(u)
 
     u = _init_point(op.in_dim, cfg, u0)
-    res_u = op.apply(u) - v
+    res_u = fwd(u) - v
     obj = objective(u, res_u)
     y = u.copy()
     t = 1.0
     for iterations in range(1, cfg.max_iters + 1):
-        grad_y = op.adjoint(op.apply(y) - v)
+        grad_y = adj(fwd(y) - v)
         x_pre = y - tau * grad_y
-        u_new = reg.prox(tau * alpha, x_pre)
-        res_new = op.apply(u_new) - v
+        u_new = prox(tau * alpha, x_pre)
+        res_new = fwd(u_new) - v
         obj_new = objective(u_new, res_new)
         if obj_new > obj:
             # momentum overshot: restart and take a plain descent step from u
             t = 1.0
             y = u.copy()
-            grad_y = op.adjoint(op.apply(y) - v)
+            grad_y = adj(fwd(y) - v)
             x_pre = y - tau * grad_y
-            u_new = reg.prox(tau * alpha, x_pre)
-            res_new = op.apply(u_new) - v
+            u_new = prox(tau * alpha, x_pre)
+            res_new = fwd(u_new) - v
             obj_new = objective(u_new, res_new)
         # exact subgradient from the prox optimality condition
         p = (x_pre - u_new) / (tau * alpha)
-        defect = norm(op.adjoint(res_new) + alpha * p)
+        defect = norm(adj(res_new) + alpha * p)
         if defect <= target:
             return RegularizedSolution(
                 u_alpha=u_new,
                 p_alpha=Subgradient(p=p, owner=u_new.copy()),
                 alpha=alpha,
                 data_residual=0.5 * float(np.dot(res_new, res_new)),
-                J_value=reg.value(u_new),
+                J_value=value(u_new),
                 optimality_defect=defect,
                 iterations=iterations,
             )
+        _check_finite(defect, "FISTA")
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = u_new + ((t - 1.0) / t_new) * (u_new - u)
         u, obj, t = u_new, obj_new, t_new
@@ -274,11 +290,6 @@ def solve_variational(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     if reg.kind == "tv_aniso":
         return solve_primal_dual(op, data, alpha, reg, config, u0=u0)
     raise ValueError(f"unknown regularizer kind {reg.kind!r}")
-
-
-def perturbed_start(dim: int, seed: int, scale: float = 0.1) -> np.ndarray:
-    """Seeded random starting point, used to probe output uniqueness."""
-    return scale * substream(seed, "init").standard_normal(dim)
 
 
 def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,

@@ -97,6 +97,27 @@ def test_empty_convergence_table_exits_two(tmp_path, capsys):
     assert not (tmp_path / "convergence_summary.json").exists()
 
 
+@pytest.mark.parametrize("command, key", [
+    ("operator-error", "operator_error.instances"),
+    ("risk-theorem", "risk_theorem.instances"),
+])
+def test_empty_instance_table_exits_two(tmp_path, capsys, command, key):
+    assert run([command, "--set", f"{key}=0", "--output", str(tmp_path)]) == 2
+    section, name = key.split(".")
+    assert f"[{section}] {name}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*_summary.json"))
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("n_alphas=0", "[bias_variance] n_alphas"),
+    ("replicates=1", "[bias_variance] replicates"),
+])
+def test_bias_variance_config_errors_name_key(tmp_path, capsys, setting, key):
+    assert run(["bias-variance", "--set", f"bias_variance.{setting}", "--output", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "bias_variance_summary.json").exists()
+
+
 @pytest.mark.parametrize("command, target, error", [
     ("operator-error", "check_operator_error_estimate", SubgradientError("p fails membership")),
     ("bregman", "bregman_iterate", ArithmeticError("Bregman distance is negative beyond roundoff")),

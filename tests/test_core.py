@@ -117,6 +117,41 @@ def test_operator_norm_is_lower_estimate():
     assert abs(prev - true) <= 1e-8 * true
 
 
+class _CountingMatvec:
+    def __init__(self, a):
+        self.a, self.calls = a, 0
+
+    def __call__(self, u):
+        self.calls += 1
+        return self.a @ u
+
+
+def test_operator_norm_is_cached_per_operator():
+    a = substream(4, "cache").standard_normal((7, 5))
+    apply_fn = _CountingMatvec(a)
+    op = LinearForwardMap(apply_fn, lambda v: a.T @ v, 5, 7)
+    first = operator_norm_estimate(op)
+    assert apply_fn.calls == 201
+    assert operator_norm_estimate(op) == first
+    assert apply_fn.calls == 201  # the second call makes no apply
+    # bit for bit what an operator with an empty cache computes
+    assert operator_norm_estimate(make_dense(a)) == first
+
+
+def test_operator_norm_cache_keys_on_iters_and_seed():
+    a = substream(5, "cache").standard_normal((6, 6))
+    apply_fn = _CountingMatvec(a)
+    op = LinearForwardMap(apply_fn, lambda v: a.T @ v, 6, 6)
+    base = operator_norm_estimate(op, iters=3, seed=0)
+    other_seed = operator_norm_estimate(op, iters=3, seed=1)
+    other_iters = operator_norm_estimate(op, iters=4, seed=0)
+    assert apply_fn.calls == 4 + 4 + 5
+    assert other_seed == operator_norm_estimate(make_dense(a), iters=3, seed=1)
+    assert other_iters == operator_norm_estimate(make_dense(a), iters=4, seed=0)
+    assert base != other_seed
+    assert sorted(op._norm_cache) == [(3, 0), (3, 1), (4, 0)]
+
+
 def test_substream_determinism_and_separation():
     a = substream(42, "noise", 3).standard_normal(5)
     b = substream(42, "noise", 3).standard_normal(5)

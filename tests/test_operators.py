@@ -27,6 +27,17 @@ def test_make_dense_matches_matmul():
     np.testing.assert_allclose(op.adjoint(v), a.T @ v, atol=1e-14)
 
 
+def test_dense_matrices_are_read_only_copies():
+    a = substream(1, "dense").standard_normal((4, 3))
+    op = make_dense(a)
+    a[0, 0] += 1.0  # the caller's array stays theirs
+    assert op.matrix[0, 0] == a[0, 0] - 1.0
+    sampled = make_sampled(op, full_design(op.out_dim))
+    for m in (op.matrix, sampled.matrix):
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 0.0
+
+
 def test_make_dense_rejects_bad_matrix():
     with pytest.raises(ValueError, match="2-d and non-empty"):
         make_dense(np.zeros((0, 3)))

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import radon_phantom_problem
 from varreg import (
+    LinearForwardMap,
     SolverConfig,
     SolverError,
     identity_map,
@@ -11,6 +12,7 @@ from varreg import (
     make_convolution,
     make_dense,
     make_random_dense,
+    operator_norm_estimate,
     quadratic,
     solve_fista,
     solve_primal_dual,
@@ -21,9 +23,15 @@ from varreg import (
     tv_aniso,
 )
 from varreg.regularizers import Regularizer
-from varreg.solvers import accelerated_projected_gradient, perturbed_start
+from varreg.estimates import solve_source_element
+from varreg.solvers import accelerated_projected_gradient
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
+
+
+def perturbed_start(dim: int, seed: int, scale: float = 0.1) -> np.ndarray:
+    """Seeded random starting point, used to probe output uniqueness."""
+    return scale * substream(seed, "init").standard_normal(dim)
 
 
 def test_solver_config_validation():
@@ -312,3 +320,36 @@ def test_perturbed_start_is_deterministic():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, perturbed_start(6, seed=4))
     np.testing.assert_allclose(perturbed_start(6, seed=3, scale=0.2), 2.0 * a)
+
+
+class _GoesNaN:
+    """Dense matrix-vector product that returns NaN from call ``start`` on."""
+
+    def __init__(self, a, start):
+        self.a, self.start, self.calls = a, start, 0
+
+    def __call__(self, u):
+        self.calls += 1
+        out = self.a @ u
+        return out * np.nan if self.calls >= self.start else out
+
+
+@pytest.mark.parametrize("solver", ["cg", "fista", "source"])
+def test_non_finite_iterate_fails_fast(solver):
+    a = make_random_dense(10, 6, seed=3).matrix
+    apply_fn = _GoesNaN(a, start=10**9)
+    op = LinearForwardMap(apply_fn, lambda v: a.T @ v, 6, 10)
+    v = substream(0, "nan").standard_normal(10)
+    # FISTA's norm estimate runs before its loop; keep it finite, then break F
+    # a few calls into the loop
+    operator_norm_estimate(op, iters=200, seed=0)
+    apply_fn.start = apply_fn.calls + 5
+    with pytest.raises(SolverError, match="not finite"):
+        if solver == "cg":
+            solve_tikhonov_exact(op, v, 0.1, SolverConfig(tol=1e-14))
+        elif solver == "fista":
+            solve_fista(op, v, 0.1, l1(), SolverConfig(tol=1e-14))
+        else:
+            solve_source_element(op, a.T @ v)
+    # raised within a few iterations of the first NaN, not after max_iters
+    assert apply_fn.calls - apply_fn.start <= 6
