@@ -12,6 +12,7 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "DimensionMismatchError",
@@ -98,8 +99,8 @@ class LinearForwardMap:
 
 
 def identity_map(dim: int) -> LinearForwardMap:
-    eye = np.eye(dim)
-    eye.flags.writeable = False
+    eye = sp.identity(dim, format="csr")
+    eye.data.flags.writeable = False
     return LinearForwardMap(lambda u: u.copy(), lambda v: v.copy(), dim, dim, matrix=eye)
 
 

@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 
+# over-relaxation factor of the primal-dual step, in (0, 2); 1 is plain Chambolle-Pock
+_RELAX = 1.7
+
+
 class SolverError(RuntimeError):
     """Solver failed to certify its tolerance within the iteration budget."""
 
@@ -204,15 +208,19 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
 def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
                       config: SolverConfig | None = None, u0=None,
                       check_every: int = 25) -> RegularizedSolution:
-    """Diagonally preconditioned primal-dual (Chambolle-Pock) on [F; D], matrix-free.
+    """Diagonally preconditioned, over-relaxed primal-dual (Chambolle-Pock) on [F; D].
 
     Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>,
     with both dual blocks stacked against K = [F; D], stored the way F is (an F
     without a matrix is materialized through ``apply``).  The diagonal steps
     tau_j = step_safety / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
-    Chambolle, ICCV 2011) need no norm estimate.  The result is certified by a
-    primal-dual gap combining the optimality defect of p = D^T q / alpha with
-    the complementarity slack alpha*||Du||_1 - <q, Du>.
+    Chambolle, ICCV 2011) need no norm estimate.  Each step is moved a factor
+    ``_RELAX`` along its direction (Condat, JOTA 2013; Chambolle & Pock, Math.
+    Prog. 2016), which keeps the fixed point and the step condition.  The
+    certified pair is the unrelaxed one, (u_hat, clipped q): a relaxed q can
+    leave the box |q| <= alpha.  It is certified by a primal-dual gap combining
+    the optimality defect of p = D^T q / alpha with the complementarity slack
+    alpha*||Du||_1 - <q, Du>.
     """
     cfg = config or SolverConfig()
     if alpha <= 0.0:
@@ -222,6 +230,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     v = as_vector(data, op.out_dim, "data")
     if reg.D.shape[1] != op.in_dim:
         raise ValueError("regularizer shape does not match operator")
+    fwd, adj = op._apply, op._adjoint
     d_mat = reg.D
     dt_mat = d_mat.T.tocsr()
     f_mat = op.matrix
@@ -229,47 +238,51 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
         f_mat = np.column_stack([op.apply(e) for e in np.eye(op.in_dim)])
     if sp.issparse(f_mat):
         k_mat = sp.vstack([f_mat, d_mat]).tocsr()
-        kt_mat = k_mat.T.tocsr()
     else:
         k_mat = np.vstack([f_mat, d_mat.toarray()])
-        kt_mat = k_mat.T
     abs_k = abs(k_mat)
     tau = cfg.step_safety / np.asarray(abs_k.sum(axis=0)).ravel()
     # rows of F that see no pixel (rays missing the grid) get any finite step
     sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
+    # the steps are folded into the stored products: sigma*K and 2*tau*K^T
+    k_sig = sp.diags(sig) @ k_mat
+    kt_tau2 = sp.diags(2.0 * tau) @ k_mat.T
 
-    target = _defect_target(cfg, norm(op.adjoint(v)))
+    target = _defect_target(cfg, norm(adj(v)))
     m = op.out_dim
     u = _init_point(op.in_dim, cfg, u0)
-    u_bar = u.copy()
+    u_ext = np.empty_like(u)
     z = np.zeros(k_mat.shape[0])
-    y, q = z[:m], z[m:]  # views: the data dual and the edge dual
     sig_v = sig[:m] * v
     damp = 1.0 / (1.0 + sig[:m])
 
     defect = np.inf
     gap = np.inf
     for iterations in range(1, cfg.max_iters + 1):
-        z += sig * (k_mat @ u_bar)
+        # u_hat = u - d/2 with d = 2*tau*K^T z; the dual step sees u_hat's
+        # extrapolation 2*u_hat - u = u - d
+        d = kt_tau2 @ z
+        w = k_sig @ np.subtract(u, d, out=u_ext)
+        w += z
+        y, q = w[:m], w[m:]  # views: the data dual and the edge dual
         y -= sig_v
         y *= damp
         np.clip(q, -alpha, alpha, out=q)
-        u_new = u - tau * (kt_mat @ z)
-        u_bar = 2.0 * u_new - u
-        u = u_new
         if iterations % check_every == 0 or iterations == cfg.max_iters:
-            residual = op.apply(u) - v
-            du = d_mat @ u
-            dtq = dt_mat @ q
-            defect = norm(op.adjoint(residual) + dtq)
+            u_hat = u - 0.5 * d
+            residual = fwd(u_hat) - v
+            du = d_mat @ u_hat
+            p = (dt_mat @ q) / alpha
+            defect = norm(adj(residual) + alpha * p)
+            _check_finite(defect, "primal-dual")
             tv_val = float(np.sum(np.abs(du)))
             compl = alpha * tv_val - float(np.dot(q, du))
             obj = 0.5 * float(np.dot(residual, residual)) + alpha * tv_val
             gap = defect + max(compl, 0.0)
             if defect <= target and compl <= cfg.tol * (1.0 + obj):
                 return RegularizedSolution(
-                    u_alpha=u,
-                    p_alpha=Subgradient(p=dtq / alpha, owner=u.copy(), dual=q / alpha),
+                    u_alpha=u_hat,
+                    p_alpha=Subgradient(p=p, owner=u_hat.copy(), dual=q / alpha),
                     alpha=alpha,
                     data_residual=0.5 * float(np.dot(residual, residual)),
                     J_value=tv_val,
@@ -277,6 +290,11 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
                     iterations=iterations,
                     gap=gap,
                 )
+        d *= 0.5 * _RELAX
+        u -= d
+        w -= z
+        w *= _RELAX
+        z += w
     raise SolverError(f"primal-dual stalled at gap {gap:.3e} (defect {defect:.3e})", defect)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from varreg import (
     DimensionMismatchError,
@@ -70,6 +71,13 @@ def test_identity_map_roundtrip():
     np.testing.assert_array_equal(op.apply(x), x)
     np.testing.assert_array_equal(op.adjoint(x), x)
     np.testing.assert_array_equal(op(x), x)
+
+
+def test_identity_map_matrix_is_sparse():
+    op = identity_map(1000)
+    assert sp.issparse(op.matrix)
+    assert op.matrix.nnz == 1000
+    assert not op.matrix.data.flags.writeable
 
 
 def test_dense_map_linearity():

@@ -48,8 +48,8 @@ def _primal_dual_radon():
 @pytest.mark.parametrize("solve, expected", [
     (_cg, 10),
     (_fista, 78),
-    (_primal_dual_dense, 275),
-    (_primal_dual_radon, 1575),
+    (_primal_dual_dense, 175),
+    (_primal_dual_radon, 925),
 ], ids=["cg", "fista", "primal-dual-dense-1d", "primal-dual-radon-16"])
 def test_iteration_count_is_pinned(solve, expected):
     assert solve().iterations == expected

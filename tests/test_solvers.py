@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import radon_phantom_problem
 from varreg import (
@@ -212,6 +214,34 @@ def test_primal_dual_matches_replaced_solver(name):
     assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
 
 
+@pytest.mark.parametrize("name", ["dense-1d", "radon-16"])
+def test_primal_dual_certifies_unrelaxed_pair(name):
+    # the over-relaxed dual may leave the box |q| <= alpha; the returned
+    # witness is the clipped dual of the unrelaxed step, and the returned
+    # fields reproduce the reported defect
+    op, reg, v, alpha = _tv_problem(name)
+    sol = solve_primal_dual(op, v, alpha, reg)
+    assert np.max(np.abs(sol.p_alpha.dual)) <= 1.0
+    assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+    defect = np.linalg.norm(op.adjoint(op.apply(sol.u_alpha) - v) + alpha * sol.p_alpha.p)
+    assert abs(defect - sol.optimality_defect) <= 1e-12 * sol.optimality_defect
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(n=st.integers(2, 10), extra_rows=st.integers(0, 4),
+       alpha=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_primal_dual_certificate_property(n, extra_rows, alpha, seed):
+    # full-column-rank F (singular values in [0.5, 1.5]) with 1-d TV; a
+    # rank-deficient F that nearly annihilates constants makes [F; D] nearly
+    # singular and can exhaust the default budget
+    op = make_random_dense(n + extra_rows, n, seed=seed)
+    v = substream(seed, "pd-property").standard_normal(op.out_dim)
+    reg, cfg = tv_aniso(n), SolverConfig()
+    sol = solve_primal_dual(op, v, alpha, reg, cfg)
+    assert sol.optimality_defect <= cfg.tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+
+
 def test_primal_dual_operator_without_matrix():
     # convolution has no backing matrix: the solver materializes it by apply
     op = make_convolution([0.25, 0.5, 0.25], 32)
@@ -334,21 +364,24 @@ class _GoesNaN:
         return out * np.nan if self.calls >= self.start else out
 
 
-@pytest.mark.parametrize("solver", ["cg", "fista", "source"])
+@pytest.mark.parametrize("solver", ["cg", "fista", "source", "primal-dual"])
 def test_non_finite_iterate_fails_fast(solver):
     a = make_random_dense(10, 6, seed=3).matrix
     apply_fn = _GoesNaN(a, start=10**9)
     op = LinearForwardMap(apply_fn, lambda v: a.T @ v, 6, 10)
     v = substream(0, "nan").standard_normal(10)
-    # FISTA's norm estimate runs before its loop; keep it finite, then break F
-    # a few calls into the loop
+    # FISTA's norm estimate runs before its loop, and primal-dual first
+    # materializes F with one apply per column; keep those finite, then break
+    # F a few calls into the loop (for primal-dual, at its first check)
     operator_norm_estimate(op, iters=200, seed=0)
-    apply_fn.start = apply_fn.calls + 5
+    apply_fn.start = apply_fn.calls + (op.in_dim + 1 if solver == "primal-dual" else 5)
     with pytest.raises(SolverError, match="not finite"):
         if solver == "cg":
             solve_tikhonov_exact(op, v, 0.1, SolverConfig(tol=1e-14))
         elif solver == "fista":
             solve_fista(op, v, 0.1, l1(), SolverConfig(tol=1e-14))
+        elif solver == "primal-dual":
+            solve_primal_dual(op, v, 0.1, tv_aniso(6), SolverConfig(tol=1e-14))
         else:
             solve_source_element(op, a.T @ v)
     # raised within a few iterations of the first NaN, not after max_iters
