@@ -42,6 +42,15 @@ __all__ = [
 # rather than roundoff and are raised instead of clamped.
 NEGATIVE_TOLERANCE = 1e-8
 
+# The randomized membership check evaluates its probe in row blocks of about
+# this many entries (64 KiB of float64), so its temporaries stay in cache.
+_PROBE_BLOCK = 8192
+
+# One flat seeded Gaussian draw per seed, shared by every membership check.
+# A seed's draw is a fixed sequence and read-only, so sharing it changes no
+# result; it is redrawn larger only when a call needs more entries.
+_PROBE_DRAWS: dict[int, np.ndarray] = {}
+
 
 class SubgradientError(ValueError):
     """A claimed subgradient failed its membership certificate."""
@@ -233,6 +242,8 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
     ``samples`` seeded points.  Returns the decision and the largest observed
     violation.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     u = as_vector(u, name="u")
     p, dual = _resolve(p, dual)
     p = as_vector(p, u.size, "p")
@@ -262,13 +273,54 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
     else:  # pragma: no cover - constructor prevents this
         raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 
-    # randomized check of the subgradient inequality
-    rng = np.random.default_rng(seed)
+    # randomized check of the subgradient inequality at w = u + radius*g
     radius = 1.0 + float(np.max(np.abs(u)))
-    w = u[None, :] + radius * rng.standard_normal((samples, u.size))
-    gaps = reg.value(u) + (w - u[None, :]) @ p - reg.value_batch(w)
-    violation = max(violation, float(np.max(gaps)), 0.0)
+    j_u = reg.value(u)
+    probe = _probe_directions(seed, samples, u.size)
+    for rows in _probe_row_blocks(samples, u.size):
+        w = radius * probe[rows]
+        w += u
+        values = reg.value_batch(w)
+        w -= u  # the same rounded w - u as forming it out of place
+        gaps = w @ p
+        gaps += j_u
+        gaps -= values
+        violation = max(violation, float(np.max(gaps)))
+    violation = max(violation, 0.0)
     return MembershipResult(ok=bool(violation <= tol), max_violation=violation)
+
+
+def _probe_directions(seed: int, samples: int, dim: int) -> np.ndarray:
+    """``default_rng(seed).standard_normal((samples, dim))`` as a read-only view.
+
+    Normal draws from a Generator are prefix-consistent, so one flat draw per
+    seed serves every shape: the result is a reshaped prefix of it.
+    """
+    need = samples * dim
+    flat = _PROBE_DRAWS.get(seed)
+    if flat is None or flat.size < need:
+        flat = np.random.default_rng(seed).standard_normal(need)
+        flat.flags.writeable = False
+        _PROBE_DRAWS[seed] = flat
+    return flat[:need].reshape(samples, dim)
+
+
+def _probe_row_blocks(samples: int, dim: int):
+    """Row slices of the probe, about ``_PROBE_BLOCK`` entries each.
+
+    ``w @ p`` must round each row as one product over all ``samples`` rows
+    does.  OpenBLAS's gemv takes rows in groups of 4 and a tail, and numpy
+    sends a single-row product to dot, so blocks are a multiple of 4 rows
+    and a lone last row joins the block before it.
+    """
+    step = max(4, _PROBE_BLOCK // dim // 4 * 4)
+    start = 0
+    while start < samples:
+        stop = start + step
+        if stop >= samples - 1:
+            stop = samples
+        yield slice(start, stop)
+        start = stop
 
 
 def _check_membership(reg, u, p, dual, membership_tol, support_atol, what):

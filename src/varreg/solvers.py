@@ -212,7 +212,8 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
 
     Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>,
     with both dual blocks stacked against K = [F; D], stored the way F is (an F
-    without a matrix is materialized through ``apply``).  The diagonal steps
+    without a matrix is materialized densely, one unit vector at a time through
+    its forward kernel).  The diagonal steps
     tau_j = step_safety / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
     Chambolle, ICCV 2011) need no norm estimate.  Each step is moved a factor
     ``_RELAX`` along its direction (Condat, JOTA 2013; Chambolle & Pock, Math.
@@ -235,7 +236,12 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     dt_mat = d_mat.T.tocsr()
     f_mat = op.matrix
     if f_mat is None:
-        f_mat = np.column_stack([op.apply(e) for e in np.eye(op.in_dim)])
+        f_mat = np.empty((op.out_dim, op.in_dim))
+        e = np.zeros(op.in_dim)
+        for j in range(op.in_dim):
+            e[j] = 1.0
+            f_mat[:, j] = fwd(e)
+            e[j] = 0.0
     if sp.issparse(f_mat):
         k_mat = sp.vstack([f_mat, d_mat]).tocsr()
     else:

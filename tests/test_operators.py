@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varreg import (
     RadonGeometry,
@@ -147,6 +150,33 @@ def test_radon_adjoint_consistency():
     for grid in (16, 32):
         op = make_radon(RadonGeometry.regular(grid, 10, 14))
         assert adjoint_consistency_check(op, trials=8, seed=3) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(grid_n=st.integers(1, 20), n_angles=st.integers(1, 12), n_offsets=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_radon_adjoint_consistency_property(grid_n, n_angles, n_offsets, seed):
+    op = make_radon(RadonGeometry.regular(grid_n, n_angles, n_offsets))
+    assert adjoint_consistency_check(op, trials=8, seed=seed) <= 1e-12
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(base=st.sampled_from(["csr", "dense", "matrix-free"]), size=st.integers(3, 16),
+       n_samples=st.integers(1, 60), noise_sigma=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sampled_adjoint_consistency_property(base, size, n_samples, noise_sigma, seed):
+    # each storage of the base operator takes its own branch of make_sampled
+    if base == "csr":
+        op = make_radon(RadonGeometry.regular(size, 6, size))
+        assert sp.issparse(op.matrix)
+    elif base == "dense":
+        op = make_random_dense(size + 5, size, seed=seed)
+        assert isinstance(op.matrix, np.ndarray)
+    else:
+        op = make_convolution([0.25, 0.5, 0.25], size)
+        assert op.matrix is None
+    sampled = make_sampled(op, draw_design(op.out_dim, n_samples, noise_sigma, seed))
+    assert adjoint_consistency_check(sampled, trials=8, seed=seed) <= 1e-12
 
 
 def test_full_design_realizes_quadrature_norm():

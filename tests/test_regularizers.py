@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varreg import (
     DimensionMismatchError,
@@ -15,7 +19,14 @@ from varreg import (
     symmetric_bregman,
     tv_aniso,
 )
-from varreg.regularizers import NEGATIVE_TOLERANCE, difference_matrix
+from varreg import regularizers
+from varreg.regularizers import (
+    NEGATIVE_TOLERANCE,
+    MembershipResult,
+    _probe_directions,
+    _tv_dual_fit,
+    difference_matrix,
+)
 
 from conftest import make_regularizer, subgradient_pair
 
@@ -99,6 +110,135 @@ def test_is_subgradient_tv_with_and_without_witness():
     # p far from range(D^T): constants are invisible to TV, so a constant
     # vector with nonzero mean cannot be a subgradient
     assert not is_subgradient(reg, u, np.ones(9)).ok
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_is_subgradient_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match="samples"):
+        is_subgradient(quadratic(), [1.0, 2.0], [1.0, 2.0], samples=samples)
+
+
+def _reference_is_subgradient(reg, u, p, tol=1e-8, *, dual=None, samples=100, seed=0,
+                              support_atol=1e-7):
+    """is_subgradient with the probe drawn afresh and evaluated as one product."""
+    u = np.asarray(u, dtype=float)
+    p = np.asarray(p, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(u))))
+    if reg.kind == "quadratic":
+        violation = float(np.max(np.abs(p - u)))
+    elif reg.kind == "l1":
+        on = np.abs(u) > support_atol * scale
+        v_on = np.max(np.abs(p[on] - np.sign(u[on]))) if np.any(on) else 0.0
+        v_off = np.max(np.abs(p[~on]) - 1.0) if np.any(~on) else 0.0
+        violation = float(max(v_on, max(v_off, 0.0)))
+    else:
+        du = reg.D @ u
+        edge_scale = max(1.0, float(np.max(np.abs(du))) if du.size else 1.0)
+        if dual is not None:
+            q = np.asarray(dual, dtype=float)
+            fixed = np.abs(du) > support_atol * edge_scale
+            v_res = np.linalg.norm(reg.D.T @ q - p)
+            v_box = max(float(np.max(np.abs(q))) - 1.0, 0.0)
+            v_sign = float(np.max(np.abs(q[fixed] - np.sign(du[fixed])))) if np.any(fixed) else 0.0
+            violation = max(v_res, v_box, v_sign)
+        else:
+            lip = reg.edge_map_norm() ** 2
+            violation = _tv_dual_fit(reg.D, p, du, support_atol * edge_scale, lip)
+    rng = np.random.default_rng(seed)
+    radius = 1.0 + float(np.max(np.abs(u)))
+    w = u[None, :] + radius * rng.standard_normal((samples, u.size))
+    gaps = reg.value(u) + (w - u[None, :]) @ p - reg.value_batch(w)
+    violation = max(violation, float(np.max(gaps)), 0.0)
+    return MembershipResult(ok=bool(violation <= tol), max_violation=violation)
+
+
+def _membership_case(case, dim, rng, noise):
+    """A regularizer and a (u, p, dual) pair, valid up to ``noise`` in p."""
+    if case == "tv2d-witness":
+        h = math.isqrt(dim)
+        dim = h * (dim // h)
+        reg = tv_aniso((h, dim // h))
+    elif case.startswith("tv"):
+        reg = tv_aniso(dim)
+    else:
+        reg = make_regularizer(case, dim)
+    # repeated entries give flat TV edges, zeros give l1's off-support branch
+    u = np.repeat(rng.standard_normal((dim + 1) // 2), 2)[:dim]
+    u[rng.random(dim) < 0.3] = 0.0
+    q = None
+    if reg.kind == "quadratic":
+        p = u.copy()
+    elif reg.kind == "l1":
+        p = np.where(u != 0.0, np.sign(u), rng.uniform(-1.0, 1.0, dim))
+    else:
+        du = reg.D @ u
+        q = np.where(du != 0.0, np.sign(du), rng.uniform(-1.0, 1.0, du.size))
+        p = reg.D.T @ q
+    p = p + noise * rng.standard_normal(dim)
+    return reg, u, p, (q if case.endswith("witness") else None)
+
+
+# Products of fewer than 9216 entries run on one OpenBLAS thread.  Larger ones
+# are split across threads, which regroups rows and moves the last bits of the
+# reference's one-product evaluation, so samples*dim stays below that.
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=st.sampled_from(["quadratic", "l1", "tv", "tv-witness", "tv2d-witness"]),
+       dim=st.integers(2, 400), samples=st.integers(1, 250), seed=st.integers(0, 3),
+       log_scale=st.floats(-3.0, 3.0), noise=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+       block=st.sampled_from([8192, 512, 64, 1]), data_seed=st.integers(0, 2**32 - 1))
+def test_is_subgradient_matches_unblocked_reference(case, dim, samples, seed, log_scale,
+                                                     noise, block, data_seed):
+    # the cached probe and its row blocks (several, with remainders) reproduce
+    # the fresh one-product evaluation bit for bit
+    rng = np.random.default_rng(data_seed)
+    reg, u, p, dual = _membership_case(case, dim, rng, noise)
+    u *= 10.0 ** log_scale
+    if reg.kind == "quadratic":
+        p *= 10.0 ** log_scale
+    samples = max(1, min(samples, 9215 // u.size))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "_PROBE_BLOCK", block)
+        got = is_subgradient(reg, u, p, dual=dual, samples=samples, seed=seed)
+    assert got == _reference_is_subgradient(reg, u, p, dual=dual, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("dim, samples", [(300, 9), (1000, 5), (700, 13)])
+def test_is_subgradient_lone_last_row_matches_reference(dim, samples):
+    # a last row left alone in its block would go through dot rather than
+    # gemv and round differently; p points along it so it holds the max gap
+    probe = np.random.default_rng(5).standard_normal((samples, dim))
+    reg, u, p = quadratic(), np.zeros(dim), 3.0 * probe[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "_PROBE_BLOCK", 1)  # blocks of 4 rows
+        got = is_subgradient(reg, u, p, samples=samples, seed=5)
+    assert got == _reference_is_subgradient(reg, u, p, samples=samples, seed=5)
+
+
+def test_probe_directions_share_one_read_only_draw():
+    big = _probe_directions(11, 30, 50)
+    np.testing.assert_array_equal(big, np.random.default_rng(11).standard_normal((30, 50)))
+    with pytest.raises(ValueError, match="read-only"):
+        big[0, 0] = 0.0
+    # a smaller shape is a prefix of the same buffer
+    small = _probe_directions(11, 7, 3)
+    np.testing.assert_array_equal(small, np.random.default_rng(11).standard_normal((7, 3)))
+    assert np.shares_memory(small, big)
+    # a larger one redraws, and views already handed out stay as they were
+    before = big.copy()
+    bigger = _probe_directions(11, 40, 50)
+    np.testing.assert_array_equal(bigger, np.random.default_rng(11).standard_normal((40, 50)))
+    np.testing.assert_array_equal(big, before)
+
+
+def test_is_subgradient_leaves_inputs_untouched():
+    rng = substream(3, "membership-inputs")
+    for kind in KINDS:
+        reg = make_regularizer(kind, 300)
+        u, p, q = subgradient_pair(kind, rng, 300)
+        u0, p0 = u.copy(), p.copy()
+        assert is_subgradient(reg, u, p, dual=q, samples=130).ok
+        np.testing.assert_array_equal(u, u0)
+        np.testing.assert_array_equal(p, p0)
 
 
 def test_subgradient_wrapper_carries_witness():

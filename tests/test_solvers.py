@@ -259,6 +259,19 @@ def test_primal_dual_operator_without_matrix():
     assert abs(obj - obj_ref) <= 1e-8 * abs(obj_ref)
 
 
+def test_primal_dual_materializes_matrix_free_operator_exactly():
+    # F is filled column by column from its kernel: the solve is the one on
+    # the same matrix stored densely, bit for bit
+    op = make_convolution([0.1, 0.6, 0.3], 24)
+    dense = make_dense(np.column_stack([op.apply(e) for e in np.eye(24)]))
+    reg, alpha = tv_aniso(24), 0.05
+    v = substream(3, "pd-materialize").standard_normal(24)
+    sol = solve_primal_dual(op, v, alpha, reg)
+    ref = solve_primal_dual(dense, v, alpha, reg)
+    assert np.array_equal(sol.u_alpha, ref.u_alpha)
+    assert sol.iterations == ref.iterations
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "l1", "tv"])
 def test_solution_certificates(kind):
     # defect target and subgradient membership on seeded random instances
