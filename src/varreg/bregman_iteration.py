@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from varreg.core import LinearForwardMap, as_vector, norm
+from varreg.core import LinearForwardMap, _power_iteration, as_vector, norm
 from varreg.regularizers import Regularizer, Subgradient, bregman_distance, subgradient_from_optimality
 from varreg.solvers import (
     RegularizedSolution,
@@ -162,6 +162,7 @@ def debias_two_step(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
 
     signs = np.sign(sol.u_alpha[support])
     idx = np.flatnonzero(support)
+    fwd, adj = op._apply, op._adjoint
 
     def embed(x):
         full = np.zeros(op.in_dim)
@@ -169,24 +170,16 @@ def debias_two_step(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
         return full
 
     def grad_fn(x):
-        return (op.adjoint(op.apply(embed(x)) - v))[idx]
+        return adj(fwd(embed(x)) - v)[idx]
 
     def project(x):
         return signs * np.maximum(signs * x, 0.0)
 
     # Lipschitz constant of the restricted normal operator
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(idx.size)
-    x /= max(norm(x), 1e-30)
-    for _ in range(100):
-        w = (op.adjoint(op.apply(embed(x))))[idx]
-        nw = norm(w)
-        if nw == 0.0:
-            break
-        x = w / nw
-    lip = max(1.02 * nw, 1e-30) if nw > 0.0 else 1.0
+    sigma = _power_iteration(lambda x: fwd(embed(x)), lambda y: adj(y)[idx], idx.size, 100, cfg.seed)
+    lip = 1.02 * sigma ** 2 if sigma > 0.0 else 1.0
 
-    b_restricted = (op.adjoint(v))[idx]
+    b_restricted = adj(v)[idx]
     target = cfg.tol * (1.0 + norm(b_restricted))
     x0 = sol.u_alpha[idx]
     x_fit, mapping, iterations = accelerated_projected_gradient(

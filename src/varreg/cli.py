@@ -139,10 +139,19 @@ def load_config(path: str | None, overrides) -> configparser.ConfigParser:
     for section in conf.sections():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in conf[section]:
+        for key, value in conf.items(section, raw=True):
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key [{section}] {key}")
+            if not all(map(_finite_or_text, value.split(","))):
+                raise ConfigError(f"[{section}] {key} must be finite, got {value!r}")
     return conf
+
+
+def _finite_or_text(token: str) -> bool:
+    try:
+        return abs(float(token)) < np.inf
+    except ValueError:  # not a number: kinds, booleans, paths
+        return True
 
 
 def _floats(text: str):

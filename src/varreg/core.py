@@ -45,6 +45,12 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a regularization parameter that is not a finite positive number."""
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
 def inner(a, b) -> float:
     """Euclidean inner product; dimensions must match exactly."""
     a = np.asarray(a, dtype=float)
@@ -154,6 +160,36 @@ def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> f
             return 0.0
         x = w / nw
     return norm(apply_fn(x))
+
+
+def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
+                                   tol: float, max_iters: int = 20_000):
+    """FISTA-style projected gradient for smooth objectives over convex sets.
+
+    Restarts momentum when it points uphill (gradient-mapping criterion,
+    O'Donoghue & Candes 2015); stops once the mapping is at most ``tol`` or
+    not finite.  Returns (x, mapping_norm, iterations) where mapping_norm is
+    the final projected-gradient mapping scaled by the Lipschitz constant.
+    """
+    lip = max(lip, 1e-30)
+    step = 1.0 / lip
+    x = project(np.asarray(x0, dtype=float).copy())
+    y = x.copy()
+    t = 1.0
+    mapping = np.inf
+    for iterations in range(1, max_iters + 1):
+        x_new = project(y - step * grad_fn(y))
+        mapping = lip * norm(x_new - y)
+        if not mapping > tol:  # converged, or the iterate is no longer finite
+            return x_new, mapping, iterations
+        if inner(y - x_new, x_new - x) > 0.0:  # momentum uphill: restart
+            t = 1.0
+            y = x.copy()
+            x_new = project(y - step * grad_fn(y))
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+    return x, mapping, max_iters
 
 
 def substream(seed: int, name: str, index: int = 0) -> np.random.Generator:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from varreg.core import LinearForwardMap, as_vector, norm, operator_norm_estimate, substream
+from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm, operator_norm_estimate, substream
 from varreg.regularizers import (
     Regularizer,
     Subgradient,
@@ -28,7 +28,7 @@ from varreg.regularizers import (
     is_subgradient,
     symmetric_bregman,
 )
-from varreg.solvers import SolverConfig, _check_finite, accelerated_projected_gradient, solve_variational
+from varreg.solvers import SolverConfig, _cg, _check_finite, accelerated_projected_gradient, solve_variational
 
 __all__ = [
     "SourceInstance",
@@ -114,27 +114,9 @@ def solve_source_element(op: LinearForwardMap, p_star, config: SolverConfig | No
     p = as_vector(p_star, op.in_dim, "p_star")
     fwd, adj = op._apply, op._adjoint
     b = fwd(p)
-    z = np.zeros(op.out_dim)
-    r = b.copy()
-    d = r.copy()
-    rs = float(np.dot(r, r))
-    target = cfg.tol * (1.0 + np.sqrt(rs))
+    target = cfg.tol * (1.0 + np.sqrt(float(np.dot(b, b))))
     max_iters = min(cfg.max_iters, max(60, 4 * op.out_dim))
-    for _ in range(max_iters):
-        residual = np.sqrt(rs)
-        if residual <= target:
-            break
-        _check_finite(residual, "source-element CG")
-        ad = fwd(adj(d))
-        dad = float(np.dot(d, ad))
-        if dad <= 0.0:
-            break
-        step = rs / dad
-        z = z + step * d
-        r = r - step * ad
-        rs_new = float(np.dot(r, r))
-        d = r + (rs_new / rs) * d
-        rs = rs_new
+    z, _, _ = _cg(lambda x: fwd(adj(x)), b, np.zeros(op.out_dim), target, max_iters, "source-element CG")
     defect = norm(adj(z) - p)
     _check_finite(defect, "source-element CG")
     return SourceElement(z=z, defect=defect)
@@ -159,7 +141,7 @@ def distance_function(op: LinearForwardMap, p_star, rho: float,
         return ls.defect
 
     def grad_fn(z):
-        return op.apply(op.adjoint(z) - p)
+        return op._apply(op._adjoint(z) - p)
 
     def project(z):
         nz = norm(z)
@@ -168,9 +150,7 @@ def distance_function(op: LinearForwardMap, p_star, rho: float,
     sigma = operator_norm_estimate(op, seed=cfg.seed)
     lip = max((1.02 * sigma) ** 2, 1e-30)
     target = cfg.tol * (1.0 + norm(op.apply(p)))
-    z0 = project(ls.z)
-    z, _, _ = accelerated_projected_gradient(grad_fn, project, lip, z0, target,
-                                             max_iters=cfg.max_iters)
+    z, _, _ = accelerated_projected_gradient(grad_fn, project, lip, ls.z, target, max_iters=cfg.max_iters)
     return norm(op.adjoint(z) - p)
 
 
@@ -312,8 +292,7 @@ def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha
     Zero (up to the instance defect) because F*(F u* - v* - alpha z*) + alpha p*
     = alpha (p* - F* z*); the source condition makes u* exactly optimal there.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     v_wit = instance.v_star + alpha * instance.z_star
     g = op.adjoint(op.apply(instance.u_star) - v_wit) + alpha * instance.p_star.p
     return norm(g)
@@ -337,8 +316,7 @@ def check_error_estimate(op: LinearForwardMap, reg: Regularizer, instance: Sourc
                          solution=None) -> EstimateReport:
     """0.5*||F(u_alpha - u*)||^2 + alpha*d_sym <= ||v - v*||^2 + alpha^2*||z*||^2."""
     cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     v = as_vector(data, op.out_dim, "data")
     sol, d_sym = _solve_and_distance(op, reg, instance, v, alpha, cfg, solution)
     output_gap = norm(op.apply(sol.u_alpha) - instance.v_star) ** 2
@@ -360,8 +338,7 @@ def check_effective_estimate(op: LinearForwardMap, reg: Regularizer, instance: S
                              solution=None) -> EstimateReport:
     """d_sym(u_alpha, u*) <= ||v - v*||^2 / alpha + alpha * ||z*||^2."""
     cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     v = as_vector(data, op.out_dim, "data")
     sol, d_sym = _solve_and_distance(op, reg, instance, v, alpha, cfg, solution)
     noise_sq = norm(v - instance.v_star) ** 2
@@ -387,8 +364,7 @@ def check_higher_order_estimate(op: LinearForwardMap, reg: Regularizer, u_star, 
     min_support |u*| / max |eta*| (the shift then preserves signs).
     """
     cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     u_star = as_vector(u_star, op.in_dim, "u_star")
     eta_star = as_vector(eta_star, op.in_dim, "eta_star")
     v = as_vector(data, op.out_dim, "data")

@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import DimensionMismatchError, LinearForwardMap, _power_iteration, as_vector, inner, norm
+from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _power_iteration,
+                         accelerated_projected_gradient, as_vector, inner, norm)
 
 __all__ = [
     "Regularizer",
@@ -175,8 +176,7 @@ def subgradient_from_optimality(op: LinearForwardMap, data, u_alpha, alpha: floa
     This is exact only at the true minimizer; the caller should confirm
     membership with :func:`is_subgradient` when u_alpha is approximate.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     u_alpha = as_vector(u_alpha, op.in_dim, "u_alpha")
     data = as_vector(data, op.out_dim, "data")
     p = op.adjoint(data - op.apply(u_alpha)) / alpha
@@ -196,8 +196,8 @@ def _tv_dual_fit(D: sp.csr_matrix, p: np.ndarray, du: np.ndarray, support_atol: 
     """Residual min_q ||D^T q - p|| over the TV dual constraints at Du.
 
     Entries of q are pinned to sign((Du)_e) on edges where |Du| exceeds the
-    support threshold and boxed in [-1,1] elsewhere; solved by an accelerated
-    projected gradient method.
+    support threshold and boxed in [-1,1] elsewhere; solved by the shared
+    accelerated projected gradient, to a gradient mapping of 1e-14*(1 + ||p||).
     """
     fixed = np.abs(du) > support_atol
     signs = np.sign(du)
@@ -208,28 +208,9 @@ def _tv_dual_fit(D: sp.csr_matrix, p: np.ndarray, du: np.ndarray, support_atol: 
         q[fixed] = signs[fixed]
         return q
 
-    q = project(np.zeros(D.shape[0]))
-    y = q.copy()
-    t = 1.0
-    best = norm(dt @ q - p)
-    step = 1.0 / max(lip, 1e-30)
-    for _ in range(iters):
-        grad = D @ (dt @ y - p)
-        q_new = project(y - step * grad)
-        res = norm(dt @ q_new - p)
-        if res > best:  # restart momentum on non-improvement
-            t = 1.0
-            y = q.copy()
-            q_new = project(y - step * (D @ (dt @ y - p)))
-            res = norm(dt @ q_new - p)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = q_new + ((t - 1.0) / t_new) * (q_new - q)
-        improvement = best - res
-        q, t = q_new, t_new
-        best = min(best, res)
-        if improvement >= 0.0 and improvement < 1e-14 * (1.0 + best):
-            break
-    return best
+    q, _, _ = accelerated_projected_gradient(lambda q: D @ (dt @ q - p), project, lip,
+                                             np.zeros(D.shape[0]), 1e-14 * (1.0 + norm(p)), iters)
+    return norm(dt @ q - p)
 
 
 def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,

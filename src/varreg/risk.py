@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from varreg.core import LinearForwardMap, as_vector, norm
+from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm
 from varreg.estimates import EstimateReport, SourceInstance, _report
 from varreg.operators import SampledDesign, full_design, make_sampled
 from varreg.regularizers import (
@@ -180,8 +180,7 @@ def check_operator_error_estimate(pair: RiskPair, reg: Regularizer, instance: So
     requires both.
     """
     cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     _validate_instance(pair, instance)
     sol, d_sym, pop_gap, noise_energy = _solve_empirical(pair, reg, instance, alpha, cfg, solution)
     gap = operator_generalization_gap(pair, sol.u_alpha)
@@ -220,8 +219,7 @@ def check_risk_theorem(pair: RiskPair, reg: Regularizer, theta_star, z_star,
     certificate; the term breakdown records both gap conventions.
     """
     cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     theta_star = as_vector(theta_star, pair.population_map.in_dim, "theta_star")
     z_star = as_vector(z_star, pair.population_map.out_dim, "z_star")
     p_arr = pair.population_map.adjoint(z_star)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import LinearForwardMap, as_vector, inner, norm, operator_norm_estimate
+from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm, operator_norm_estimate
+from varreg.core import accelerated_projected_gradient  # noqa: F401 - re-exported for callers
 from varreg.regularizers import Regularizer, Subgradient
 
 __all__ = [
@@ -85,36 +86,28 @@ def _check_finite(defect: float, solver: str) -> None:
         raise SolverError(f"{solver} iterate is not finite (defect {defect})", defect)
 
 
-def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
-                         config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
-    """Quadratic regularizer: conjugate gradients on (F*F + alpha I) u = F*v.
+def _cg(matvec, b: np.ndarray, x: np.ndarray, target: float, max_iters: int, name: str):
+    """CG on matvec(x) = b from ``x`` (updated in place) to a residual of ``target``.
 
-    ``data`` and ``u0`` are validated once; the loop runs on the raw kernels.
+    Stops early after ``max_iters`` steps or on nonpositive curvature, and
+    raises SolverError once the residual is not finite.  Returns
+    (x, residual, iterations).
     """
-    cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    v = as_vector(data, op.out_dim, "data")
-    fwd, adj = op._apply, op._adjoint
-    b = adj(v)
-    target = _defect_target(cfg, norm(b))
-
-    def normal_op(x):
-        return adj(fwd(x)) + alpha * x
-
-    u = _init_point(op.in_dim, cfg, u0)
-    r = b - normal_op(u)
+    r = b - matvec(x)
     d = r.copy()
     rs = float(np.dot(r, r))
     iterations = 0
-    defect = np.sqrt(rs)
-    while not defect <= target:
-        _check_finite(defect, "CG")
-        if iterations >= cfg.max_iters:
-            raise SolverError(f"CG stalled at defect {defect:.3e} > {target:.3e}", defect)
-        q = normal_op(d)
-        step = rs / float(np.dot(d, q))
-        u += step * d
+    residual = np.sqrt(rs)
+    while not residual <= target:
+        _check_finite(residual, name)
+        if iterations >= max_iters:
+            break
+        q = matvec(d)
+        curvature = float(np.dot(d, q))
+        if curvature <= 0.0:
+            break
+        step = rs / curvature
+        x += step * d
         r -= step * q
         rs_new = float(np.dot(r, r))
         d = r + (rs_new / rs) * d
@@ -122,11 +115,29 @@ def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
         iterations += 1
         if np.sqrt(rs) <= target:
             # guard against drift in the recursive residual
-            r = b - normal_op(u)
+            r = b - matvec(x)
             rs = float(np.dot(r, r))
             d = r.copy()
-        defect = np.sqrt(rs)
+        residual = np.sqrt(rs)
+    return x, residual, iterations
 
+
+def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
+                         config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
+    """Quadratic regularizer: conjugate gradients on (F*F + alpha I) u = F*v.
+
+    ``data`` and ``u0`` are validated once; the loop runs on the raw kernels.
+    """
+    cfg = config or SolverConfig()
+    _check_alpha(alpha)
+    v = as_vector(data, op.out_dim, "data")
+    fwd, adj = op._apply, op._adjoint
+    b = adj(v)
+    target = _defect_target(cfg, norm(b))
+    u, defect, iterations = _cg(lambda x: adj(fwd(x)) + alpha * x, b,
+                                _init_point(op.in_dim, cfg, u0), target, cfg.max_iters, "CG")
+    if not defect <= target:
+        raise SolverError(f"CG stalled at defect {defect:.3e} > {target:.3e}", defect)
     residual = fwd(u) - v
     return RegularizedSolution(
         u_alpha=u,
@@ -149,8 +160,7 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     runs on the raw operator kernels and the closed-form prox and value.
     """
     cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if reg.kind not in ("quadratic", "l1"):
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
     v = as_vector(data, op.out_dim, "data")
@@ -224,8 +234,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     alpha*||Du||_1 - <q, Du>.
     """
     cfg = config or SolverConfig()
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if reg.kind != "tv_aniso":
         raise ValueError(f"solve_primal_dual requires tv_aniso, not {reg.kind!r}")
     v = as_vector(data, op.out_dim, "data")
@@ -315,31 +324,3 @@ def solve_variational(op: LinearForwardMap, data, alpha: float, reg: Regularizer
         return solve_primal_dual(op, data, alpha, reg, config, u0=u0)
     raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 
-
-def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
-                                   tol: float, max_iters: int = 20_000):
-    """FISTA-style projected gradient for smooth objectives over convex sets.
-
-    Restarts momentum when it points uphill (gradient-mapping criterion).
-    Returns (x, mapping_norm, iterations) where mapping_norm is the norm of
-    the final projected-gradient mapping, scaled by the Lipschitz constant.
-    """
-    lip = max(lip, 1e-30)
-    step = 1.0 / lip
-    x = project(np.asarray(x0, dtype=float).copy())
-    y = x.copy()
-    t = 1.0
-    mapping = np.inf
-    for iterations in range(1, max_iters + 1):
-        x_new = project(y - step * grad_fn(y))
-        mapping = lip * norm(x_new - y)
-        if mapping <= tol:
-            return x_new, mapping, iterations
-        if inner(y - x_new, x_new - x) > 0.0:  # momentum uphill: restart
-            t = 1.0
-            y = x.copy()
-            x_new = project(y - step * grad_fn(y))
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-    return x, mapping, max_iters

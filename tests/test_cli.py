@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import varreg
 from varreg import SubgradientError, is_subgradient, l1, load_image_csv
 from varreg.cli import load_config, run
 from varreg.estimates import EstimateReport
@@ -89,6 +92,20 @@ def test_invalid_parameter_exits_two(tmp_path, capsys):
 def test_non_finite_tol_exits_two(tmp_path, capsys):
     assert run(["solve", "--set", "solver.tol=nan", "--output", str(tmp_path)]) == 2
     assert "tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", [
+    ("solve", "solve.alpha"),
+    ("bregman", "bregman.discrepancy_factor"),
+    ("debias", "debias.alpha"),
+    ("bias-variance", "bias_variance.alpha_max"),
+])
+def test_non_finite_config_value_exits_two(tmp_path, capsys, command, key, value):
+    assert run([command, "--set", f"{key}={value}", "--output", str(tmp_path)]) == 2
+    section, name = key.split(".")
+    assert f"[{section}] {name}" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*_summary.json"))
 
 
 def test_empty_convergence_table_exits_two(tmp_path, capsys):
@@ -248,10 +265,13 @@ def test_load_config_defaults_complete():
 
 def test_console_entry_point(tmp_path):
     conf = _write(tmp_path, SOLVE_INI)
+    # the child finds varreg where this process did, installed or not
+    src = str(Path(varreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "varreg.cli", "solve", "--config", conf,
          "--output", str(tmp_path / "out")],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "solve:" in proc.stdout

@@ -155,6 +155,14 @@ def test_distance_function_monotone_in_radius():
         assert lo <= hi + 1e-9
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+def test_check_error_estimate_rejects_bad_alpha(alpha):
+    op = make_random_dense(8, 6, seed=3)
+    inst = construct_source_instance(op, quadratic(), seed=0)
+    with pytest.raises(ValueError, match="alpha"):
+        check_error_estimate(op, quadratic(), inst, inst.v_star, alpha)
+
+
 def test_range_condition_defect_vanishes_on_instances():
     for kind, reg in (("quadratic", quadratic()), ("l1", l1())):
         op = make_random_dense(12, 8, seed=31)

@@ -10,6 +10,7 @@ import pytest
 from conftest import radon_phantom_problem
 from varreg import (
     SolverConfig,
+    debias_two_step,
     l1,
     make_random_dense,
     solve_fista,
@@ -35,6 +36,11 @@ def _fista():
     return solve_fista(op, v, 0.2, l1(), SolverConfig(tol=1e-10))
 
 
+def _debias():
+    op, v = _dense_problem()
+    return debias_two_step(op, v, 0.2, l1(), SolverConfig(tol=1e-10))
+
+
 def _primal_dual_dense():
     op, v = _dense_problem()
     return solve_primal_dual(op, v, 0.2, tv_aniso(10), SolverConfig(tol=1e-10))
@@ -48,8 +54,9 @@ def _primal_dual_radon():
 @pytest.mark.parametrize("solve, expected", [
     (_cg, 10),
     (_fista, 78),
+    (_debias, 47),
     (_primal_dual_dense, 175),
     (_primal_dual_radon, 925),
-], ids=["cg", "fista", "primal-dual-dense-1d", "primal-dual-radon-16"])
+], ids=["cg", "fista", "debias", "primal-dual-dense-1d", "primal-dual-radon-16"])
 def test_iteration_count_is_pinned(solve, expected):
     assert solve().iterations == expected

@@ -202,6 +202,62 @@ def test_is_subgradient_matches_unblocked_reference(case, dim, samples, seed, lo
     assert got == _reference_is_subgradient(reg, u, p, dual=dual, samples=samples, seed=seed)
 
 
+def _reference_tv_dual_fit(D, p, du, support_atol, lip, iters=2000):
+    """The TV dual fit as it was before it ran on the shared projected gradient.
+
+    Its own accelerated loop restarts on non-improvement of the residual,
+    stops once the residual improves by less than 1e-14 relative, and returns
+    the best residual seen.
+    """
+    fixed = np.abs(du) > support_atol
+    signs = np.sign(du)
+    dt = D.T.tocsr()
+
+    def project(q):
+        q = np.clip(q, -1.0, 1.0)
+        q[fixed] = signs[fixed]
+        return q
+
+    q = project(np.zeros(D.shape[0]))
+    y = q.copy()
+    t = 1.0
+    best = np.linalg.norm(dt @ q - p)
+    step = 1.0 / max(lip, 1e-30)
+    for _ in range(iters):
+        grad = D @ (dt @ y - p)
+        q_new = project(y - step * grad)
+        res = np.linalg.norm(dt @ q_new - p)
+        if res > best:
+            t = 1.0
+            y = q.copy()
+            q_new = project(y - step * (D @ (dt @ y - p)))
+            res = np.linalg.norm(dt @ q_new - p)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = q_new + ((t - 1.0) / t_new) * (q_new - q)
+        improvement = best - res
+        q, t = q_new, t_new
+        best = min(best, res)
+        if improvement >= 0.0 and improvement < 1e-14 * (1.0 + best):
+            break
+    return best
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.sampled_from(["tv", "tv2d-witness"]), dim=st.integers(2, 150),
+       noise=st.sampled_from([0.0, 1e-6, 1e-3, 1.0]), data_seed=st.integers(0, 2**32 - 1))
+def test_tv_dual_fit_matches_replaced_loop(case, dim, noise, data_seed):
+    # membership without a witness decides as the replaced fit did, and is
+    # accurate on valid pairs (noise 0); the witness itself is not passed
+    reg, u, p, _ = _membership_case(case, dim, np.random.default_rng(data_seed), noise)
+    got = is_subgradient(reg, u, p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "_tv_dual_fit", _reference_tv_dual_fit)
+        ref = is_subgradient(reg, u, p)
+    assert got.ok == ref.ok
+    if noise == 0.0:
+        assert got.ok and got.max_violation <= 1e-10
+
+
 @pytest.mark.parametrize("dim, samples", [(300, 9), (1000, 5), (700, 13)])
 def test_is_subgradient_lone_last_row_matches_reference(dim, samples):
     # a last row left alone in its block would go through dot rather than

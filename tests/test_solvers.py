@@ -60,6 +60,13 @@ def test_tikhonov_matches_normal_equations():
     np.testing.assert_array_equal(sol.p_alpha.p, sol.u_alpha)
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("reg", [quadratic(), l1(), tv_aniso(2)], ids=["quadratic", "l1", "tv"])
+def test_solve_variational_rejects_bad_alpha(reg, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        solve_variational(identity_map(2), [1.0, 0.5], alpha, reg)
+
+
 def test_tikhonov_validates_alpha_and_budget():
     op = make_dense(np.diag([1.0, 0.01]))
     with pytest.raises(ValueError, match="alpha"):
@@ -355,6 +362,18 @@ def test_accelerated_projected_gradient_box():
     np.testing.assert_allclose(x, [1.0, 0.0, 0.5, 0.3], atol=1e-10)
     assert mapping <= 1e-12
     assert iters < 100
+
+
+def test_accelerated_projected_gradient_stops_on_non_finite_gradient():
+    x, mapping, iters = accelerated_projected_gradient(
+        grad_fn=lambda x: x * np.nan,
+        project=lambda x: x,
+        lip=1.0,
+        x0=np.ones(3),
+        tol=1e-12,
+    )
+    assert iters == 1
+    assert np.isnan(mapping)
 
 
 def test_perturbed_start_is_deterministic():
