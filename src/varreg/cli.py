@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from varreg.bregman_iteration import bregman_iterate, debias_two_step
-from varreg.core import norm, substream
+from varreg.core import identity_map, norm, substream
 from varreg.estimates import (
     bias_variance_study,
     construct_source_instance,
@@ -38,7 +38,6 @@ from varreg.operators import (
 from varreg.regularizers import SubgradientError, l1, quadratic, tv_aniso
 from varreg.risk import build_risk_pair, check_operator_error_estimate, check_risk_theorem
 from varreg.solvers import SolverConfig, SolverError, solve_variational
-from varreg.core import identity_map
 
 __all__ = ["main", "run"]
 
@@ -154,6 +153,14 @@ def _finite_or_text(token: str) -> bool:
         return True
 
 
+def _bounded(sec, key: str, positive: bool = False) -> float:
+    """``[section] key`` as a float, rejected unless >= 0 (> 0 if ``positive``)."""
+    value = sec.getfloat(key)
+    if not (value > 0.0 if positive else value >= 0.0):
+        raise ConfigError(f"[{sec.name}] {key} must be {'positive' if positive else '>= 0'}, got {value!r}")
+    return value
+
+
 def _floats(text: str):
     return np.array([float(t) for t in text.split(",") if t.strip() != ""])
 
@@ -189,7 +196,10 @@ def build_regularizer(conf, op):
     if kind == "tv_aniso":
         shape_text = sec.get("shape")
         if shape_text.strip():
-            parts = [int(t) for t in shape_text.split(",") if t.strip()]
+            try:
+                parts = [int(t) for t in shape_text.split(",") if t.strip()]
+            except ValueError:
+                raise ConfigError(f"[regularizer] shape must be integers, got {shape_text!r}") from None
             shape = parts[0] if len(parts) == 1 else tuple(parts)
         else:
             shape = op.in_dim
@@ -237,7 +247,7 @@ def _cmd_solve(conf, seed, out_dir):
         v = _floats(data_text)
     else:
         instance = construct_source_instance(op, reg, seed)
-        noise = sec.getfloat("sigma") * substream(seed, "noise").standard_normal(op.out_dim)
+        noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
         v = instance.v_star + noise
     sol = solve_variational(op, v, alpha, reg, cfg)
     rows = [(i, sol.u_alpha[i], sol.p_alpha.p[i]) for i in range(op.in_dim)]
@@ -262,7 +272,7 @@ def _cmd_bregman(conf, seed, out_dir):
     cfg = solver_config(conf, seed)
     sec = conf["bregman"]
     instance = construct_source_instance(op, reg, seed)
-    noise = sec.getfloat("sigma") * substream(seed, "noise").standard_normal(op.out_dim)
+    noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
     v = instance.v_star + noise
     noise_level = norm(noise) if sec.getboolean("use_discrepancy") else None
     trace = bregman_iterate(
@@ -293,7 +303,7 @@ def _cmd_debias(conf, seed, out_dir):
     cfg = solver_config(conf, seed)
     sec = conf["debias"]
     instance = construct_source_instance(op, reg, seed)
-    noise = sec.getfloat("sigma") * substream(seed, "noise").standard_normal(op.out_dim)
+    noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
     v = instance.v_star + noise
     result = debias_two_step(op, v, sec.getfloat("alpha"), reg, cfg)
     res_l1 = norm(op.apply(result.step_one.u_alpha) - v)
@@ -327,9 +337,9 @@ def _cmd_convergence(conf, seed, out_dir):
     steps = sec.getint("steps")
     if steps < 1:
         raise ConfigError("[convergence] steps must be >= 1")
+    deltas = _bounded(sec, "delta0", True) * _bounded(sec, "decay", True) ** np.arange(steps)
+    alphas = _bounded(sec, "alpha_over_delta", True) * deltas
     instance = construct_source_instance(op, reg, seed)
-    deltas = sec.getfloat("delta0") * sec.getfloat("decay") ** np.arange(steps)
-    alphas = sec.getfloat("alpha_over_delta") * deltas
     rows = convergence_study(op, reg, instance, deltas, alphas, seed=seed, config=cfg)
     _write_csv(
         out_dir / "convergence.csv",
@@ -361,9 +371,9 @@ def _cmd_bias_variance(conf, seed, out_dir):
         raise ConfigError("[bias_variance] n_alphas must be >= 1")
     if replicates < 2:
         raise ConfigError("[bias_variance] replicates must be >= 2 for a standard error")
+    alphas = np.geomspace(_bounded(sec, "alpha_min", True), _bounded(sec, "alpha_max", True), n_alphas)
     instance = construct_source_instance(op, reg, seed)
-    alphas = np.geomspace(sec.getfloat("alpha_min"), sec.getfloat("alpha_max"), n_alphas)
-    result = bias_variance_study(op, reg, instance, sec.getfloat("sigma"), alphas,
+    result = bias_variance_study(op, reg, instance, _bounded(sec, "sigma"), alphas,
                                  replicates, seed=seed, config=cfg)
     _write_csv(
         out_dir / "bias_variance.csv",
@@ -401,7 +411,7 @@ def _pair_study(conf, seed, out_dir, section: str, checker, filename: str):
     rows = []
     for i in range(n_instances):
         instance = construct_source_instance(population, reg, _derived_seed(seed, "instance", i))
-        design = draw_design(op.out_dim, sec.getint("n_samples"), sec.getfloat("sigma"),
+        design = draw_design(op.out_dim, sec.getint("n_samples"), _bounded(sec, "sigma"),
                              _derived_seed(seed, "design", i))
         pair = build_risk_pair(op, instance.u_star, design)
         report = checker(pair, reg, instance, alpha, cfg)
@@ -445,7 +455,7 @@ def _cmd_radon_demo(conf, seed, out_dir):
     phantom[(np.abs(X - 0.45) <= 0.2) & (np.abs(Y + 0.4) <= 0.15)] += 0.5
     u_true = phantom.ravel()
     sino = op.apply(u_true)
-    noise = sec.getfloat("sigma") * substream(seed, "noise").standard_normal(op.out_dim)
+    noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
     v = sino + noise
     sol = solve_variational(op, v, sec.getfloat("alpha"), quadratic(), cfg)
     rel_err = norm(sol.u_alpha - u_true) / norm(u_true)

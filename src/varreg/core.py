@@ -164,12 +164,14 @@ def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> f
 
 def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
                                    tol: float, max_iters: int = 20_000):
-    """FISTA-style projected gradient for smooth objectives over convex sets.
+    """FISTA (Beck & Teboulle 2009) for a smooth objective plus a convex term.
 
-    Restarts momentum when it points uphill (gradient-mapping criterion,
-    O'Donoghue & Candes 2015); stops once the mapping is at most ``tol`` or
-    not finite.  Returns (x, mapping_norm, iterations) where mapping_norm is
-    the final projected-gradient mapping scaled by the Lipschitz constant.
+    ``project`` may be any prox map of step 1/``lip``: the projection onto a
+    convex set, or the prox of a scaled regularizer.  Restarts momentum when
+    it points uphill (gradient-mapping criterion, O'Donoghue & Candes 2015);
+    stops once the mapping is at most ``tol`` or not finite.  Returns
+    (x, mapping_norm, iterations) where mapping_norm is the final
+    projected-gradient mapping scaled by the Lipschitz constant.
     """
     lip = max(lip, 1e-30)
     step = 1.0 / lip

@@ -192,12 +192,13 @@ def _resolve(p, dual):
 
 
 def _tv_dual_fit(D: sp.csr_matrix, p: np.ndarray, du: np.ndarray, support_atol: float,
-                 lip: float, iters: int = 2000) -> float:
+                 lip: float) -> float:
     """Residual min_q ||D^T q - p|| over the TV dual constraints at Du.
 
     Entries of q are pinned to sign((Du)_e) on edges where |Du| exceeds the
     support threshold and boxed in [-1,1] elsewhere; solved by the shared
-    accelerated projected gradient, to a gradient mapping of 1e-14*(1 + ||p||).
+    accelerated projected gradient, within its default budget, to a gradient
+    mapping of 1e-14*(1 + ||p||).
     """
     fixed = np.abs(du) > support_atol
     signs = np.sign(du)
@@ -209,7 +210,7 @@ def _tv_dual_fit(D: sp.csr_matrix, p: np.ndarray, du: np.ndarray, support_atol: 
         return q
 
     q, _, _ = accelerated_projected_gradient(lambda q: D @ (dt @ q - p), project, lip,
-                                             np.zeros(D.shape[0]), 1e-14 * (1.0 + norm(p)), iters)
+                                             np.zeros(D.shape[0]), 1e-14 * (1.0 + norm(p)))
     return norm(dt @ q - p)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm, operator_norm_estimate
-from varreg.core import accelerated_projected_gradient  # noqa: F401 - re-exported for callers
+from varreg.core import (LinearForwardMap, _check_alpha, accelerated_projected_gradient, as_vector,
+                         norm, operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
 
 # over-relaxation factor of the primal-dual step, in (0, 2); 1 is plain Chambolle-Pock
 _RELAX = 1.7
+# iterations between the primal-dual solver's certificate checks
+_CHECK_EVERY = 25
 
 
 class SolverError(RuntimeError):
@@ -74,7 +76,7 @@ def _defect_target(cfg: SolverConfig, adjoint_data_norm: float) -> float:
     return cfg.tol * (1.0 + adjoint_data_norm)
 
 
-def _init_point(dim: int, cfg: SolverConfig, u0) -> np.ndarray:
+def _init_point(dim: int, u0) -> np.ndarray:
     if u0 is None:
         return np.zeros(dim)
     return as_vector(u0, dim, "u0").copy()
@@ -135,7 +137,7 @@ def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
     b = adj(v)
     target = _defect_target(cfg, norm(b))
     u, defect, iterations = _cg(lambda x: adj(fwd(x)) + alpha * x, b,
-                                _init_point(op.in_dim, cfg, u0), target, cfg.max_iters, "CG")
+                                _init_point(op.in_dim, u0), target, cfg.max_iters, "CG")
     if not defect <= target:
         raise SolverError(f"CG stalled at defect {defect:.3e} > {target:.3e}", defect)
     residual = fwd(u) - v
@@ -154,10 +156,11 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
                 config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
     """Accelerated proximal gradient with adaptive restart (quadratic or l1).
 
-    The declared subgradient is the one implied by the final prox step, which
-    is an exact member of the subdifferential; the optimality defect is
-    measured against it.  ``data`` and ``u0`` are validated once; the loop
-    runs on the raw operator kernels and the closed-form prox and value.
+    One call to ``accelerated_projected_gradient`` with the prox of
+    tau*alpha*J as its projection, then one certifying prox step: the
+    subgradient it implies is an exact member of the subdifferential, and the
+    optimality defect is measured against it.  ``data`` and ``u0`` are
+    validated once; the kernel runs on the raw operator kernels.
     """
     cfg = config or SolverConfig()
     _check_alpha(alpha)
@@ -165,59 +168,42 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
     v = as_vector(data, op.out_dim, "data")
     fwd, adj = op._apply, op._adjoint
-    prox, value = reg._prox, reg._value
-    b = adj(v)
-    target = _defect_target(cfg, norm(b))
+    target = _defect_target(cfg, norm(adj(v)))
     sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
     lip = max((1.01 * sigma) ** 2, 1e-30)
     tau = cfg.step_safety / lip
 
-    def objective(u, residual):
-        return 0.5 * float(np.dot(residual, residual)) + alpha * value(u)
+    def grad(x):
+        return adj(fwd(x) - v)
 
-    u = _init_point(op.in_dim, cfg, u0)
-    res_u = fwd(u) - v
-    obj = objective(u, res_u)
-    y = u.copy()
-    t = 1.0
-    for iterations in range(1, cfg.max_iters + 1):
-        grad_y = adj(fwd(y) - v)
-        x_pre = y - tau * grad_y
-        u_new = prox(tau * alpha, x_pre)
-        res_new = fwd(u_new) - v
-        obj_new = objective(u_new, res_new)
-        if obj_new > obj:
-            # momentum overshot: restart and take a plain descent step from u
-            t = 1.0
-            y = u.copy()
-            grad_y = adj(fwd(y) - v)
-            x_pre = y - tau * grad_y
-            u_new = prox(tau * alpha, x_pre)
-            res_new = fwd(u_new) - v
-            obj_new = objective(u_new, res_new)
-        # exact subgradient from the prox optimality condition
-        p = (x_pre - u_new) / (tau * alpha)
-        defect = norm(adj(res_new) + alpha * p)
-        if defect <= target:
-            return RegularizedSolution(
-                u_alpha=u_new,
-                p_alpha=Subgradient(p=p, owner=u_new.copy()),
-                alpha=alpha,
-                data_residual=0.5 * float(np.dot(res_new, res_new)),
-                J_value=value(u_new),
-                optimality_defect=defect,
-                iterations=iterations,
-            )
-        _check_finite(defect, "FISTA")
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = u_new + ((t - 1.0) / t_new) * (u_new - u)
-        u, obj, t = u_new, obj_new, t_new
-    raise SolverError(f"FISTA stalled at defect {defect:.3e} > {target:.3e}", defect)
+    # the prox-gradient map T is averaged, so the certifying step u = T(x) from
+    # the kernel's x = T(y) moves no further than its last one; the defect
+    # grad(u) - grad(x) + (x - u)/tau is then at most (1 + ||F||^2 tau) <= 2
+    # times the final mapping, so a mapping of target/2 certifies the target
+    x, _, iterations = accelerated_projected_gradient(
+        grad, lambda x: reg._prox(tau * alpha, x), 1.0 / tau,
+        _init_point(op.in_dim, u0), 0.5 * target, cfg.max_iters)
+    x_pre = x - tau * grad(x)
+    u = reg._prox(tau * alpha, x_pre)
+    p = (x_pre - u) / (tau * alpha)
+    residual = fwd(u) - v
+    defect = norm(adj(residual) + alpha * p)
+    _check_finite(defect, "FISTA")
+    if not defect <= target:
+        raise SolverError(f"FISTA stalled at defect {defect:.3e} > {target:.3e}", defect)
+    return RegularizedSolution(
+        u_alpha=u,
+        p_alpha=Subgradient(p=p, owner=u.copy()),
+        alpha=alpha,
+        data_residual=0.5 * float(np.dot(residual, residual)),
+        J_value=reg._value(u),
+        optimality_defect=defect,
+        iterations=iterations,
+    )
 
 
 def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
-                      config: SolverConfig | None = None, u0=None,
-                      check_every: int = 25) -> RegularizedSolution:
+                      config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
     """Diagonally preconditioned, over-relaxed primal-dual (Chambolle-Pock) on [F; D].
 
     Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>,
@@ -265,7 +251,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
 
     target = _defect_target(cfg, norm(adj(v)))
     m = op.out_dim
-    u = _init_point(op.in_dim, cfg, u0)
+    u = _init_point(op.in_dim, u0)
     u_ext = np.empty_like(u)
     z = np.zeros(k_mat.shape[0])
     sig_v = sig[:m] * v
@@ -283,7 +269,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
         y -= sig_v
         y *= damp
         np.clip(q, -alpha, alpha, out=q)
-        if iterations % check_every == 0 or iterations == cfg.max_iters:
+        if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
             u_hat = u - 0.5 * d
             residual = fwd(u_hat) - v
             du = d_mat @ u_hat

@@ -108,6 +108,28 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, command, key, value
     assert not any(tmp_path.glob("*_summary.json"))
 
 
+@pytest.mark.parametrize("command, settings, key", [
+    ("solve", ["solve.sigma=-1"], "[solve] sigma"),
+    ("bregman", ["bregman.sigma=-1"], "[bregman] sigma"),
+    ("debias", ["debias.sigma=-1"], "[debias] sigma"),
+    ("radon-demo", ["radon_demo.sigma=-1"], "[radon_demo] sigma"),
+    ("bias-variance", ["bias_variance.sigma=-1"], "[bias_variance] sigma"),
+    ("risk-theorem", ["risk_theorem.sigma=-1"], "[risk_theorem] sigma"),
+    ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=abc"], "[regularizer] shape"),
+    ("bias-variance", ["bias_variance.alpha_min=0"], "[bias_variance] alpha_min"),
+    ("convergence", ["convergence.decay=0"], "[convergence] decay"),
+    ("convergence", ["convergence.delta0=-0.1"], "[convergence] delta0"),
+], ids=["solve-sigma", "bregman-sigma", "debias-sigma", "radon-sigma", "bias-variance-sigma",
+        "risk-sigma", "tv-shape", "alpha-min", "decay", "delta0"])
+def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, settings, key):
+    args = [command, "--output", str(tmp_path)]
+    for setting in settings:
+        args += ["--set", setting]
+    assert run(args) == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.glob("*_summary.json"))
+
+
 def test_empty_convergence_table_exits_two(tmp_path, capsys):
     assert run(["convergence", "--set", "convergence.steps=0", "--output", str(tmp_path)]) == 2
     assert "steps" in capsys.readouterr().err

@@ -53,7 +53,9 @@ def _primal_dual_radon():
 
 @pytest.mark.parametrize("solve, expected", [
     (_cg, 10),
-    (_fista, 78),
+    # FISTA runs on the shared accelerated kernel: it restarts on the gradient
+    # mapping and stops at half the defect target, then certifies in one step
+    (_fista, 56),
     (_debias, 47),
     (_primal_dual_dense, 175),
     (_primal_dual_radon, 925),

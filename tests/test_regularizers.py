@@ -258,6 +258,26 @@ def test_tv_dual_fit_matches_replaced_loop(case, dim, noise, data_seed):
         assert got.ok and got.max_violation <= 1e-10
 
 
+def test_tv_dual_fit_certifies_valid_48x48_subgradient():
+    # six signed blocks on a 48x48 grid and p = D^T q with q = sign(Du) on the
+    # jumps: the fit needs more than 2000 iterations to certify this p
+    # (violation 1.1e-8 at 2000 against the default tol 1e-8)
+    rng = np.random.default_rng(0)
+    n = 48
+    img = np.zeros((n, n))
+    for _ in range(6):
+        r0, r1 = np.sort(rng.integers(0, n, size=2))
+        c0, c1 = np.sort(rng.integers(0, n, size=2))
+        img[r0:r1 + 1, c0:c1 + 1] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
+    reg = tv_aniso((n, n))
+    u = img.ravel()
+    du = reg.D @ u
+    q = np.where(np.abs(du) > 0.0, np.sign(du), rng.uniform(-1.0, 1.0, du.size))
+    p = reg.D.T @ q
+    assert is_subgradient(reg, u, p, dual=q).ok
+    assert is_subgradient(reg, u, p).ok
+
+
 @pytest.mark.parametrize("dim, samples", [(300, 9), (1000, 5), (700, 13)])
 def test_is_subgradient_lone_last_row_matches_reference(dim, samples):
     # a last row left alone in its block would go through dot rather than

@@ -114,6 +114,56 @@ def test_fista_rejects_tv():
         solve_fista(identity_map(4), np.ones(4), 0.1, tv_aniso(4))
 
 
+def _fista_problem(name):
+    if name == "dense-14x10":
+        v = substream(0, "iteration-counts").standard_normal(14)
+        return make_random_dense(14, 10, seed=11), v, 0.2
+    if name == "identity-4":
+        return identity_map(4), np.array([1.0, -0.2, 0.4, 0.0]), 0.3
+    return make_dense([[1.0, 1.0]]), np.array([2.0]), 0.1
+
+
+# objectives 0.5*||Fu-v||^2 + alpha*J(u) from the FISTA loop with objective
+# restart that the shared accelerated kernel replaced, run at tol 1e-12
+REPLACED_FISTA_OBJECTIVE = {
+    ("dense-14x10", "l1"): 2.96478803520821,
+    ("dense-14x10", "quadratic"): 2.3513747052953047,
+    ("identity-4", "l1"): 0.35,
+    ("identity-4", "quadratic"): 0.13846153846153847,
+    ("one-row", "l1"): 0.195,
+    ("one-row", "quadratic"): 0.09523809523809525,
+}
+
+
+@pytest.mark.parametrize("name, kind", sorted(REPLACED_FISTA_OBJECTIVE))
+def test_fista_matches_replaced_loop(name, kind):
+    op, v, alpha = _fista_problem(name)
+    reg, cfg = (l1() if kind == "l1" else quadratic()), SolverConfig(tol=1e-12)
+    sol = solve_fista(op, v, alpha, reg, cfg)
+    obj = sol.data_residual + alpha * sol.J_value
+    ref = REPLACED_FISTA_OBJECTIVE[name, kind]
+    assert abs(obj - ref) <= 1e-7 * (1.0 + abs(ref))
+    assert sol.optimality_defect <= cfg.tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(m=st.integers(1, 12), n=st.integers(1, 10), kind=st.sampled_from(["l1", "quadratic"]),
+       alpha=st.floats(1e-3, 10.0), tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
+       seed=st.integers(0, 2**32 - 1))
+def test_fista_certificate_property(m, n, kind, alpha, tol, seed):
+    # the certifying prox step meets the defect target, its subgradient is a
+    # member, and the returned pair reproduces the reported defect
+    op = make_random_dense(m, n, seed=seed)
+    v = substream(seed, "fista-property").standard_normal(m)
+    reg, cfg = (l1() if kind == "l1" else quadratic()), SolverConfig(tol=tol)
+    sol = solve_fista(op, v, alpha, reg, cfg)
+    assert sol.optimality_defect <= tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+    defect = np.linalg.norm(op.adjoint(op.apply(sol.u_alpha) - v) + alpha * sol.p_alpha.p)
+    assert abs(defect - sol.optimality_defect) <= 1e-12 * max(sol.optimality_defect, 1e-300)
+
+
 def test_primal_dual_constant_data():
     # constant data is TV-free, so the minimizer is the data itself
     op = identity_map(5)
