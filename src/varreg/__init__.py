@@ -28,6 +28,7 @@ from varreg.operators import (
     make_radon,
     make_random_dense,
     make_sampled,
+    population_map,
     save_image_csv,
 )
 from varreg.regularizers import (

@@ -28,11 +28,10 @@ from varreg.estimates import (
 from varreg.operators import (
     RadonGeometry,
     draw_design,
-    full_design,
     make_convolution,
     make_radon,
     make_random_dense,
-    make_sampled,
+    population_map,
     save_image_csv,
 )
 from varreg.regularizers import SubgradientError, l1, quadratic, tv_aniso
@@ -153,11 +152,11 @@ def _finite_or_text(token: str) -> bool:
         return True
 
 
-def _bounded(sec, key: str, positive: bool = False) -> float:
-    """``[section] key`` as a float, rejected unless >= 0 (> 0 if ``positive``)."""
-    value = sec.getfloat(key)
-    if not (value > 0.0 if positive else value >= 0.0):
-        raise ConfigError(f"[{sec.name}] {key} must be {'positive' if positive else '>= 0'}, got {value!r}")
+def _bounded(sec, key: str, low=0.0, strict: bool = False):
+    """``[section] key`` as the type of ``low``, rejected unless >= ``low`` (> if ``strict``)."""
+    value = sec.getint(key) if isinstance(low, int) else sec.getfloat(key)
+    if not (value > low if strict else value >= low):
+        raise ConfigError(f"[{sec.name}] {key} must be {'>' if strict else '>='} {low}, got {value!r}")
     return value
 
 
@@ -169,19 +168,19 @@ def build_operator(conf, seed: int):
     sec = conf["operator"]
     kind = sec.get("kind")
     if kind == "identity":
-        return identity_map(sec.getint("n"))
+        return identity_map(_bounded(sec, "n", 1))
     if kind == "dense_gaussian":
         spectrum = _floats(sec.get("spectrum"))
         return make_random_dense(
-            sec.getint("out_dim"), sec.getint("in_dim"),
+            _bounded(sec, "out_dim", 1), _bounded(sec, "in_dim", 1),
             seed=_derived_seed(seed, "design"),
             singular_values=spectrum if spectrum.size else None,
         )
     if kind == "convolution":
-        return make_convolution(_floats(sec.get("kernel")), sec.getint("n"))
+        return make_convolution(_floats(sec.get("kernel")), _bounded(sec, "n", 1))
     if kind == "radon":
-        geom = RadonGeometry.regular(sec.getint("grid_n"), sec.getint("n_angles"),
-                                     sec.getint("n_offsets"))
+        geom = RadonGeometry.regular(_bounded(sec, "grid_n", 1), _bounded(sec, "n_angles", 1),
+                                     _bounded(sec, "n_offsets", 1))
         return make_radon(geom)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -210,7 +209,7 @@ def build_regularizer(conf, op):
 def solver_config(conf, seed: int) -> SolverConfig:
     sec = conf["solver"]
     return SolverConfig(
-        max_iters=sec.getint("max_iters"),
+        max_iters=_bounded(sec, "max_iters", 1),
         tol=sec.getfloat("tol"),
         step_safety=sec.getfloat("step_safety"),
         seed=seed,
@@ -276,9 +275,9 @@ def _cmd_bregman(conf, seed, out_dir):
     v = instance.v_star + noise
     noise_level = norm(noise) if sec.getboolean("use_discrepancy") else None
     trace = bregman_iterate(
-        op, v, sec.getfloat("alpha"), reg, sec.getint("iterations"), cfg,
+        op, v, sec.getfloat("alpha"), reg, _bounded(sec, "iterations", 1), cfg,
         reference=instance.u_star, noise_level=noise_level,
-        discrepancy_factor=sec.getfloat("discrepancy_factor"),
+        discrepancy_factor=_bounded(sec, "discrepancy_factor", 1.0),
     )
     _write_csv(out_dir / "bregman.csv", "k,residual,J_value,bregman_to_ref", trace.rows())
     _write_summary(out_dir / "bregman_summary.json", {
@@ -334,11 +333,10 @@ def _cmd_convergence(conf, seed, out_dir):
     reg = build_regularizer(conf, op)
     cfg = solver_config(conf, seed)
     sec = conf["convergence"]
-    steps = sec.getint("steps")
-    if steps < 1:
-        raise ConfigError("[convergence] steps must be >= 1")
-    deltas = _bounded(sec, "delta0", True) * _bounded(sec, "decay", True) ** np.arange(steps)
-    alphas = _bounded(sec, "alpha_over_delta", True) * deltas
+    steps = _bounded(sec, "steps", 1)
+    delta0 = _bounded(sec, "delta0", strict=True)
+    deltas = delta0 * _bounded(sec, "decay", strict=True) ** np.arange(steps)
+    alphas = _bounded(sec, "alpha_over_delta", strict=True) * deltas
     instance = construct_source_instance(op, reg, seed)
     rows = convergence_study(op, reg, instance, deltas, alphas, seed=seed, config=cfg)
     _write_csv(
@@ -365,13 +363,10 @@ def _cmd_bias_variance(conf, seed, out_dir):
     reg = build_regularizer(conf, op)
     cfg = solver_config(conf, seed)
     sec = conf["bias_variance"]
-    n_alphas = sec.getint("n_alphas")
-    replicates = sec.getint("replicates")
-    if n_alphas < 1:
-        raise ConfigError("[bias_variance] n_alphas must be >= 1")
-    if replicates < 2:
-        raise ConfigError("[bias_variance] replicates must be >= 2 for a standard error")
-    alphas = np.geomspace(_bounded(sec, "alpha_min", True), _bounded(sec, "alpha_max", True), n_alphas)
+    n_alphas = _bounded(sec, "n_alphas", 1)
+    replicates = _bounded(sec, "replicates", 2)  # for a standard error
+    alphas = np.geomspace(_bounded(sec, "alpha_min", strict=True),
+                          _bounded(sec, "alpha_max", strict=True), n_alphas)
     instance = construct_source_instance(op, reg, seed)
     result = bias_variance_study(op, reg, instance, _bounded(sec, "sigma"), alphas,
                                  replicates, seed=seed, config=cfg)
@@ -401,17 +396,15 @@ def _pair_study(conf, seed, out_dir, section: str, checker, filename: str):
     reg = build_regularizer(conf, op)
     cfg = solver_config(conf, seed)
     sec = conf[section]
-    n_instances = sec.getint("instances")
-    if n_instances < 1:
-        raise ConfigError(f"[{section}] instances must be >= 1")
+    n_instances = _bounded(sec, "instances", 1)
     alpha = conf["solve"].getfloat("alpha")
     # source certificates must live on the quadrature-weighted population map,
     # not on the raw base operator
-    population = make_sampled(op, full_design(op.out_dim))
+    population = population_map(op)
     rows = []
     for i in range(n_instances):
         instance = construct_source_instance(population, reg, _derived_seed(seed, "instance", i))
-        design = draw_design(op.out_dim, sec.getint("n_samples"), _bounded(sec, "sigma"),
+        design = draw_design(op.out_dim, _bounded(sec, "n_samples", 1), _bounded(sec, "sigma"),
                              _derived_seed(seed, "design", i))
         pair = build_risk_pair(op, instance.u_star, design)
         report = checker(pair, reg, instance, alpha, cfg)
@@ -444,8 +437,8 @@ def _cmd_risk_theorem(conf, seed, out_dir):
 
 def _cmd_radon_demo(conf, seed, out_dir):
     sec = conf["radon_demo"]
-    grid_n = sec.getint("grid_n")
-    geom = RadonGeometry.regular(grid_n, sec.getint("n_angles"), sec.getint("n_offsets"))
+    grid_n = _bounded(sec, "grid_n", 1)
+    geom = RadonGeometry.regular(grid_n, _bounded(sec, "n_angles", 1), _bounded(sec, "n_offsets", 1))
     op = make_radon(geom)
     cfg = solver_config(conf, seed)
     # phantom: centered disk plus an off-center block

@@ -76,7 +76,8 @@ class LinearForwardMap:
         is ``apply``/``adjoint``.
 
     Operators are immutable: ``_norm_cache`` memoizes
-    :func:`operator_norm_estimate` per ``(iters, seed)``.
+    :func:`operator_norm_estimate` per ``(iters, seed)``, and ``_population``
+    holds the full-design map of :func:`varreg.operators.population_map`.
     """
 
     def __init__(self, apply_fn, adjoint_fn, in_dim: int, out_dim: int, matrix=None):
@@ -88,6 +89,7 @@ class LinearForwardMap:
         self.out_dim = int(out_dim)
         self.matrix = matrix
         self._norm_cache: dict[tuple[int, int], float] = {}
+        self._population: LinearForwardMap | None = None
 
     def apply(self, u) -> np.ndarray:
         u = as_vector(u, self.in_dim, "model vector")
@@ -104,9 +106,15 @@ class LinearForwardMap:
         return f"LinearForwardMap({self.out_dim}x{self.in_dim})"
 
 
+def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
+    """Mark the arrays of a CSR matrix read-only, so an operator built on it stays immutable."""
+    for arr in (m.data, m.indices, m.indptr):
+        arr.flags.writeable = False
+    return m
+
+
 def identity_map(dim: int) -> LinearForwardMap:
-    eye = sp.identity(dim, format="csr")
-    eye.data.flags.writeable = False
+    eye = _read_only_csr(sp.identity(dim, format="csr"))
     return LinearForwardMap(lambda u: u.copy(), lambda v: v.copy(), dim, dim, matrix=eye)
 
 
@@ -130,7 +138,8 @@ def operator_norm_estimate(op: LinearForwardMap, iters: int = 200, seed: int = 0
     """Largest singular value of ``op`` by power iteration on F*F.
 
     Returns the Rayleigh estimate ||F x|| for the final unit iterate, which is
-    nondecreasing in ``iters`` and never exceeds the true norm.  The result is
+    nondecreasing in ``iters`` and never exceeds the true norm.  ``iters`` caps
+    the steps; the iteration stops earlier once converged.  The result is
     computed once per operator and ``(iters, seed)``.
     """
     key = (int(iters), int(seed))
@@ -140,11 +149,17 @@ def operator_norm_estimate(op: LinearForwardMap, iters: int = 200, seed: int = 0
     return sigma
 
 
+# relative rise of ||F*F x|| in one step at which the power iteration stops
+POWER_ITERATION_RTOL = 1e-12
+
+
 def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> float:
     """Power iteration on ``adjoint_fn(apply_fn(.))`` from a seeded Gaussian start.
 
     Calls the raw kernels without validation; returns ||apply_fn(x)|| for the
-    final unit iterate x.
+    final unit iterate x.  ||F*F x|| is nondecreasing over unit iterates, so
+    the loop stops after at most ``iters`` steps, or once a step raises it by
+    no more than ``POWER_ITERATION_RTOL`` relative.
     """
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim)
@@ -152,6 +167,7 @@ def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> f
     if nx == 0.0:  # pragma: no cover - measure-zero draw
         return 0.0
     x /= nx
+    prev = 0.0
     for _ in range(iters):
         w = adjoint_fn(apply_fn(x))
         nw = norm(w)
@@ -159,6 +175,9 @@ def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> f
             # x is in the kernel of F*F, hence of F
             return 0.0
         x = w / nw
+        if nw - prev <= POWER_ITERATION_RTOL * nw:
+            break
+        prev = nw
     return norm(apply_fn(x))
 
 

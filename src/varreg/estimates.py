@@ -475,6 +475,9 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     Common random numbers across the alpha grid: replicate r reuses one noise
     draw for every alpha, so the curve is smooth and the argmin is meaningful.
     The certified bound uses the expected noise energy m*sigma^2.
+    ``argmin_alpha`` is the largest alpha whose mean lies within
+    10*tol*(1 + |min|) of the smallest mean: the most-regularized minimizer,
+    so means that tie at roundoff cannot flip it.
     """
     cfg = config or SolverConfig()
     if replicates < 2:
@@ -507,10 +510,12 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
             bound=float(bound),
             holds=bool(mean <= bound + 3.0 * stderr + 10.0 * cfg.tol * (1.0 + bound)),
         ))
-    best = int(np.argmin([row.mean_bregman for row in rows]))
+    means = np.array([row.mean_bregman for row in rows])
+    low = float(means.min())
+    minimizers = alphas[means <= low + 10.0 * cfg.tol * (1.0 + abs(low))]
     return BiasVarianceResult(
         rows=rows,
         noise_energy_mean=float(np.mean(energies)),
         noise_energy_expected=float(expected_energy),
-        argmin_alpha=rows[best].alpha,
+        argmin_alpha=float(minimizers.max()),
     )

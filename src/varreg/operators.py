@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import LinearForwardMap, as_vector
+from varreg.core import LinearForwardMap, _read_only_csr, as_vector
 
 __all__ = [
     "RadonGeometry",
@@ -27,6 +27,7 @@ __all__ = [
     "make_radon",
     "make_random_dense",
     "make_sampled",
+    "population_map",
     "save_image_csv",
 ]
 
@@ -204,8 +205,8 @@ def make_radon(geometry: RadonGeometry) -> LinearForwardMap:
         rows = np.empty(0, dtype=np.int64)
         cols = np.empty(0, dtype=np.int64)
         vals = np.empty(0)
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(geometry.out_dim, geometry.in_dim))
-    at = a.T.tocsr()
+    a = _read_only_csr(sp.csr_matrix((vals, (rows, cols)), shape=(geometry.out_dim, geometry.in_dim)))
+    at = _read_only_csr(a.T.tocsr())
     return LinearForwardMap(lambda u: a @ u, lambda v: at @ v, geometry.in_dim, geometry.out_dim, matrix=a)
 
 
@@ -277,9 +278,8 @@ def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMa
     if op.matrix is not None:
         a = op.matrix[rows]
         if sp.issparse(a):
-            a = sp.diags(sqw) @ a
-            a = a.tocsr()
-            at = a.T.tocsr()
+            a = _read_only_csr((sp.diags(sqw) @ a).tocsr())
+            at = _read_only_csr(a.T.tocsr())
             return LinearForwardMap(lambda u: a @ u, lambda v: at @ v, op.in_dim, design.size, matrix=a)
         a = sqw[:, None] * np.asarray(a)
         a.flags.writeable = False
@@ -294,6 +294,17 @@ def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMa
         return op._adjoint(full)
 
     return LinearForwardMap(apply_fn, adjoint_fn, op.in_dim, design.size)
+
+
+def population_map(op: LinearForwardMap) -> LinearForwardMap:
+    """``make_sampled(op, full_design(op.out_dim))``, built once per operator.
+
+    The map depends only on the immutable ``op``, so it is memoized on the
+    operator itself and lives exactly as long as it.
+    """
+    if op._population is None:
+        op._population = make_sampled(op, full_design(op.out_dim))
+    return op._population
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import numpy as np
 
 from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm
 from varreg.estimates import EstimateReport, SourceInstance, _report
-from varreg.operators import SampledDesign, full_design, make_sampled
+from varreg.operators import SampledDesign, make_sampled, population_map
 from varreg.regularizers import (
     Regularizer,
     Subgradient,
@@ -65,12 +65,13 @@ class RiskPair:
 def build_risk_pair(base: LinearForwardMap, theta_star, design: SampledDesign) -> RiskPair:
     """Fold quadrature weights into both maps and attach noisy sampled data.
 
-    The population map uses the full design over all ``base.out_dim`` atoms;
-    the empirical data gets the design's noise scaled by the same sqrt-weights
-    as the rows, keeping the weighted least-squares objective consistent.
+    The population map uses the full design over all ``base.out_dim`` atoms
+    and is built once per ``base`` (:func:`population_map`); the empirical
+    data gets the design's noise scaled by the same sqrt-weights as the rows,
+    keeping the weighted least-squares objective consistent.
     """
     theta_star = as_vector(theta_star, base.in_dim, "theta_star")
-    pop = make_sampled(base, full_design(base.out_dim))
+    pop = population_map(base)
     emp = make_sampled(base, design)
     v_pop = pop.apply(theta_star)
     v_emp = emp.apply(theta_star) + np.sqrt(design.weights) * design.noise

@@ -119,8 +119,17 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, command, key, value
     ("bias-variance", ["bias_variance.alpha_min=0"], "[bias_variance] alpha_min"),
     ("convergence", ["convergence.decay=0"], "[convergence] decay"),
     ("convergence", ["convergence.delta0=-0.1"], "[convergence] delta0"),
+    ("bregman", ["bregman.discrepancy_factor=-1"], "[bregman] discrepancy_factor"),
+    ("bregman", ["bregman.discrepancy_factor=0.5"], "[bregman] discrepancy_factor"),
+    ("solve", ["solver.max_iters=0"], "[solver] max_iters"),
+    ("bregman", ["bregman.iterations=0"], "[bregman] iterations"),
+    ("radon-demo", ["radon_demo.grid_n=0"], "[radon_demo] grid_n"),
+    ("operator-error", ["operator_error.n_samples=0"], "[operator_error] n_samples"),
+    ("solve", ["operator.in_dim=0"], "[operator] in_dim"),
 ], ids=["solve-sigma", "bregman-sigma", "debias-sigma", "radon-sigma", "bias-variance-sigma",
-        "risk-sigma", "tv-shape", "alpha-min", "decay", "delta0"])
+        "risk-sigma", "tv-shape", "alpha-min", "decay", "delta0", "discrepancy-negative",
+        "discrepancy-below-one", "max-iters", "bregman-iterations", "radon-grid", "n-samples",
+        "in-dim"])
 def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, settings, key):
     args = [command, "--output", str(tmp_path)]
     for setting in settings:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varreg import (
     DimensionMismatchError,
@@ -125,6 +127,32 @@ def test_operator_norm_is_lower_estimate():
     assert abs(prev - true) <= 1e-8 * true
 
 
+def _power_iteration_200(a, seed):
+    """The power iteration as it ran before its stop rule: always 200 steps."""
+    x = np.random.default_rng(seed).standard_normal(a.shape[1])
+    x /= norm(x)
+    for _ in range(200):
+        w = a.T @ (a @ x)
+        x = w / norm(w)
+    return norm(a @ x)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m=st.integers(1, 30), n=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_power_iteration_stops_early_without_losing_accuracy(m, n, seed):
+    a = np.random.default_rng(seed).standard_normal((m, n))
+    op = make_dense(a)
+    true = float(np.linalg.svd(a, compute_uv=False)[0])
+    prev = 0.0
+    for iters in (1, 2, 3, 5, 10, 20, 50, 200):
+        est = operator_norm_estimate(op, iters=iters, seed=seed)
+        assert est <= true * (1.0 + 1e-12)
+        assert est >= prev  # nondecreasing in the step cap
+        prev = est
+    reference = _power_iteration_200(a, seed)
+    assert abs(prev - reference) <= 1e-10 * reference
+
+
 class _CountingMatvec:
     def __init__(self, a):
         self.a, self.calls = a, 0
@@ -139,9 +167,9 @@ def test_operator_norm_is_cached_per_operator():
     apply_fn = _CountingMatvec(a)
     op = LinearForwardMap(apply_fn, lambda v: a.T @ v, 5, 7)
     first = operator_norm_estimate(op)
-    assert apply_fn.calls == 201
+    assert apply_fn.calls == 24  # 23 steps to convergence, then ||F x||
     assert operator_norm_estimate(op) == first
-    assert apply_fn.calls == 201  # the second call makes no apply
+    assert apply_fn.calls == 24  # the second call makes no apply
     # bit for bit what an operator with an empty cache computes
     assert operator_norm_estimate(make_dense(a)) == first
 

@@ -23,6 +23,7 @@ from varreg import (
     substream,
     tv_aniso,
 )
+from varreg import estimates
 from varreg.estimates import OFF_SUPPORT_MARGIN, SourceInstance
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
@@ -356,6 +357,22 @@ def test_bias_variance_study_interior_minimum():
     assert 0 < k < len(means) - 1
     assert res.argmin_alpha == res.rows[k].alpha
     assert all(r.holds for r in res.rows)
+
+
+@pytest.mark.parametrize("means, expected", [
+    ([0.5, 0.0, 0.0, 0.1], 0.4),       # exact tie: the larger alpha
+    ([0.5, 0.0, 1e-17, 0.1], 0.4),     # a roundoff perturbation either way
+    ([0.5, 1e-17, 0.0, 0.1], 0.4),     # does not flip the answer
+    ([0.5, 0.0, 1e-6, 0.1], 0.2),      # a real difference still decides
+], ids=["exact-tie", "perturbed-up", "perturbed-down", "distinct"])
+def test_bias_variance_argmin_breaks_ties_toward_larger_alpha(monkeypatch, means, expected):
+    calls = iter(means * 2)  # one pass over the alpha grid per replicate
+    monkeypatch.setattr(estimates, "symmetric_bregman", lambda *args: next(calls))
+    op = make_random_dense(8, 6, seed=29)
+    inst = construct_source_instance(op, quadratic(), seed=0)
+    res = bias_variance_study(op, quadratic(), inst, 0.0, [0.1, 0.2, 0.4, 0.8], 2)
+    assert [r.mean_bregman for r in res.rows] == means
+    assert res.argmin_alpha == expected
 
 
 def test_bias_variance_study_needs_replicates():

@@ -41,6 +41,21 @@ def test_dense_matrices_are_read_only_copies():
             m[0, 0] = 0.0
 
 
+def test_csr_matrices_are_read_only():
+    radon = make_radon(RadonGeometry.regular(6, 4, 5))
+    sampled = make_sampled(radon, draw_design(radon.out_dim, 9, 0.0, seed=2))
+    for m in (radon.matrix, sampled.matrix):
+        for arr in (m.data, m.indices, m.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+        # what the library does with an operator's matrix still works
+        assert m[[0, 2, 2]].shape == (3, m.shape[1])
+        assert m.T.tocsr().shape == m.shape[::-1]
+        stacked = sp.vstack([m, sp.identity(m.shape[1], format="csr")]).tocsr()
+        assert abs(stacked).sum() == pytest.approx(abs(m.toarray()).sum() + m.shape[1])
+    assert abs(radon.matrix).nnz == radon.matrix.nnz
+
+
 def test_make_dense_rejects_bad_matrix():
     with pytest.raises(ValueError, match="2-d and non-empty"):
         make_dense(np.zeros((0, 3)))

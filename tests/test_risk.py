@@ -1,7 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from varreg import operators, risk
 from varreg import (
+    RadonGeometry,
     SolverConfig,
     SubgradientError,
     build_risk_pair,
@@ -14,6 +19,7 @@ from varreg import (
     full_design,
     generalization_error,
     l1,
+    make_radon,
     make_random_dense,
     make_sampled,
     operator_generalization_gap,
@@ -46,6 +52,33 @@ def test_build_risk_pair_data_construction():
     lhs = np.dot(pair.population_map.apply(u), pair.population_map.apply(u))
     rhs = np.dot(base.apply(u), base.apply(u)) / base.out_dim
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + rhs)
+
+
+def test_population_map_is_built_once_per_base(monkeypatch):
+    base = make_radon(RadonGeometry.regular(8, 6, 7))
+    theta = substream(9, "pair").standard_normal(base.in_dim)
+    first = _pair(base, theta, seed=1)
+    built = []
+    real = operators.make_sampled
+
+    def counting(op, design):
+        built.append(design.size)
+        return real(op, design)
+
+    monkeypatch.setattr(operators, "make_sampled", counting)
+    monkeypatch.setattr(risk, "make_sampled", counting)
+    second = _pair(base, theta, seed=2)
+    assert built == [40]  # the empirical map only
+    assert second.population_map is first.population_map
+    fresh = real(base, full_design(base.out_dim)).matrix
+    pop = second.population_map.matrix
+    for name in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(pop, name), getattr(fresh, name))
+    # memoized on the operator, so the map goes when the operator goes
+    ref = weakref.ref(first.population_map)
+    del base, first, second, pop
+    gc.collect()
+    assert ref() is None
 
 
 def test_risk_values_at_truth():
