@@ -134,8 +134,7 @@ class DebiasResult:
 
 
 def debias_two_step(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
-                    config: SolverConfig | None = None, *,
-                    support_atol: float = 0.0) -> DebiasResult:
+                    config: SolverConfig | None = None) -> DebiasResult:
     """l1 debiasing: solve the l1 problem, then refit least squares on the
     recovered support under the recovered sign constraints.
 
@@ -148,7 +147,7 @@ def debias_two_step(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
         raise ValueError(f"debias_two_step requires the l1 regularizer, not {reg.kind!r}")
     v = as_vector(data, op.out_dim, "data")
     sol = solve_fista(op, v, alpha, reg, cfg)
-    support = np.abs(sol.u_alpha) > support_atol
+    support = sol.u_alpha != 0.0
     if not np.any(support):
         return DebiasResult(
             u_debiased=np.zeros(op.in_dim),

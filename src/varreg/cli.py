@@ -77,18 +77,6 @@ DEFAULTS = {
     "radon_demo": {"grid_n": "24", "n_angles": "18", "n_offsets": "18", "alpha": "0.01", "sigma": "0.01"},
 }
 
-COMMANDS = (
-    "solve",
-    "bregman",
-    "debias",
-    "convergence",
-    "bias-variance",
-    "operator-error",
-    "risk-theorem",
-    "radon-demo",
-)
-
-
 class ConfigError(Exception):
     pass
 
@@ -104,19 +92,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return repr(float(x))
-
-
-def _write_csv(path: Path, header: str, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
-
-
-def _write_summary(path: Path, payload: dict):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
 
 
 def load_config(path: str | None, overrides) -> configparser.ConfigParser:
@@ -152,11 +127,13 @@ def _finite_or_text(token: str) -> bool:
         return True
 
 
-def _bounded(sec, key: str, low=0.0, strict: bool = False):
-    """``[section] key`` as the type of ``low``, rejected unless >= ``low`` (> if ``strict``)."""
+def _bounded(sec, key: str, low=0.0, strict: bool = False, high=None):
+    """``[section] key`` as the type of ``low``, rejected unless >= ``low`` (> if
+    ``strict``) and, when ``high`` is given, <= ``high``."""
     value = sec.getint(key) if isinstance(low, int) else sec.getfloat(key)
-    if not (value > low if strict else value >= low):
-        raise ConfigError(f"[{sec.name}] {key} must be {'>' if strict else '>='} {low}, got {value!r}")
+    if not (value > low if strict else value >= low) or (high is not None and value > high):
+        need = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
+        raise ConfigError(f"[{sec.name}] {key} must be {need}, got {value!r}")
     return value
 
 
@@ -177,7 +154,10 @@ def build_operator(conf, seed: int):
             singular_values=spectrum if spectrum.size else None,
         )
     if kind == "convolution":
-        return make_convolution(_floats(sec.get("kernel")), _bounded(sec, "n", 1))
+        try:
+            return make_convolution(_floats(sec.get("kernel")), _bounded(sec, "n", 1))
+        except ValueError as err:  # an empty or unreadable kernel, or one longer than n
+            raise ConfigError(f"[operator] kernel: {err}") from None
     if kind == "radon":
         geom = RadonGeometry.regular(_bounded(sec, "grid_n", 1), _bounded(sec, "n_angles", 1),
                                      _bounded(sec, "n_offsets", 1))
@@ -199,6 +179,8 @@ def build_regularizer(conf, op):
                 parts = [int(t) for t in shape_text.split(",") if t.strip()]
             except ValueError:
                 raise ConfigError(f"[regularizer] shape must be integers, got {shape_text!r}") from None
+            if len(parts) not in (1, 2):
+                raise ConfigError(f"[regularizer] shape must be one or two integers, got {shape_text!r}")
             shape = parts[0] if len(parts) == 1 else tuple(parts)
         else:
             shape = op.in_dim
@@ -210,8 +192,8 @@ def solver_config(conf, seed: int) -> SolverConfig:
     sec = conf["solver"]
     return SolverConfig(
         max_iters=_bounded(sec, "max_iters", 1),
-        tol=sec.getfloat("tol"),
-        step_safety=sec.getfloat("step_safety"),
+        tol=_bounded(sec, "tol", strict=True),
+        step_safety=_bounded(sec, "step_safety", strict=True, high=1.0),
         seed=seed,
     )
 
@@ -233,105 +215,103 @@ def _out_dir(args, conf) -> Path:
     return path
 
 
+def _write_artifacts(out_dir: Path, command: str, seed: int, header: str, rows,
+                     summary: dict) -> int:
+    """Write the command's CSV table and its JSON summary under the command/seed
+    envelope; the exit code is 1 when the summary records ``holds`` false."""
+    stem = out_dir / command.replace("-", "_")
+    with open(f"{stem}.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    with open(f"{stem}_summary.json", "w", encoding="utf-8", newline="") as fh:
+        fh.write(json.dumps(dict(command=command, seed=seed, **summary), sort_keys=True, indent=2))
+        fh.write("\n")
+    return 0 if summary.get("holds", True) else 1
+
+
 # -- subcommands ----------------------------------------------------------------
+# Each prints its report and returns the CSV header, the CSV rows and the
+# summary fields for ``_write_artifacts``.
+
+def _problem(conf, seed: int):
+    """The configured forward map, regularizer and solver settings."""
+    op = build_operator(conf, seed)
+    return op, build_regularizer(conf, op), solver_config(conf, seed)
+
+
+def _noise(sec, seed: int, size: int) -> np.ndarray:
+    return _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(size)
+
 
 def _cmd_solve(conf, seed, out_dir):
-    op = build_operator(conf, seed)
-    reg = build_regularizer(conf, op)
-    cfg = solver_config(conf, seed)
+    op, reg, cfg = _problem(conf, seed)
     sec = conf["solve"]
-    alpha = sec.getfloat("alpha")
+    alpha = _bounded(sec, "alpha", strict=True)
     data_text = sec.get("data").strip()
     if data_text:
         v = _floats(data_text)
     else:
-        instance = construct_source_instance(op, reg, seed)
-        noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
-        v = instance.v_star + noise
+        v = construct_source_instance(op, reg, seed).v_star + _noise(sec, seed, op.out_dim)
     sol = solve_variational(op, v, alpha, reg, cfg)
-    rows = [(i, sol.u_alpha[i], sol.p_alpha.p[i]) for i in range(op.in_dim)]
-    _write_csv(out_dir / "solve.csv", "i,u,p", rows)
-    _write_summary(out_dir / "solve_summary.json", {
-        "command": "solve",
-        "seed": seed,
-        "alpha": alpha,
-        "iterations": sol.iterations,
-        "optimality_defect": sol.optimality_defect,
-        "data_residual": sol.data_residual,
-        "J_value": sol.J_value,
-    })
     print(f"solve: alpha={_fmt(alpha)} iters={sol.iterations} "
           f"defect={_fmt(sol.optimality_defect)} J={_fmt(sol.J_value)}")
-    return 0
+    rows = [(i, sol.u_alpha[i], sol.p_alpha.p[i]) for i in range(op.in_dim)]
+    return "i,u,p", rows, dict(alpha=alpha, iterations=sol.iterations, J_value=sol.J_value,
+                               optimality_defect=sol.optimality_defect,
+                               data_residual=sol.data_residual)
 
 
 def _cmd_bregman(conf, seed, out_dir):
-    op = build_operator(conf, seed)
-    reg = build_regularizer(conf, op)
-    cfg = solver_config(conf, seed)
+    op, reg, cfg = _problem(conf, seed)
     sec = conf["bregman"]
+    alpha = _bounded(sec, "alpha", strict=True)
+    try:
+        use_discrepancy = sec.getboolean("use_discrepancy")
+    except ValueError:
+        raise ConfigError("[bregman] use_discrepancy must be true or false, "
+                          f"got {sec.get('use_discrepancy')!r}") from None
     instance = construct_source_instance(op, reg, seed)
-    noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
-    v = instance.v_star + noise
-    noise_level = norm(noise) if sec.getboolean("use_discrepancy") else None
+    noise = _noise(sec, seed, op.out_dim)
+    noise_level = norm(noise) if use_discrepancy else None
     trace = bregman_iterate(
-        op, v, sec.getfloat("alpha"), reg, _bounded(sec, "iterations", 1), cfg,
+        op, instance.v_star + noise, alpha, reg, _bounded(sec, "iterations", 1), cfg,
         reference=instance.u_star, noise_level=noise_level,
         discrepancy_factor=_bounded(sec, "discrepancy_factor", 1.0),
     )
-    _write_csv(out_dir / "bregman.csv", "k,residual,J_value,bregman_to_ref", trace.rows())
-    _write_summary(out_dir / "bregman_summary.json", {
-        "command": "bregman",
-        "seed": seed,
-        "steps": len(trace.steps),
-        "stopped_by_discrepancy": trace.stopped_by_discrepancy,
-        "final_residual": trace.steps[-1].data_residual,
-        "noise_level": noise_level,
-    })
     print(f"bregman: steps={len(trace.steps)} "
           f"stopped_by_discrepancy={trace.stopped_by_discrepancy} "
           f"final_residual={_fmt(trace.steps[-1].data_residual)}")
-    return 0
+    return "k,residual,J_value,bregman_to_ref", trace.rows(), dict(
+        steps=len(trace.steps), stopped_by_discrepancy=trace.stopped_by_discrepancy,
+        final_residual=trace.steps[-1].data_residual, noise_level=noise_level)
 
 
 def _cmd_debias(conf, seed, out_dir):
-    op = build_operator(conf, seed)
-    reg = build_regularizer(conf, op)
+    op, reg, cfg = _problem(conf, seed)
     if reg.kind != "l1":
         raise ConfigError("debias requires [regularizer] kind = l1")
-    cfg = solver_config(conf, seed)
     sec = conf["debias"]
-    instance = construct_source_instance(op, reg, seed)
-    noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
-    v = instance.v_star + noise
-    result = debias_two_step(op, v, sec.getfloat("alpha"), reg, cfg)
+    alpha = _bounded(sec, "alpha", strict=True)
+    v = construct_source_instance(op, reg, seed).v_star + _noise(sec, seed, op.out_dim)
+    result = debias_two_step(op, v, alpha, reg, cfg)
     res_l1 = norm(op.apply(result.step_one.u_alpha) - v)
     res_db = norm(op.apply(result.u_debiased) - v)
+    ok = result.bregman_to_step_one <= 1e-8 and res_db <= res_l1 + 1e-10
+    print(f"debias: support={int(result.support.sum())} residual {_fmt(res_l1)} -> {_fmt(res_db)} "
+          f"bregman_to_step_one={_fmt(result.bregman_to_step_one)} [{'ok' if ok else 'FAIL'}]")
     rows = [
         (i, result.step_one.u_alpha[i], result.u_debiased[i], bool(result.support[i]))
         for i in range(op.in_dim)
     ]
-    _write_csv(out_dir / "debias.csv", "i,u_l1,u_debiased,support", rows)
-    ok = result.bregman_to_step_one <= 1e-8 and res_db <= res_l1 + 1e-10
-    _write_summary(out_dir / "debias_summary.json", {
-        "command": "debias",
-        "seed": seed,
-        "empty_support": result.empty_support,
-        "support_size": int(result.support.sum()),
-        "residual_l1": res_l1,
-        "residual_debiased": res_db,
-        "bregman_to_step_one": result.bregman_to_step_one,
-        "holds": ok,
-    })
-    print(f"debias: support={int(result.support.sum())} residual {_fmt(res_l1)} -> {_fmt(res_db)} "
-          f"bregman_to_step_one={_fmt(result.bregman_to_step_one)} [{'ok' if ok else 'FAIL'}]")
-    return 0 if ok else 1
+    return "i,u_l1,u_debiased,support", rows, dict(
+        empty_support=result.empty_support, support_size=int(result.support.sum()),
+        residual_l1=res_l1, residual_debiased=res_db,
+        bregman_to_step_one=result.bregman_to_step_one, holds=ok)
 
 
 def _cmd_convergence(conf, seed, out_dir):
-    op = build_operator(conf, seed)
-    reg = build_regularizer(conf, op)
-    cfg = solver_config(conf, seed)
+    op, reg, cfg = _problem(conf, seed)
     sec = conf["convergence"]
     steps = _bounded(sec, "steps", 1)
     delta0 = _bounded(sec, "delta0", strict=True)
@@ -339,29 +319,16 @@ def _cmd_convergence(conf, seed, out_dir):
     alphas = _bounded(sec, "alpha_over_delta", strict=True) * deltas
     instance = construct_source_instance(op, reg, seed)
     rows = convergence_study(op, reg, instance, deltas, alphas, seed=seed, config=cfg)
-    _write_csv(
-        out_dir / "convergence.csv",
-        "n,delta,alpha,bregman,bound,output_err,J_value",
-        [(r.n, r.delta, r.alpha, r.bregman, r.bound, r.output_err, r.J_value)
-         for r in rows],
-    )
-    all_hold = all(r.holds for r in rows)
-    _write_summary(out_dir / "convergence_summary.json", {
-        "command": "convergence",
-        "seed": seed,
-        "rows": len(rows),
-        "holds": all_hold,
-    })
     for r in rows:
         print(f"convergence n={r.n}: delta={_fmt(r.delta)} alpha={_fmt(r.alpha)} "
               f"bregman={_fmt(r.bregman)} bound={_fmt(r.bound)} [{'ok' if r.holds else 'FAIL'}]")
-    return 0 if all_hold else 1
+    table = [(r.n, r.delta, r.alpha, r.bregman, r.bound, r.output_err, r.J_value) for r in rows]
+    return ("n,delta,alpha,bregman,bound,output_err,J_value", table,
+            dict(rows=len(rows), holds=all(r.holds for r in rows)))
 
 
 def _cmd_bias_variance(conf, seed, out_dir):
-    op = build_operator(conf, seed)
-    reg = build_regularizer(conf, op)
-    cfg = solver_config(conf, seed)
+    op, reg, cfg = _problem(conf, seed)
     sec = conf["bias_variance"]
     n_alphas = _bounded(sec, "n_alphas", 1)
     replicates = _bounded(sec, "replicates", 2)  # for a standard error
@@ -370,34 +337,24 @@ def _cmd_bias_variance(conf, seed, out_dir):
     instance = construct_source_instance(op, reg, seed)
     result = bias_variance_study(op, reg, instance, _bounded(sec, "sigma"), alphas,
                                  replicates, seed=seed, config=cfg)
-    _write_csv(
-        out_dir / "bias_variance.csv",
-        "alpha,mean_bregman,stderr,bound",
-        [(r.alpha, r.mean_bregman, r.stderr, r.bound) for r in result.rows],
-    )
     all_hold = all(r.holds for r in result.rows)
-    _write_summary(out_dir / "bias_variance_summary.json", {
-        "command": "bias-variance",
-        "seed": seed,
-        "rows": len(result.rows),
-        "holds": all_hold,
-        "argmin_alpha": result.argmin_alpha,
-        "noise_energy_mean": result.noise_energy_mean,
-        "noise_energy_expected": result.noise_energy_expected,
-    })
     print(f"bias-variance: argmin_alpha={_fmt(result.argmin_alpha)} "
           f"noise_energy mean={_fmt(result.noise_energy_mean)} "
           f"expected={_fmt(result.noise_energy_expected)} [{'ok' if all_hold else 'FAIL'}]")
-    return 0 if all_hold else 1
+    rows = [(r.alpha, r.mean_bregman, r.stderr, r.bound) for r in result.rows]
+    return "alpha,mean_bregman,stderr,bound", rows, dict(
+        rows=len(rows), holds=all_hold, argmin_alpha=result.argmin_alpha,
+        noise_energy_mean=result.noise_energy_mean,
+        noise_energy_expected=result.noise_energy_expected)
 
 
-def _pair_study(conf, seed, out_dir, section: str, checker, filename: str):
-    op = build_operator(conf, seed)
-    reg = build_regularizer(conf, op)
-    cfg = solver_config(conf, seed)
+def _pair_study(conf, seed, section: str, checker):
+    """Certify ``checker(pair, reg, instance, alpha, cfg)`` on ``[section] instances``
+    drawn source instances, each with its own sampled design."""
+    op, reg, cfg = _problem(conf, seed)
     sec = conf[section]
     n_instances = _bounded(sec, "instances", 1)
-    alpha = conf["solve"].getfloat("alpha")
+    alpha = _bounded(conf["solve"], "alpha", strict=True)
     # source certificates must live on the quadrature-weighted population map,
     # not on the raw base operator
     population = population_map(op)
@@ -409,30 +366,11 @@ def _pair_study(conf, seed, out_dir, section: str, checker, filename: str):
         pair = build_risk_pair(op, instance.u_star, design)
         report = checker(pair, reg, instance, alpha, cfg)
         rows.append((i, report.lhs, report.rhs, report.slack, report.holds))
-    _write_csv(out_dir / f"{filename}.csv", "instance,lhs,rhs,slack,holds", rows)
-    all_hold = all(bool(r[4]) for r in rows)
-    _write_summary(out_dir / f"{filename}_summary.json", {
-        "command": section.replace("_", "-"),
-        "seed": seed,
-        "rows": len(rows),
-        "holds": all_hold,
-    })
     for row in rows:
         print(f"{section} instance={row[0]}: lhs={_fmt(row[1])} rhs={_fmt(row[2])} "
               f"[{'ok' if row[4] else 'FAIL'}]")
-    return 0 if all_hold else 1
-
-
-def _cmd_operator_error(conf, seed, out_dir):
-    return _pair_study(conf, seed, out_dir, "operator_error",
-                       check_operator_error_estimate, "operator_error")
-
-
-def _cmd_risk_theorem(conf, seed, out_dir):
-    def checker(pair, reg, instance, alpha, cfg):
-        return check_risk_theorem(pair, reg, instance.u_star, instance.z_star, alpha, cfg)
-
-    return _pair_study(conf, seed, out_dir, "risk_theorem", checker, "risk_theorem")
+    return ("instance,lhs,rhs,slack,holds", rows,
+            dict(rows=len(rows), holds=all(bool(r[4]) for r in rows)))
 
 
 def _cmd_radon_demo(conf, seed, out_dir):
@@ -447,26 +385,17 @@ def _cmd_radon_demo(conf, seed, out_dir):
     phantom = (X ** 2 + Y ** 2 <= 0.5 ** 2).astype(float)
     phantom[(np.abs(X - 0.45) <= 0.2) & (np.abs(Y + 0.4) <= 0.15)] += 0.5
     u_true = phantom.ravel()
-    sino = op.apply(u_true)
-    noise = _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(op.out_dim)
-    v = sino + noise
-    sol = solve_variational(op, v, sec.getfloat("alpha"), quadratic(), cfg)
+    v = op.apply(u_true) + _noise(sec, seed, op.out_dim)
+    sol = solve_variational(op, v, _bounded(sec, "alpha", strict=True), quadratic(), cfg)
     rel_err = norm(sol.u_alpha - u_true) / norm(u_true)
     save_image_csv(out_dir / "phantom.csv", phantom)
     save_image_csv(out_dir / "recon.csv", sol.u_alpha.reshape(grid_n, grid_n))
-    _write_csv(out_dir / "radon_demo.csv", "key,value", [
+    print(f"radon-demo: grid={grid_n} rel_error={_fmt(rel_err)} iters={sol.iterations}")
+    return "key,value", [
         ("rel_error", rel_err),
         ("data_residual", sol.data_residual),
         ("iterations", sol.iterations),
-    ])
-    _write_summary(out_dir / "radon_demo_summary.json", {
-        "command": "radon-demo",
-        "seed": seed,
-        "rel_error": rel_err,
-        "iterations": sol.iterations,
-    })
-    print(f"radon-demo: grid={grid_n} rel_error={_fmt(rel_err)} iters={sol.iterations}")
-    return 0
+    ], dict(rel_error=rel_err, iterations=sol.iterations)
 
 
 _DISPATCH = {
@@ -475,10 +404,16 @@ _DISPATCH = {
     "debias": _cmd_debias,
     "convergence": _cmd_convergence,
     "bias-variance": _cmd_bias_variance,
-    "operator-error": _cmd_operator_error,
-    "risk-theorem": _cmd_risk_theorem,
+    # the checkers are looked up when the command runs, not when this table is built
+    "operator-error": lambda conf, seed, out_dir: _pair_study(
+        conf, seed, "operator_error", check_operator_error_estimate),
+    "risk-theorem": lambda conf, seed, out_dir: _pair_study(
+        conf, seed, "risk_theorem", lambda pair, reg, instance, alpha, cfg: check_risk_theorem(
+            pair, reg, instance.u_star, instance.z_star, alpha, cfg)),
     "radon-demo": _cmd_radon_demo,
 }
+
+COMMANDS = tuple(_DISPATCH)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -506,7 +441,8 @@ def run(argv=None) -> int:
     seed = args.seed if args.seed is not None else conf["experiment"].getint("seed")
     out_dir = _out_dir(args, conf)
     try:
-        return _DISPATCH[args.command](conf, seed, out_dir)
+        return _write_artifacts(out_dir, args.command, seed,
+                                *_DISPATCH[args.command](conf, seed, out_dir))
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -75,6 +75,8 @@ def make_convolution(kernel, n: int) -> LinearForwardMap:
     k = as_vector(kernel, name="kernel")
     if n <= 0:
         raise ValueError("signal length must be positive")
+    if k.size == 0:
+        raise ValueError("kernel must have at least one tap")
     if k.size > n:
         raise ValueError("kernel longer than signal")
     shifts = np.arange(k.size) - (k.size - 1) // 2

@@ -47,9 +47,9 @@ NEGATIVE_TOLERANCE = 1e-8
 # this many entries (64 KiB of float64), so its temporaries stay in cache.
 _PROBE_BLOCK = 8192
 
-# One flat seeded Gaussian draw per seed, shared by every membership check.
-# A seed's draw is a fixed sequence and read-only, so sharing it changes no
-# result; it is redrawn larger only when a call needs more entries.
+# One flat read-only Gaussian draw, for the last seed asked for, shared by every
+# membership check (library calls all use seed 0); a call that needs another
+# seed or more entries replaces it.  Sharing a fixed sequence changes no result.
 _PROBE_DRAWS: dict[int, np.ndarray] = {}
 
 
@@ -183,7 +183,7 @@ def subgradient_from_optimality(op: LinearForwardMap, data, u_alpha, alpha: floa
     return Subgradient(p=p, owner=u_alpha.copy())
 
 
-def _resolve(p, dual):
+def _resolve(p, dual=None):
     if isinstance(p, Subgradient):
         if dual is None:
             dual = p.dual
@@ -283,6 +283,7 @@ def _probe_directions(seed: int, samples: int, dim: int) -> np.ndarray:
     if flat is None or flat.size < need:
         flat = np.random.default_rng(seed).standard_normal(need)
         flat.flags.writeable = False
+        _PROBE_DRAWS.clear()
         _PROBE_DRAWS[seed] = flat
     return flat[:need].reshape(samples, dim)
 
@@ -305,8 +306,8 @@ def _probe_row_blocks(samples: int, dim: int):
         start = stop
 
 
-def _check_membership(reg, u, p, dual, membership_tol, support_atol, what):
-    res = is_subgradient(reg, u, p, tol=membership_tol, dual=dual, support_atol=support_atol)
+def _check_membership(reg, u, p, dual, membership_tol, what):
+    res = is_subgradient(reg, u, p, tol=membership_tol, dual=dual)
     if not res.ok:
         raise SubgradientError(
             f"{what} fails membership (violation {res.max_violation:.3e} > tol {membership_tol:.1e})"
@@ -322,7 +323,7 @@ def _clamp(value: float, what: str) -> float:
 
 
 def bregman_distance(reg: Regularizer, u_tilde, u, p, *, membership_tol: float = 1e-6,
-                     support_atol: float = 1e-7, check: bool = True, dual=None) -> float:
+                     check: bool = True) -> float:
     """One-sided Bregman distance d_J^p(u_tilde, u) = J(u_tilde) - J(u) - <p, u_tilde - u>.
 
     Requires p in the subdifferential of J at u; tiny negative roundoff is
@@ -331,26 +332,25 @@ def bregman_distance(reg: Regularizer, u_tilde, u, p, *, membership_tol: float =
     """
     u_tilde = as_vector(u_tilde, name="u_tilde")
     u = as_vector(u, u_tilde.size, "u")
-    p, dual = _resolve(p, dual)
+    p, dual = _resolve(p)
     if check:
-        _check_membership(reg, u, p, dual, membership_tol, support_atol, "p")
+        _check_membership(reg, u, p, dual, membership_tol, "p")
     raw = reg.value(u_tilde) - reg.value(u) - inner(p, u_tilde - u)
     return _clamp(raw, "Bregman distance")
 
 
 def symmetric_bregman(reg: Regularizer, u_tilde, u, p_tilde, p, *, membership_tol: float = 1e-6,
-                      support_atol: float = 1e-7, check: bool = True,
-                      dual_tilde=None, dual=None) -> float:
+                      check: bool = True) -> float:
     """Symmetric Bregman distance <p_tilde - p, u_tilde - u>.
 
     Equals the sum of the two one-sided distances when both memberships hold.
     """
     u_tilde = as_vector(u_tilde, name="u_tilde")
     u = as_vector(u, u_tilde.size, "u")
-    p_tilde, dual_tilde = _resolve(p_tilde, dual_tilde)
-    p, dual = _resolve(p, dual)
+    p_tilde, dual_tilde = _resolve(p_tilde)
+    p, dual = _resolve(p)
     if check:
-        _check_membership(reg, u_tilde, p_tilde, dual_tilde, membership_tol, support_atol, "p_tilde")
-        _check_membership(reg, u, p, dual, membership_tol, support_atol, "p")
+        _check_membership(reg, u_tilde, p_tilde, dual_tilde, membership_tol, "p_tilde")
+        _check_membership(reg, u, p, dual, membership_tol, "p")
     raw = inner(p_tilde - p, u_tilde - u)
     return _clamp(raw, "symmetric Bregman distance")

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import varreg
 from varreg import SubgradientError, is_subgradient, l1, load_image_csv
-from varreg.cli import load_config, run
+from varreg.cli import COMMANDS, load_config, run
 from varreg.estimates import EstimateReport
 
 SOLVE_INI = """\
@@ -126,10 +127,23 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, command, key, value
     ("radon-demo", ["radon_demo.grid_n=0"], "[radon_demo] grid_n"),
     ("operator-error", ["operator_error.n_samples=0"], "[operator_error] n_samples"),
     ("solve", ["operator.in_dim=0"], "[operator] in_dim"),
+    ("solve", ["solve.alpha=0"], "[solve] alpha"),
+    ("bregman", ["bregman.alpha=0"], "[bregman] alpha"),
+    ("debias", ["debias.alpha=0"], "[debias] alpha"),
+    ("radon-demo", ["radon_demo.alpha=0"], "[radon_demo] alpha"),
+    ("operator-error", ["solve.alpha=0"], "[solve] alpha"),
+    ("risk-theorem", ["solve.alpha=0"], "[solve] alpha"),
+    ("solve", ["solver.tol=0"], "[solver] tol"),
+    ("solve", ["solver.step_safety=2"], "[solver] step_safety"),
+    ("solve", ["solver.step_safety=0"], "[solver] step_safety"),
+    ("bregman", ["bregman.use_discrepancy=maybe"], "[bregman] use_discrepancy"),
+    ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4,4"], "[regularizer] shape"),
 ], ids=["solve-sigma", "bregman-sigma", "debias-sigma", "radon-sigma", "bias-variance-sigma",
         "risk-sigma", "tv-shape", "alpha-min", "decay", "delta0", "discrepancy-negative",
         "discrepancy-below-one", "max-iters", "bregman-iterations", "radon-grid", "n-samples",
-        "in-dim"])
+        "in-dim", "solve-alpha", "bregman-alpha", "debias-alpha", "radon-alpha",
+        "operator-error-alpha", "risk-alpha", "tol", "step-safety-above-one", "step-safety-zero",
+        "use-discrepancy", "tv-shape-rank"])
 def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, settings, key):
     args = [command, "--output", str(tmp_path)]
     for setting in settings:
@@ -251,11 +265,19 @@ def test_risk_theorem_study(tmp_path):
     assert len(rows) == 2
 
 
-def test_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
-    def broken(pair, reg, instance, alpha, cfg, solution=None):
-        return EstimateReport(lhs=1.0, rhs=0.0, holds=False, slack=-1.0, components={})
+def _failing_check(pair, reg, instance, alpha, cfg, solution=None):
+    return EstimateReport(lhs=1.0, rhs=0.0, holds=False, slack=-1.0, components={})
 
-    monkeypatch.setattr("varreg.cli.check_operator_error_estimate", broken)
+
+def test_empty_convolution_kernel_exits_two(tmp_path, capsys):
+    assert run(["solve", "--set", "operator.kind=convolution", "--set", "operator.kernel=",
+                "--output", str(tmp_path)]) == 2
+    assert "[operator] kernel" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*_summary.json"))
+
+
+def test_failed_certificate_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("varreg.cli.check_operator_error_estimate", _failing_check)
     conf = _write(tmp_path, "[operator_error]\ninstances = 2\n[regularizer]\nkind = quadratic\n")
     assert run(["operator-error", "--config", conf, "--output", str(tmp_path)]) == 1
     out = capsys.readouterr().out
@@ -306,3 +328,42 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "solve:" in proc.stdout
+
+
+SMALL_INI = """\
+[bregman]
+iterations = 4
+[convergence]
+steps = 3
+[bias_variance]
+n_alphas = 3
+replicates = 4
+[operator_error]
+instances = 2
+[risk_theorem]
+instances = 2
+[radon_demo]
+grid_n = 12
+n_angles = 8
+n_offsets = 8
+"""
+
+
+@pytest.mark.parametrize("command, failing", [(c, False) for c in COMMANDS]
+                         + [("operator-error", True)])
+def test_artifact_contract(tmp_path, monkeypatch, command, failing):
+    # the README's artifact table and exit-code contract, for every command
+    if failing:
+        monkeypatch.setattr("varreg.cli.check_operator_error_estimate", _failing_check)
+    conf = _write(tmp_path, SMALL_INI)
+    out = tmp_path / "out"
+    code = run([command, "--config", conf, "--seed", "3", "--output", str(out)])
+    stem = command.replace("-", "_")
+    expected = {f"{stem}.csv", f"{stem}_summary.json"}
+    if command == "radon-demo":
+        expected |= {"phantom.csv", "recon.csv"}
+    assert {path.name for path in out.iterdir()} == expected
+    summary = json.loads((out / f"{stem}_summary.json").read_text(encoding="utf-8"))
+    assert summary["command"] == command and summary["seed"] == 3
+    assert code == (1 if summary.get("holds") is False else 0)
+    assert summary.get("holds", True) is not failing

@@ -106,6 +106,12 @@ def test_convolution_rejects_bad_sizes():
         make_convolution([1.0], 0)
 
 
+def test_convolution_rejects_empty_kernel():
+    # an empty kernel would otherwise build the zero operator without a word
+    with pytest.raises(ValueError, match="kernel must have at least one tap"):
+        make_convolution([], 8)
+
+
 def test_radon_zero_image():
     op = make_radon(RadonGeometry.regular(16, 8, 11))
     np.testing.assert_array_equal(op.apply(np.zeros(256)), np.zeros(88))

@@ -306,6 +306,14 @@ def test_probe_directions_share_one_read_only_draw():
     np.testing.assert_array_equal(big, before)
 
 
+def test_probe_cache_holds_one_draw():
+    views = [_probe_directions(seed, 20, 50) for seed in range(10)]
+    assert len(regularizers._PROBE_DRAWS) <= 1
+    # views handed out before their seed was evicted keep their values
+    for seed, view in enumerate(views):
+        np.testing.assert_array_equal(view, np.random.default_rng(seed).standard_normal((20, 50)))
+
+
 def test_is_subgradient_leaves_inputs_untouched():
     rng = substream(3, "membership-inputs")
     for kind in KINDS:
