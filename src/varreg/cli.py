@@ -147,12 +147,13 @@ def build_operator(conf, seed: int):
     if kind == "identity":
         return identity_map(_bounded(sec, "n", 1))
     if kind == "dense_gaussian":
-        spectrum = _floats(sec.get("spectrum"))
-        return make_random_dense(
-            _bounded(sec, "out_dim", 1), _bounded(sec, "in_dim", 1),
-            seed=_derived_seed(seed, "design"),
-            singular_values=spectrum if spectrum.size else None,
-        )
+        out_dim, in_dim = _bounded(sec, "out_dim", 1), _bounded(sec, "in_dim", 1)
+        try:
+            spectrum = _floats(sec.get("spectrum"))
+            return make_random_dense(out_dim, in_dim, seed=_derived_seed(seed, "design"),
+                                     singular_values=spectrum if spectrum.size else None)
+        except ValueError as err:  # an unreadable spectrum, or one of the wrong length
+            raise ConfigError(f"[operator] spectrum: {err}") from None
     if kind == "convolution":
         try:
             return make_convolution(_floats(sec.get("kernel")), _bounded(sec, "n", 1))
@@ -182,9 +183,15 @@ def build_regularizer(conf, op):
             if len(parts) not in (1, 2):
                 raise ConfigError(f"[regularizer] shape must be one or two integers, got {shape_text!r}")
             shape = parts[0] if len(parts) == 1 else tuple(parts)
+            if int(np.prod(parts)) != op.in_dim:
+                raise ConfigError(f"[regularizer] shape {shape_text!r} must have the operator's "
+                                  f"{op.in_dim} entries")
         else:
             shape = op.in_dim
-        return tv_aniso(shape)
+        try:
+            return tv_aniso(shape)
+        except ValueError as err:  # fewer than 2 entries
+            raise ConfigError(f"[regularizer] shape: {err}") from None
     raise ConfigError(f"unknown regularizer kind {kind!r}")
 
 
@@ -240,6 +247,14 @@ def _problem(conf, seed: int):
     return op, build_regularizer(conf, op), solver_config(conf, seed)
 
 
+def _source_instance(op, reg, seed: int):
+    """``construct_source_instance``, which draws TV instances for 1-d signals only."""
+    if reg.kind == "tv_aniso" and not isinstance(reg.shape, int):
+        raise ConfigError(f"[regularizer] shape must be one integer to draw a tv source instance, "
+                          f"got {reg.shape}")
+    return construct_source_instance(op, reg, seed)
+
+
 def _noise(sec, seed: int, size: int) -> np.ndarray:
     return _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(size)
 
@@ -250,9 +265,14 @@ def _cmd_solve(conf, seed, out_dir):
     alpha = _bounded(sec, "alpha", strict=True)
     data_text = sec.get("data").strip()
     if data_text:
-        v = _floats(data_text)
+        try:
+            v = _floats(data_text)
+        except ValueError as err:
+            raise ConfigError(f"[solve] data: {err}") from None
+        if v.size != op.out_dim:
+            raise ConfigError(f"[solve] data has {v.size} values, expected {op.out_dim}")
     else:
-        v = construct_source_instance(op, reg, seed).v_star + _noise(sec, seed, op.out_dim)
+        v = _source_instance(op, reg, seed).v_star + _noise(sec, seed, op.out_dim)
     sol = solve_variational(op, v, alpha, reg, cfg)
     print(f"solve: alpha={_fmt(alpha)} iters={sol.iterations} "
           f"defect={_fmt(sol.optimality_defect)} J={_fmt(sol.J_value)}")
@@ -271,7 +291,7 @@ def _cmd_bregman(conf, seed, out_dir):
     except ValueError:
         raise ConfigError("[bregman] use_discrepancy must be true or false, "
                           f"got {sec.get('use_discrepancy')!r}") from None
-    instance = construct_source_instance(op, reg, seed)
+    instance = _source_instance(op, reg, seed)
     noise = _noise(sec, seed, op.out_dim)
     noise_level = norm(noise) if use_discrepancy else None
     trace = bregman_iterate(
@@ -293,7 +313,7 @@ def _cmd_debias(conf, seed, out_dir):
         raise ConfigError("debias requires [regularizer] kind = l1")
     sec = conf["debias"]
     alpha = _bounded(sec, "alpha", strict=True)
-    v = construct_source_instance(op, reg, seed).v_star + _noise(sec, seed, op.out_dim)
+    v = _source_instance(op, reg, seed).v_star + _noise(sec, seed, op.out_dim)
     result = debias_two_step(op, v, alpha, reg, cfg)
     res_l1 = norm(op.apply(result.step_one.u_alpha) - v)
     res_db = norm(op.apply(result.u_debiased) - v)
@@ -317,7 +337,7 @@ def _cmd_convergence(conf, seed, out_dir):
     delta0 = _bounded(sec, "delta0", strict=True)
     deltas = delta0 * _bounded(sec, "decay", strict=True) ** np.arange(steps)
     alphas = _bounded(sec, "alpha_over_delta", strict=True) * deltas
-    instance = construct_source_instance(op, reg, seed)
+    instance = _source_instance(op, reg, seed)
     rows = convergence_study(op, reg, instance, deltas, alphas, seed=seed, config=cfg)
     for r in rows:
         print(f"convergence n={r.n}: delta={_fmt(r.delta)} alpha={_fmt(r.alpha)} "
@@ -334,7 +354,7 @@ def _cmd_bias_variance(conf, seed, out_dir):
     replicates = _bounded(sec, "replicates", 2)  # for a standard error
     alphas = np.geomspace(_bounded(sec, "alpha_min", strict=True),
                           _bounded(sec, "alpha_max", strict=True), n_alphas)
-    instance = construct_source_instance(op, reg, seed)
+    instance = _source_instance(op, reg, seed)
     result = bias_variance_study(op, reg, instance, _bounded(sec, "sigma"), alphas,
                                  replicates, seed=seed, config=cfg)
     all_hold = all(r.holds for r in result.rows)
@@ -360,7 +380,7 @@ def _pair_study(conf, seed, section: str, checker):
     population = population_map(op)
     rows = []
     for i in range(n_instances):
-        instance = construct_source_instance(population, reg, _derived_seed(seed, "instance", i))
+        instance = _source_instance(population, reg, _derived_seed(seed, "instance", i))
         design = draw_design(op.out_dim, _bounded(sec, "n_samples", 1), _bounded(sec, "sigma"),
                              _derived_seed(seed, "design", i))
         pair = build_risk_pair(op, instance.u_star, design)

@@ -23,7 +23,7 @@ from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm, operato
 from varreg.regularizers import (
     Regularizer,
     Subgradient,
-    SubgradientError,
+    _check_membership,
     bregman_distance,
     is_subgradient,
     symmetric_bregman,
@@ -79,8 +79,13 @@ class EstimateReport:
     components: dict
 
 
+def _headroom(tol: float, rhs: float) -> float:
+    """Floating-point headroom granted to a certified right-hand side ``rhs``."""
+    return 10.0 * tol * (1.0 + abs(rhs))
+
+
 def _report(lhs: float, rhs: float, tol: float, components: dict) -> EstimateReport:
-    headroom = 10.0 * tol * (1.0 + abs(rhs))
+    headroom = _headroom(tol, rhs)
     components = dict(components)
     components["headroom"] = headroom
     return EstimateReport(
@@ -166,24 +171,14 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
     into range(F*), saturated edges define the jump set of a piecewise-constant
     u*.  Raises RuntimeError if no attempt yields a verified instance.
     """
+    build = _INSTANCE_BUILDERS.get(reg.kind)
+    if build is None:
+        raise ValueError(f"unknown regularizer kind {reg.kind!r}")
     for attempt in range(max_attempts):
-        rng = substream(seed, "instance", attempt)
         try:
-            if reg.kind == "quadratic":
-                built = _quadratic_instance(op, rng)
-            elif reg.kind == "l1":
-                built = _l1_instance(op, rng)
-            elif reg.kind == "tv_aniso":
-                built = _tv_instance(op, reg, rng)
-            else:
-                raise ValueError(f"unknown regularizer kind {reg.kind!r}")
-        except ValueError:
-            raise
+            u_star, p_arr, z_star, dual = build(op, reg, substream(seed, "instance", attempt))
         except _RetryDraw:
             continue
-        if built is None:
-            continue
-        u_star, p_arr, z_star, dual = built
         p_star = Subgradient(p=p_arr, owner=u_star, dual=dual)
         check = is_subgradient(reg, u_star, p_star, tol=1e-8)
         if not check.ok:
@@ -204,7 +199,7 @@ class _RetryDraw(Exception):
     pass
 
 
-def _quadratic_instance(op, rng):
+def _quadratic_instance(op, reg, rng):
     z = rng.standard_normal(op.out_dim)
     p = op.adjoint(z)
     if norm(p) < 1e-10:
@@ -212,7 +207,7 @@ def _quadratic_instance(op, rng):
     return p.copy(), p, z, None
 
 
-def _l1_instance(op, rng):
+def _l1_instance(op, reg, rng):
     z_raw = rng.standard_normal(op.out_dim)
     p_raw = op.adjoint(z_raw)
     peak = float(np.max(np.abs(p_raw)))
@@ -286,6 +281,9 @@ def _tv_instance(op, reg, rng):
     return u_star, p_star, z_star, q_t
 
 
+_INSTANCE_BUILDERS = {"quadratic": _quadratic_instance, "l1": _l1_instance, "tv_aniso": _tv_instance}
+
+
 def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha: float) -> float:
     """Optimality defect of u* for the witness data v* + alpha z*.
 
@@ -300,28 +298,33 @@ def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha
 
 # -- certified estimates -------------------------------------------------------
 
-def _solve_and_distance(op, reg, instance, data, alpha, cfg, solution):
+def _distance_to_instance(op, reg, instance, data, alpha, cfg, solution=None):
+    """The solution (``solution`` if given, else solved from ``data``) and its
+    symmetric Bregman distance to the instance's (u*, p*)."""
+    sol = solution if solution is not None else solve_variational(op, data, alpha, reg, cfg)
+    return sol, symmetric_bregman(reg, sol.u_alpha, instance.u_star, sol.p_alpha, instance.p_star)
+
+
+def _estimate_terms(op, reg, instance, data, alpha, config, solution):
+    """Shared by the two source-condition estimates: the settings, the solution,
+    its distance d_sym to the instance, ||v - v*||^2 and ||z*||^2."""
+    cfg = config or SolverConfig()
+    _check_alpha(alpha)
+    v = as_vector(data, op.out_dim, "data")
     if instance.defect > 1e-10:
         raise ValueError(
             f"source certificate too loose for certification (defect {instance.defect:.3e})"
         )
-    sol = solution if solution is not None else solve_variational(op, data, alpha, reg, cfg)
-    d_sym = symmetric_bregman(reg, sol.u_alpha, instance.u_star,
-                              sol.p_alpha, instance.p_star)
-    return sol, d_sym
+    sol, d_sym = _distance_to_instance(op, reg, instance, v, alpha, cfg, solution)
+    return cfg, sol, d_sym, norm(v - instance.v_star) ** 2, instance.source_norm ** 2
 
 
 def check_error_estimate(op: LinearForwardMap, reg: Regularizer, instance: SourceInstance,
                          data, alpha: float, config: SolverConfig | None = None,
                          solution=None) -> EstimateReport:
     """0.5*||F(u_alpha - u*)||^2 + alpha*d_sym <= ||v - v*||^2 + alpha^2*||z*||^2."""
-    cfg = config or SolverConfig()
-    _check_alpha(alpha)
-    v = as_vector(data, op.out_dim, "data")
-    sol, d_sym = _solve_and_distance(op, reg, instance, v, alpha, cfg, solution)
+    cfg, sol, d_sym, noise_sq, z_sq = _estimate_terms(op, reg, instance, data, alpha, config, solution)
     output_gap = norm(op.apply(sol.u_alpha) - instance.v_star) ** 2
-    noise_sq = norm(v - instance.v_star) ** 2
-    z_sq = instance.source_norm ** 2
     lhs = 0.5 * output_gap + alpha * d_sym
     rhs = noise_sq + alpha ** 2 * z_sq
     return _report(lhs, rhs, cfg.tol, {
@@ -337,12 +340,7 @@ def check_effective_estimate(op: LinearForwardMap, reg: Regularizer, instance: S
                              data, alpha: float, config: SolverConfig | None = None,
                              solution=None) -> EstimateReport:
     """d_sym(u_alpha, u*) <= ||v - v*||^2 / alpha + alpha * ||z*||^2."""
-    cfg = config or SolverConfig()
-    _check_alpha(alpha)
-    v = as_vector(data, op.out_dim, "data")
-    sol, d_sym = _solve_and_distance(op, reg, instance, v, alpha, cfg, solution)
-    noise_sq = norm(v - instance.v_star) ** 2
-    z_sq = instance.source_norm ** 2
+    cfg, sol, d_sym, noise_sq, z_sq = _estimate_terms(op, reg, instance, data, alpha, config, solution)
     rhs = noise_sq / alpha + alpha * z_sq
     return _report(d_sym, rhs, cfg.tol, {
         "d_sym": d_sym,
@@ -369,11 +367,7 @@ def check_higher_order_estimate(op: LinearForwardMap, reg: Regularizer, u_star, 
     eta_star = as_vector(eta_star, op.in_dim, "eta_star")
     v = as_vector(data, op.out_dim, "data")
     p_arr = op.adjoint(op.apply(eta_star))
-    check = is_subgradient(reg, u_star, p_arr, tol=1e-8)
-    if not check.ok:
-        raise SubgradientError(
-            f"F* F eta* is not a subgradient at u* (violation {check.max_violation:.3e})"
-        )
+    _check_membership(reg, u_star, p_arr, None, 1e-8, "F* F eta* at u*")
     p_star = Subgradient(p=p_arr, owner=u_star)
     sol = solution if solution is not None else solve_variational(op, v, alpha, reg, cfg)
     lhs = bregman_distance(reg, sol.u_alpha, u_star, p_star, check=False)
@@ -432,10 +426,7 @@ def convergence_study(op: LinearForwardMap, reg: Regularizer, instance: SourceIn
     z_sq = instance.source_norm ** 2
     rows = []
     for i, (delta, alpha) in enumerate(zip(deltas, alphas)):
-        v = instance.v_star + delta * g
-        sol = solve_variational(op, v, alpha, reg, cfg)
-        d_sym = symmetric_bregman(reg, sol.u_alpha, instance.u_star,
-                                  sol.p_alpha, instance.p_star)
+        sol, d_sym = _distance_to_instance(op, reg, instance, instance.v_star + delta * g, alpha, cfg)
         bound = delta ** 2 / alpha + alpha * z_sq
         rows.append(ConvergenceRow(
             n=i,
@@ -445,7 +436,7 @@ def convergence_study(op: LinearForwardMap, reg: Regularizer, instance: SourceIn
             bound=float(bound),
             output_err=norm(op.apply(sol.u_alpha) - instance.v_star),
             J_value=sol.J_value,
-            holds=bool(d_sym <= bound + 10.0 * cfg.tol * (1.0 + bound)),
+            holds=bool(d_sym <= bound + _headroom(cfg.tol, bound)),
         ))
     return rows
 
@@ -494,9 +485,7 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
         energies[r] = norm(noise) ** 2
         v = instance.v_star + noise
         for a, alpha in enumerate(alphas):
-            sol = solve_variational(op, v, alpha, reg, cfg)
-            dists[r, a] = symmetric_bregman(reg, sol.u_alpha, instance.u_star,
-                                            sol.p_alpha, instance.p_star)
+            dists[r, a] = _distance_to_instance(op, reg, instance, v, alpha, cfg)[1]
     expected_energy = m * noise_sigma ** 2
     rows = []
     for a, alpha in enumerate(alphas):
@@ -508,11 +497,11 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
             mean_bregman=mean,
             stderr=stderr,
             bound=float(bound),
-            holds=bool(mean <= bound + 3.0 * stderr + 10.0 * cfg.tol * (1.0 + bound)),
+            holds=bool(mean <= bound + 3.0 * stderr + _headroom(cfg.tol, bound)),
         ))
     means = np.array([row.mean_bregman for row in rows])
     low = float(means.min())
-    minimizers = alphas[means <= low + 10.0 * cfg.tol * (1.0 + abs(low))]
+    minimizers = alphas[means <= low + _headroom(cfg.tol, low)]
     return BiasVarianceResult(
         rows=rows,
         noise_energy_mean=float(np.mean(energies)),

@@ -310,7 +310,7 @@ def _check_membership(reg, u, p, dual, membership_tol, what):
     res = is_subgradient(reg, u, p, tol=membership_tol, dual=dual)
     if not res.ok:
         raise SubgradientError(
-            f"{what} fails membership (violation {res.max_violation:.3e} > tol {membership_tol:.1e})"
+            f"{what} is not a subgradient (violation {res.max_violation:.3e} > tol {membership_tol:.1e})"
         )
 
 

@@ -72,20 +72,41 @@ class RegularizedSolution:
     gap: float | None = None  # primal-dual solver only
 
 
-def _defect_target(cfg: SolverConfig, adjoint_data_norm: float) -> float:
-    return cfg.tol * (1.0 + adjoint_data_norm)
-
-
-def _init_point(dim: int, u0) -> np.ndarray:
-    if u0 is None:
-        return np.zeros(dim)
-    return as_vector(u0, dim, "u0").copy()
-
-
 def _check_finite(defect: float, solver: str) -> None:
     """Fail fast once an iterate has gone non-finite, instead of spinning to max_iters."""
     if not math.isfinite(defect):
         raise SolverError(f"{solver} iterate is not finite (defect {defect})", defect)
+
+
+def _enter(op: LinearForwardMap, data, alpha: float, config: SolverConfig | None, u0):
+    """A solver's entry: its settings, the validated data, the raw kernels, F*v,
+    the defect target tol*(1 + ||F*v||) and a fresh start point (zero or ``u0``)."""
+    cfg = config or SolverConfig()
+    _check_alpha(alpha)
+    v = as_vector(data, op.out_dim, "data")
+    b = op._adjoint(v)
+    u = np.zeros(op.in_dim) if u0 is None else as_vector(u0, op.in_dim, "u0").copy()
+    return cfg, v, op._apply, op._adjoint, b, cfg.tol * (1.0 + norm(b)), u
+
+
+def _certified(solver: str, target: float, u: np.ndarray, p: np.ndarray, alpha: float,
+               residual: np.ndarray, J_value: float, defect: float, iterations: int,
+               dual=None, gap=None) -> RegularizedSolution:
+    """A solver's exit: the solution at ``u`` with data residual ``residual``,
+    or SolverError unless its defect is finite and within ``target``."""
+    _check_finite(defect, solver)
+    if not defect <= target:
+        raise SolverError(f"{solver} stalled at defect {defect:.3e} > {target:.3e}", defect)
+    return RegularizedSolution(
+        u_alpha=u,
+        p_alpha=Subgradient(p=p, owner=u.copy(), dual=dual),
+        alpha=alpha,
+        data_residual=0.5 * float(np.dot(residual, residual)),
+        J_value=J_value,
+        optimality_defect=defect,
+        iterations=iterations,
+        gap=gap,
+    )
 
 
 def _cg(matvec, b: np.ndarray, x: np.ndarray, target: float, max_iters: int, name: str):
@@ -130,26 +151,10 @@ def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
 
     ``data`` and ``u0`` are validated once; the loop runs on the raw kernels.
     """
-    cfg = config or SolverConfig()
-    _check_alpha(alpha)
-    v = as_vector(data, op.out_dim, "data")
-    fwd, adj = op._apply, op._adjoint
-    b = adj(v)
-    target = _defect_target(cfg, norm(b))
-    u, defect, iterations = _cg(lambda x: adj(fwd(x)) + alpha * x, b,
-                                _init_point(op.in_dim, u0), target, cfg.max_iters, "CG")
-    if not defect <= target:
-        raise SolverError(f"CG stalled at defect {defect:.3e} > {target:.3e}", defect)
-    residual = fwd(u) - v
-    return RegularizedSolution(
-        u_alpha=u,
-        p_alpha=Subgradient(p=u.copy(), owner=u.copy()),
-        alpha=alpha,
-        data_residual=0.5 * float(np.dot(residual, residual)),
-        J_value=0.5 * float(np.dot(u, u)),
-        optimality_defect=defect,
-        iterations=iterations,
-    )
+    cfg, v, fwd, adj, b, target, u = _enter(op, data, alpha, config, u0)
+    u, defect, iterations = _cg(lambda x: adj(fwd(x)) + alpha * x, b, u, target, cfg.max_iters, "CG")
+    return _certified("CG", target, u, u.copy(), alpha, fwd(u) - v, 0.5 * float(np.dot(u, u)),
+                      defect, iterations)
 
 
 def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
@@ -162,13 +167,9 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     optimality defect is measured against it.  ``data`` and ``u0`` are
     validated once; the kernel runs on the raw operator kernels.
     """
-    cfg = config or SolverConfig()
-    _check_alpha(alpha)
     if reg.kind not in ("quadratic", "l1"):
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
-    v = as_vector(data, op.out_dim, "data")
-    fwd, adj = op._apply, op._adjoint
-    target = _defect_target(cfg, norm(adj(v)))
+    cfg, v, fwd, adj, _, target, x0 = _enter(op, data, alpha, config, u0)
     sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
     lip = max((1.01 * sigma) ** 2, 1e-30)
     tau = cfg.step_safety / lip
@@ -181,25 +182,13 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     # grad(u) - grad(x) + (x - u)/tau is then at most (1 + ||F||^2 tau) <= 2
     # times the final mapping, so a mapping of target/2 certifies the target
     x, _, iterations = accelerated_projected_gradient(
-        grad, lambda x: reg._prox(tau * alpha, x), 1.0 / tau,
-        _init_point(op.in_dim, u0), 0.5 * target, cfg.max_iters)
+        grad, lambda x: reg._prox(tau * alpha, x), 1.0 / tau, x0, 0.5 * target, cfg.max_iters)
     x_pre = x - tau * grad(x)
     u = reg._prox(tau * alpha, x_pre)
     p = (x_pre - u) / (tau * alpha)
     residual = fwd(u) - v
-    defect = norm(adj(residual) + alpha * p)
-    _check_finite(defect, "FISTA")
-    if not defect <= target:
-        raise SolverError(f"FISTA stalled at defect {defect:.3e} > {target:.3e}", defect)
-    return RegularizedSolution(
-        u_alpha=u,
-        p_alpha=Subgradient(p=p, owner=u.copy()),
-        alpha=alpha,
-        data_residual=0.5 * float(np.dot(residual, residual)),
-        J_value=reg._value(u),
-        optimality_defect=defect,
-        iterations=iterations,
-    )
+    return _certified("FISTA", target, u, p, alpha, residual, reg._value(u),
+                      norm(adj(residual) + alpha * p), iterations)
 
 
 def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
@@ -219,14 +208,11 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     the optimality defect of p = D^T q / alpha with the complementarity slack
     alpha*||Du||_1 - <q, Du>.
     """
-    cfg = config or SolverConfig()
-    _check_alpha(alpha)
     if reg.kind != "tv_aniso":
         raise ValueError(f"solve_primal_dual requires tv_aniso, not {reg.kind!r}")
-    v = as_vector(data, op.out_dim, "data")
+    cfg, v, fwd, adj, _, target, u = _enter(op, data, alpha, config, u0)
     if reg.D.shape[1] != op.in_dim:
         raise ValueError("regularizer shape does not match operator")
-    fwd, adj = op._apply, op._adjoint
     d_mat = reg.D
     dt_mat = d_mat.T.tocsr()
     f_mat = op.matrix
@@ -249,9 +235,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     k_sig = sp.diags(sig) @ k_mat
     kt_tau2 = sp.diags(2.0 * tau) @ k_mat.T
 
-    target = _defect_target(cfg, norm(adj(v)))
     m = op.out_dim
-    u = _init_point(op.in_dim, u0)
     u_ext = np.empty_like(u)
     z = np.zeros(k_mat.shape[0])
     sig_v = sig[:m] * v
@@ -281,16 +265,8 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
             obj = 0.5 * float(np.dot(residual, residual)) + alpha * tv_val
             gap = defect + max(compl, 0.0)
             if defect <= target and compl <= cfg.tol * (1.0 + obj):
-                return RegularizedSolution(
-                    u_alpha=u_hat,
-                    p_alpha=Subgradient(p=p, owner=u_hat.copy(), dual=q / alpha),
-                    alpha=alpha,
-                    data_residual=0.5 * float(np.dot(residual, residual)),
-                    J_value=tv_val,
-                    optimality_defect=defect,
-                    iterations=iterations,
-                    gap=gap,
-                )
+                return _certified("primal-dual", target, u_hat, p, alpha, residual, tv_val,
+                                  defect, iterations, dual=q / alpha, gap=gap)
         d *= 0.5 * _RELAX
         u -= d
         w -= z

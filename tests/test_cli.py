@@ -138,12 +138,25 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, command, key, value
     ("solve", ["solver.step_safety=0"], "[solver] step_safety"),
     ("bregman", ["bregman.use_discrepancy=maybe"], "[bregman] use_discrepancy"),
     ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4,4"], "[regularizer] shape"),
+    ("solve", ["operator.spectrum=abc"], "[operator] spectrum"),
+    ("solve", ["operator.spectrum=1,2"], "[operator] spectrum"),
+    ("solve", ["solve.data=1,2"], "[solve] data"),
+    ("solve", ["solve.data=abc"], "[solve] data"),
+    ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=1"], "[regularizer] shape"),
+    ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=17"], "[regularizer] shape"),
+    ("solve", ["operator.in_dim=1", "regularizer.kind=tv_aniso"], "[regularizer] shape"),
+    ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=4,5"], "[regularizer] shape"),
+    ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4"], "[regularizer] shape"),
+    ("bregman", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4"], "[regularizer] shape"),
+    ("convergence", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4"], "[regularizer] shape"),
 ], ids=["solve-sigma", "bregman-sigma", "debias-sigma", "radon-sigma", "bias-variance-sigma",
         "risk-sigma", "tv-shape", "alpha-min", "decay", "delta0", "discrepancy-negative",
         "discrepancy-below-one", "max-iters", "bregman-iterations", "radon-grid", "n-samples",
         "in-dim", "solve-alpha", "bregman-alpha", "debias-alpha", "radon-alpha",
         "operator-error-alpha", "risk-alpha", "tol", "step-safety-above-one", "step-safety-zero",
-        "use-discrepancy", "tv-shape-rank"])
+        "use-discrepancy", "tv-shape-rank", "spectrum-text", "spectrum-length", "data-length",
+        "data-text", "tv-shape-one", "tv-shape-size", "tv-one-entry-operator", "tv-image-size",
+        "solve-tv-image-instance", "bregman-tv-image-instance", "convergence-tv-image-instance"])
 def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, settings, key):
     args = [command, "--output", str(tmp_path)]
     for setting in settings:
@@ -151,6 +164,14 @@ def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, settings
     assert run(args) == 2
     assert key in capsys.readouterr().err
     assert not any(tmp_path.glob("*_summary.json"))
+
+
+def test_tv_image_shape_solves_given_data(tmp_path):
+    # a 2-d TV shape draws no source instance when [solve] data is given
+    data = ",".join(repr(0.1 * i) for i in range(24))
+    assert run(["solve", "--set", "regularizer.kind=tv_aniso", "--set", "regularizer.shape=4,4",
+                "--set", f"solve.data={data}", "--output", str(tmp_path)]) == 0
+    assert (tmp_path / "solve_summary.json").exists()
 
 
 def test_empty_convergence_table_exits_two(tmp_path, capsys):

@@ -380,6 +380,27 @@ def test_bregman_nonnegativity_and_decomposition(kind):
         assert bregman_distance(reg, u, u, p, check=False) <= 1e-14
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+def test_bregman_axioms_at_random_sizes(kind, n, seed):
+    # d >= 0, d(u, u) = 0, and the three-point identity
+    # d^{p_u}(w, u) = d^{p_u}(v, u) + d^{p_v}(w, v) + <p_v - p_u, w - v>
+    reg = make_regularizer(kind, n)
+    rng = np.random.default_rng(seed)
+    u, p_u, q_u = subgradient_pair(kind, rng, n)
+    v, p_v, q_v = subgradient_pair(kind, rng, n)
+    w, _, _ = subgradient_pair(kind, rng, n)
+    sub_u, sub_v = Subgradient(p_u, u, q_u), Subgradient(p_v, v, q_v)
+    for a, sub in ((v, sub_u), (u, sub_v), (w, sub_u), (w, sub_v)):
+        assert bregman_distance(reg, a, sub.owner, sub) >= 0.0
+    assert bregman_distance(reg, u, u, sub_u) == 0.0
+    assert symmetric_bregman(reg, v, v, sub_v, sub_v) == 0.0
+    lhs = bregman_distance(reg, w, u, sub_u)
+    rhs = (bregman_distance(reg, v, u, sub_u) + bregman_distance(reg, w, v, sub_v)
+           + float(np.dot(p_v - p_u, w - v)))
+    assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+
+
 def test_quadratic_bregman_specializes_to_euclidean():
     rng = substream(4, "quad")
     reg = quadratic()

@@ -27,7 +27,9 @@ from varreg import (
     quadratic,
     solve_variational,
     substream,
+    symmetric_bregman,
 )
+from varreg.regularizers import Subgradient
 
 CFG = SolverConfig(tol=1e-11, max_iters=100_000)
 
@@ -250,3 +252,70 @@ def test_risk_theorem_rejects_invalid_source():
     bad_z = rng.standard_normal(20)
     with pytest.raises(SubgradientError, match="not a subgradient"):
         check_risk_theorem(pair, l1(), theta, bad_z, 0.1, CFG)
+
+
+def _counted(monkeypatch, op):
+    calls = []
+    real = op._apply
+
+    def counting(x):
+        calls.append(1)
+        return real(x)
+
+    monkeypatch.setattr(op, "_apply", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind, sigma", [("quadratic", 0.1), ("l1", 0.1), ("quadratic", 0.0)])
+def test_risk_certificates_share_one_residual_pass(monkeypatch, kind, sigma):
+    # every term comes from one pass over F_pop u_a - v_pop and Fe u_a - ve,
+    # with the values the public risk functions give, bit for bit
+    reg = quadratic() if kind == "quadratic" else l1()
+    base = make_random_dense(30, 8, seed=13)
+    pop = make_sampled(base, full_design(base.out_dim))
+    inst = construct_source_instance(pop, reg, seed=7)
+    pair = build_risk_pair(base, inst.u_star, draw_design(base.out_dim, 20, sigma, seed=5))
+    alpha = 0.1
+    sol = solve_variational(pair.empirical_map, pair.v_emp, alpha, reg, CFG)
+    u = sol.u_alpha
+    p_star = Subgradient(p=pair.population_map.adjoint(inst.z_star), owner=inst.u_star)
+    d_sym = symmetric_bregman(reg, u, inst.u_star, sol.p_alpha, p_star)
+    pop_gap = np.linalg.norm(pair.population_map.apply(u) - pair.v_pop) ** 2
+    noise_res = pair.empirical_map.apply(inst.u_star) - pair.v_emp
+    noise_energy = float(np.dot(noise_res, noise_res))
+    gap = operator_generalization_gap(pair, u)
+    z_sq = inst.source_norm ** 2
+    op_rhs = alpha ** 2 * z_sq + noise_energy + 0.5 * gap
+    risk_rhs = generalization_error(pair, u) + alpha ** 2 * z_sq + noise_energy
+    expected_op = {
+        "pop_gap_quarter": 0.25 * pop_gap, "alpha_d_sym": alpha * d_sym, "d_sym": d_sym,
+        "alpha_sq_source_sq": alpha ** 2 * z_sq, "noise_energy": noise_energy,
+        "half_operator_gap": 0.5 * gap, "headroom": 10.0 * CFG.tol * (1.0 + abs(op_rhs)),
+    }
+    if noise_energy <= 1e-24:
+        cor_rhs = alpha * z_sq + gap / (2.0 * alpha)
+        expected_op["corollary_rhs"] = cor_rhs
+        expected_op["corollary_holds"] = bool(d_sym <= cor_rhs + 10.0 * CFG.tol * (1.0 + abs(cor_rhs)))
+    expected_risk = {
+        "pop_gap_quarter": 0.25 * pop_gap, "alpha_d_sym": alpha * d_sym, "d_sym": d_sym,
+        "risk_gap": generalization_error(pair, u), "half_operator_gap": 0.5 * gap,
+        "alpha_sq_source_sq": alpha ** 2 * z_sq, "noise_energy": noise_energy,
+        "population_risk": population_risk(pair, u), "empirical_risk": empirical_risk(pair, u),
+        "headroom": 10.0 * CFG.tol * (1.0 + abs(risk_rhs)),
+    }
+
+    pop_calls = _counted(monkeypatch, pair.population_map)
+    emp_calls = _counted(monkeypatch, pair.empirical_map)
+    a = check_operator_error_estimate(pair, reg, inst, alpha, CFG, solution=sol)
+    assert len(pop_calls) <= 1 and len(emp_calls) <= 2
+    assert a.lhs == 0.25 * pop_gap + alpha * d_sym
+    assert a.rhs == op_rhs
+    assert a.components == expected_op
+    assert a.holds
+    del pop_calls[:], emp_calls[:]
+    b = check_risk_theorem(pair, reg, inst.u_star, inst.z_star, alpha, CFG, solution=sol)
+    assert len(pop_calls) <= 2 and len(emp_calls) <= 2
+    assert b.lhs == 0.25 * pop_gap + alpha * d_sym
+    assert b.rhs == risk_rhs
+    assert b.components == expected_risk
+    assert b.holds
