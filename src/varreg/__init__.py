@@ -47,6 +47,7 @@ from varreg.solvers import (
     RegularizedSolution,
     SolverConfig,
     SolverError,
+    solve_columns,
     solve_fista,
     solve_primal_dual,
     solve_tikhonov_exact,

@@ -9,6 +9,7 @@ Euclidean one.
 
 from __future__ import annotations
 
+import math
 import zlib
 
 import numpy as np
@@ -181,8 +182,12 @@ def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> f
     return norm(apply_fn(x))
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
 def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
-                                   tol: float, max_iters: int = 20_000):
+                                   tol, max_iters: int = 20_000):
     """FISTA (Beck & Teboulle 2009) for a smooth objective plus a convex term.
 
     ``project`` may be any prox map of step 1/``lip``: the projection onto a
@@ -191,26 +196,61 @@ def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
     stops once the mapping is at most ``tol`` or not finite.  Returns
     (x, mapping_norm, iterations) where mapping_norm is the final
     projected-gradient mapping scaled by the Lipschitz constant.
+
+    ``x0`` of shape (n, k) runs k independent problems as one block: each
+    column has its own momentum, restart and stop, ``tol`` may be a (k,)
+    array, and ``grad_fn(z, cols)``/``project(z, cols)`` are called on the
+    columns ``cols`` (indices into the block) that still run.  A column that
+    stops is frozen at that step; mapping_norm and iterations are then
+    per-column arrays.
     """
     lip = max(lip, 1e-30)
     step = 1.0 / lip
-    x = project(np.asarray(x0, dtype=float).copy())
+    x = np.asarray(x0, dtype=float).copy()
+    block = x.ndim == 2
+    # a vector keeps scalar reductions and truth tests, far cheaper than numpy's on one small array
+    dots, root, every, some = (_column_dots, np.sqrt, np.all, np.any) if block else \
+        (np.dot, math.sqrt, bool, bool)
+    if block:
+        live = np.arange(x.shape[1])  # block columns still running
+        tol, t, cols = np.broadcast_to(tol, live.shape), np.ones(live.size), (live,)
+        x_out, map_out, iters_out = x.copy(), np.full(live.size, np.inf), np.full(live.size, max_iters)
+    else:
+        t, cols = 1.0, ()
+    x = project(x, *cols)
     y = x.copy()
-    t = 1.0
     mapping = np.inf
     for iterations in range(1, max_iters + 1):
-        x_new = project(y - step * grad_fn(y))
-        mapping = lip * norm(x_new - y)
-        if not mapping > tol:  # converged, or the iterate is no longer finite
-            return x_new, mapping, iterations
-        if inner(y - x_new, x_new - x) > 0.0:  # momentum uphill: restart
-            t = 1.0
-            y = x.copy()
-            x_new = project(y - step * grad_fn(y))
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        x_new = project(y - step * grad_fn(y, *cols), *cols)
+        d = x_new - y
+        mapping = lip * root(dots(d, d))
+        running = mapping > tol  # false once converged, or once the iterate is not finite
+        if not every(running):
+            if not block:
+                return x_new, mapping, iterations
+            done = live[~running]
+            x_out[:, done], map_out[done], iters_out[done] = x_new[:, ~running], mapping[~running], iterations
+            if not running.any():
+                return x_out, map_out, iters_out
+            live, tol, t, mapping = live[running], tol[running], t[running], mapping[running]
+            x, y, x_new = x[:, running], y[:, running], x_new[:, running]
+            cols = (live,)
+        uphill = dots(y - x_new, x_new - x) > 0.0
+        if some(uphill):  # momentum uphill: restart from x
+            if block:
+                t[uphill] = 1.0
+                x_up = x[:, uphill]
+                x_new[:, uphill] = project(x_up - step * grad_fn(x_up, live[uphill]), live[uphill])
+            else:
+                t = 1.0
+                x_new = project(x - step * grad_fn(x))
+        t_new = 0.5 * (1.0 + root(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-    return x, mapping, max_iters
+    if not block:
+        return x, mapping, max_iters
+    x_out[:, live], map_out[live] = x, mapping
+    return x_out, map_out, iters_out
 
 
 def substream(seed: int, name: str, index: int = 0) -> np.random.Generator:

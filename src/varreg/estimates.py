@@ -28,7 +28,8 @@ from varreg.regularizers import (
     is_subgradient,
     symmetric_bregman,
 )
-from varreg.solvers import SolverConfig, _cg, _check_finite, accelerated_projected_gradient, solve_variational
+from varreg.solvers import (SolverConfig, _cg, _check_finite, accelerated_projected_gradient, solve_columns,
+                             solve_variational)
 
 __all__ = [
     "SourceInstance",
@@ -298,11 +299,24 @@ def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha
 
 # -- certified estimates -------------------------------------------------------
 
+def _distances_to_instance(reg, instance, solutions):
+    """Each solution with its symmetric Bregman distance to the instance's
+    (u*, p*); p* is certified once, each solution's subgradient once, both at
+    ``symmetric_bregman``'s membership tolerance 1e-6."""
+    _check_membership(reg, instance.u_star, instance.p_star.p, instance.p_star.dual, 1e-6, "p")
+    distances = []
+    for sol in solutions:
+        _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
+        distances.append((sol, symmetric_bregman(reg, sol.u_alpha, instance.u_star, sol.p_alpha,
+                                                 instance.p_star, check=False)))
+    return distances
+
+
 def _distance_to_instance(op, reg, instance, data, alpha, cfg, solution=None):
     """The solution (``solution`` if given, else solved from ``data``) and its
     symmetric Bregman distance to the instance's (u*, p*)."""
     sol = solution if solution is not None else solve_variational(op, data, alpha, reg, cfg)
-    return sol, symmetric_bregman(reg, sol.u_alpha, instance.u_star, sol.p_alpha, instance.p_star)
+    return _distances_to_instance(reg, instance, [sol])[0]
 
 
 def _estimate_terms(op, reg, instance, data, alpha, config, solution):
@@ -415,18 +429,22 @@ def convergence_study(op: LinearForwardMap, reg: Regularizer, instance: SourceIn
 
     A single fixed noise direction is scaled to each delta exactly, so the
     decay of the distance is smooth in n rather than noise-realization jitter.
+    Every row is solved in one ``solve_columns`` call.
     """
     cfg = config or SolverConfig()
     deltas = np.asarray(deltas, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
     if deltas.shape != alphas.shape:
         raise ValueError("deltas and alphas must align")
+    if not alphas.size:
+        raise ValueError("the alpha schedule is empty")
     g = substream(seed, "noise").standard_normal(op.out_dim)
     g /= norm(g)
     z_sq = instance.source_norm ** 2
+    solved = _distances_to_instance(reg, instance, solve_columns(
+        op, instance.v_star[:, None] + np.outer(g, deltas), alphas, reg, cfg))
     rows = []
-    for i, (delta, alpha) in enumerate(zip(deltas, alphas)):
-        sol, d_sym = _distance_to_instance(op, reg, instance, instance.v_star + delta * g, alpha, cfg)
+    for i, (delta, alpha, (sol, d_sym)) in enumerate(zip(deltas, alphas, solved)):
         bound = delta ** 2 / alpha + alpha * z_sq
         rows.append(ConvergenceRow(
             n=i,
@@ -465,6 +483,7 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
 
     Common random numbers across the alpha grid: replicate r reuses one noise
     draw for every alpha, so the curve is smooth and the argmin is meaningful.
+    The whole replicate x alpha grid is solved in one ``solve_columns`` call.
     The certified bound uses the expected noise energy m*sigma^2.
     ``argmin_alpha`` is the largest alpha whose mean lies within
     10*tol*(1 + |min|) of the smallest mean: the most-regularized minimizer,
@@ -473,19 +492,21 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     cfg = config or SolverConfig()
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
     alphas = np.asarray(alphas, dtype=float)
+    if not alphas.size:
+        raise ValueError("the alpha grid is empty")
     m = op.out_dim
     z_sq = instance.source_norm ** 2
-    dists = np.empty((replicates, alphas.size))
-    energies = np.empty(replicates)
-    for r in range(replicates):
-        noise = noise_sigma * substream(seed, "noise", r).standard_normal(m)
-        energies[r] = norm(noise) ** 2
-        v = instance.v_star + noise
-        for a, alpha in enumerate(alphas):
-            dists[r, a] = _distance_to_instance(op, reg, instance, v, alpha, cfg)[1]
+    noise = np.stack([noise_sigma * substream(seed, "noise", r).standard_normal(m)
+                      for r in range(replicates)])
+    energies = np.array([norm(row) ** 2 for row in noise])
+    # one column per (replicate, alpha), replicate-major
+    data = np.repeat(instance.v_star[:, None] + noise.T, alphas.size, axis=1)
+    solved = _distances_to_instance(reg, instance, solve_columns(
+        op, data, np.tile(alphas, replicates), reg, cfg))
+    dists = np.array([d_sym for _, d_sym in solved]).reshape(replicates, alphas.size)
     expected_energy = m * noise_sigma ** 2
     rows = []
     for a, alpha in enumerate(alphas):

@@ -280,7 +280,9 @@ def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMa
     if op.matrix is not None:
         a = op.matrix[rows]
         if sp.issparse(a):
-            a = _read_only_csr((sp.diags(sqw) @ a).tocsr())
+            # scale rows in place on the fresh row selection, keeping its sorted indices
+            a.data *= np.repeat(sqw, np.diff(a.indptr))
+            a = _read_only_csr(a)
             at = _read_only_csr(a.T.tocsr())
             return LinearForwardMap(lambda u: a @ u, lambda v: at @ v, op.in_dim, design.size, matrix=a)
         a = sqw[:, None] * np.asarray(a)

@@ -13,14 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import (LinearForwardMap, _check_alpha, accelerated_projected_gradient, as_vector,
-                         norm, operator_norm_estimate)
+from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _column_dots,
+                         accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient
 
 __all__ = [
     "RegularizedSolution",
     "SolverConfig",
     "SolverError",
+    "solve_columns",
     "solve_fista",
     "solve_primal_dual",
     "solve_tikhonov_exact",
@@ -170,25 +171,75 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     if reg.kind not in ("quadratic", "l1"):
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
     cfg, v, fwd, adj, _, target, x0 = _enter(op, data, alpha, config, u0)
+    return _fista(op, fwd, adj, v, alpha, reg, cfg, target, x0)[0]
+
+
+def _fista(op, fwd, adj, v, alpha, reg, cfg, target, x0) -> list[RegularizedSolution]:
+    """FISTA and its certifying prox step on one data vector ``v``, or on the
+    columns of a block ``v`` with one ``alpha`` and ``target`` per column."""
     sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
     lip = max((1.01 * sigma) ** 2, 1e-30)
     tau = cfg.step_safety / lip
+    if v.ndim == 1:
+        def grad(x):
+            return adj(fwd(x) - v)
 
-    def grad(x):
-        return adj(fwd(x) - v)
+        def prox(x):
+            return reg._prox(tau * alpha, x)
+    else:
+        def grad(x, cols=slice(None)):
+            return adj(fwd(x) - v[:, cols])
+
+        def prox(x, cols=slice(None)):
+            return reg._prox(tau * alpha[cols], x)
 
     # the prox-gradient map T is averaged, so the certifying step u = T(x) from
     # the kernel's x = T(y) moves no further than its last one; the defect
     # grad(u) - grad(x) + (x - u)/tau is then at most (1 + ||F||^2 tau) <= 2
     # times the final mapping, so a mapping of target/2 certifies the target
-    x, _, iterations = accelerated_projected_gradient(
-        grad, lambda x: reg._prox(tau * alpha, x), 1.0 / tau, x0, 0.5 * target, cfg.max_iters)
+    x, _, iterations = accelerated_projected_gradient(grad, prox, 1.0 / tau, x0, 0.5 * target,
+                                                      cfg.max_iters)
     x_pre = x - tau * grad(x)
-    u = reg._prox(tau * alpha, x_pre)
+    u = prox(x_pre)
     p = (x_pre - u) / (tau * alpha)
     residual = fwd(u) - v
-    return _certified("FISTA", target, u, p, alpha, residual, reg._value(u),
-                      norm(adj(residual) + alpha * p), iterations)
+    g = adj(residual) + alpha * p
+    if v.ndim == 1:
+        return [_certified("FISTA", target, u, p, alpha, residual, reg._value(u), norm(g), iterations)]
+    defects = np.sqrt(_column_dots(g, g))
+    return [_certified(f"FISTA column {j}", target[j], u_j, p_j, float(alpha[j]), r_j, reg._value(u_j),
+                       float(defects[j]), int(iterations[j]))
+            for j, (u_j, p_j, r_j) in enumerate(zip(u.T.copy(), p.T.copy(), residual.T.copy()))]
+
+
+def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
+                  config: SolverConfig | None = None) -> list[RegularizedSolution]:
+    """One certified solution per column of ``data`` (out_dim x k), column j at ``alphas[j]``.
+
+    l1 on an operator with a matrix runs FISTA on the whole block: each column
+    keeps its own momentum, restart, stop, defect target tol*(1 + ||F*v_j||)
+    and certifying prox step, and takes as many iterations as ``solve_fista``
+    on that column alone.  Other kinds solve column by column with
+    ``solve_variational``.  A column that fails raises SolverError naming it.
+    """
+    cfg = config or SolverConfig()
+    block = np.asarray(data, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
+    if block.ndim != 2 or block.shape[0] != op.out_dim or alphas.shape != block.shape[1:]:
+        raise DimensionMismatchError(f"data of shape {block.shape} with {alphas.shape} alphas, "
+                                     f"expected ({op.out_dim}, k) with k alphas")
+    for alpha in alphas:
+        _check_alpha(alpha)
+    if reg.kind != "l1" or op.matrix is None or not alphas.size:
+        return [solve_variational(op, v, alpha, reg, cfg) for v, alpha in zip(block.T, alphas)]
+    if not np.all(np.isfinite(block)):
+        raise ValueError("data contains non-finite entries")
+    mat = op.matrix
+    mat_t = mat.T
+    b = mat_t @ block
+    target = cfg.tol * (1.0 + np.sqrt(_column_dots(b, b)))
+    return _fista(op, lambda x: mat @ x, lambda y: mat_t @ y, block, alphas, reg, cfg, target,
+                  np.zeros((op.in_dim, alphas.size)))
 
 
 def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer,

@@ -23,7 +23,7 @@ from varreg import (
     substream,
     tv_aniso,
 )
-from varreg import estimates
+from varreg import estimates, solvers
 from varreg.estimates import OFF_SUPPORT_MARGIN, SourceInstance
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
@@ -367,7 +367,7 @@ def test_bias_variance_study_interior_minimum():
 ], ids=["exact-tie", "perturbed-up", "perturbed-down", "distinct"])
 def test_bias_variance_argmin_breaks_ties_toward_larger_alpha(monkeypatch, means, expected):
     calls = iter(means * 2)  # one pass over the alpha grid per replicate
-    monkeypatch.setattr(estimates, "symmetric_bregman", lambda *args: next(calls))
+    monkeypatch.setattr(estimates, "symmetric_bregman", lambda *args, **kwargs: next(calls))
     op = make_random_dense(8, 6, seed=29)
     inst = construct_source_instance(op, quadratic(), seed=0)
     res = bias_variance_study(op, quadratic(), inst, 0.0, [0.1, 0.2, 0.4, 0.8], 2)
@@ -380,3 +380,40 @@ def test_bias_variance_study_needs_replicates():
     inst = construct_source_instance(op, quadratic(), seed=0)
     with pytest.raises(ValueError, match="replicates"):
         bias_variance_study(op, quadratic(), inst, 0.1, [0.1], 1)
+
+
+def test_studies_reject_an_empty_alpha_grid():
+    op = make_random_dense(8, 6, seed=29)
+    inst = construct_source_instance(op, quadratic(), seed=0)
+    with pytest.raises(ValueError, match="empty"):
+        bias_variance_study(op, quadratic(), inst, 0.1, [], 2)
+    with pytest.raises(ValueError, match="empty"):
+        convergence_study(op, quadratic(), inst, [], [])
+
+
+BAD_GRIDS = {"negative-alpha": [0.1, -1.0], "infinite-alpha": [0.1, np.inf], "nan-alpha": [0.1, np.nan]}
+
+
+def _no_solves(monkeypatch):
+    solved = []
+    monkeypatch.setattr(solvers, "solve_variational", lambda *args, **kwargs: solved.append(args))
+    op = make_random_dense(8, 6, seed=29)
+    return solved, op, construct_source_instance(op, quadratic(), seed=0)
+
+
+@pytest.mark.parametrize("sigma, alphas", [(0.1, grid) for grid in BAD_GRIDS.values()] + [
+    (np.nan, [0.1, 0.2]), (np.inf, [0.1, 0.2]), (-0.1, [0.1, 0.2])],
+    ids=list(BAD_GRIDS) + ["nan-sigma", "infinite-sigma", "negative-sigma"])
+def test_bias_variance_study_checks_its_inputs_before_solving(monkeypatch, sigma, alphas):
+    solved, op, inst = _no_solves(monkeypatch)
+    with pytest.raises(ValueError, match="alpha|noise_sigma"):
+        bias_variance_study(op, quadratic(), inst, sigma, alphas, 2)
+    assert solved == []
+
+
+@pytest.mark.parametrize("alphas", BAD_GRIDS.values(), ids=list(BAD_GRIDS))
+def test_convergence_study_checks_its_alphas_before_solving(monkeypatch, alphas):
+    solved, op, inst = _no_solves(monkeypatch)
+    with pytest.raises(ValueError, match="alpha"):
+        convergence_study(op, quadratic(), inst, [0.1, 0.05], alphas)
+    assert solved == []

@@ -56,6 +56,18 @@ def test_csr_matrices_are_read_only():
     assert abs(radon.matrix).nnz == radon.matrix.nnz
 
 
+def test_sampled_csr_keeps_sorted_indices():
+    # rows are scaled on the fresh row selection, so the sampled matrix keeps
+    # the base's sorted column indices and scipy can canonicalize it in place
+    radon = make_radon(RadonGeometry.regular(8, 6, 7))
+    design = draw_design(radon.out_dim, 50, 0.0, seed=4)
+    m = make_sampled(radon, design).matrix
+    assert m.has_sorted_indices
+    m.sort_indices()
+    dense = np.sqrt(design.weights)[:, None] * radon.matrix.toarray()[design.sample_rows]
+    np.testing.assert_array_equal(abs(m).toarray(), np.abs(dense))
+
+
 def test_make_dense_rejects_bad_matrix():
     with pytest.raises(ValueError, match="2-d and non-empty"):
         make_dense(np.zeros((0, 3)))

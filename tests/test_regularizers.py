@@ -112,6 +112,33 @@ def test_is_subgradient_tv_with_and_without_witness():
     assert not is_subgradient(reg, u, np.ones(9)).ok
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shape=st.one_of(st.integers(2, 30), st.tuples(st.integers(1, 6), st.integers(2, 6))),
+       push=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_is_subgradient_invariants_at_random_sizes(shape, push, seed):
+    rng = substream(seed, "membership-property")
+    n = int(np.prod(shape))
+    # l1: sign(u) on the support, anything in [-1, 1] off it; pushing one
+    # entry past its bound by ``push`` is rejected
+    u = rng.standard_normal(n) * (rng.random(n) < 0.5)
+    p = np.where(u != 0.0, np.sign(u), rng.uniform(-1.0, 1.0, n))
+    assert is_subgradient(l1(), u, p).ok
+    j = rng.integers(n)
+    bad = p.copy()
+    bad[j] = np.copysign(1.0 + push, p[j])
+    assert not is_subgradient(l1(), u, bad).ok
+    # TV: a witness q = sign(Du) on the jumps and in the box elsewhere
+    reg = tv_aniso(shape)
+    u = rng.integers(0, 3, n).astype(float)
+    du = reg.D @ u
+    q = np.where(du != 0.0, np.sign(du), rng.uniform(-1.0, 1.0, du.size))
+    assert is_subgradient(reg, u, reg.D.T @ q, dual=q).ok
+    assert is_subgradient(reg, u, reg.D.T @ q).ok
+    e = rng.integers(du.size)
+    q[e] = np.copysign(1.0 + push, q[e])
+    assert not is_subgradient(reg, u, reg.D.T @ q, dual=q).ok
+
+
 @pytest.mark.parametrize("samples", [0, -1])
 def test_is_subgradient_rejects_nonpositive_samples(samples):
     with pytest.raises(ValueError, match="samples"):

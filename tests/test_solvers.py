@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import radon_phantom_problem
 from varreg import (
     LinearForwardMap,
+    RegularizedSolution,
     SolverConfig,
     SolverError,
     identity_map,
@@ -16,6 +17,7 @@ from varreg import (
     make_random_dense,
     operator_norm_estimate,
     quadratic,
+    solve_columns,
     solve_fista,
     solve_primal_dual,
     solve_tikhonov_exact,
@@ -468,3 +470,96 @@ def test_non_finite_iterate_fails_fast(solver):
             solve_source_element(op, a.T @ v)
     # raised within a few iterations of the first NaN, not after max_iters
     assert apply_fn.calls - apply_fn.start <= 6
+
+
+# -- block solves ----------------------------------------------------------------
+
+def _block_problem(k=12, seed=3):
+    op = make_random_dense(14, 10, seed=seed)
+    data = substream(seed, "block").standard_normal((op.out_dim, k))
+    alphas = np.geomspace(1e-3, 1.0, k)[::-1]
+    return op, data, alphas
+
+
+def test_block_kernel_mixed_quadratic_and_l1_columns():
+    # one block with quadratic and l1 columns at mixed alphas: every column
+    # stops, restarts and iterates as it does alone
+    op, data, alphas = _block_problem()
+    a = op.matrix
+    lip = np.linalg.norm(a, 2) ** 2
+    is_l1 = np.arange(alphas.size) % 2 == 1
+
+    def prox(z, thresh, l1_cols):
+        return np.where(l1_cols, np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0), z / (1.0 + thresh))
+
+    tol = 1e-9 * (1.0 + np.linalg.norm(a.T @ data, axis=0))
+    x, mapping, iters = accelerated_projected_gradient(
+        lambda y, cols: a.T @ (a @ y - data[:, cols]),
+        lambda z, cols: prox(z, alphas[cols] / lip, is_l1[cols]), lip, np.zeros((10, alphas.size)), tol)
+    assert len(set(iters.tolist())) > 1  # the columns stop at different steps
+    for j in range(alphas.size):
+        x_j, map_j, it_j = accelerated_projected_gradient(
+            lambda y: a.T @ (a @ y - data[:, j]), lambda z: prox(z, alphas[j] / lip, is_l1[j]), lip,
+            np.zeros(10), tol[j])
+        assert iters[j] == it_j
+        assert mapping[j] <= tol[j] and map_j <= tol[j]
+        np.testing.assert_allclose(x[:, j], x_j, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "l1"])
+def test_solve_columns_matches_single_solves(kind):
+    op, data, alphas = _block_problem()
+    reg, cfg = (l1() if kind == "l1" else quadratic()), SolverConfig(tol=1e-10)
+    block = solve_columns(op, data, alphas, reg, cfg)
+    assert len(block) == alphas.size
+    for j, sol in enumerate(block):
+        one = solve_variational(op, data[:, j], alphas[j], reg, cfg)
+        assert type(sol.iterations) is int and sol.iterations == one.iterations
+        assert sol.alpha == alphas[j]
+        assert sol.optimality_defect <= cfg.tol * (1.0 + np.linalg.norm(op.adjoint(data[:, j])))
+        np.testing.assert_allclose(sol.u_alpha, one.u_alpha, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(sol.p_alpha.p, one.p_alpha.p, rtol=0.0, atol=1e-10)
+        assert sol.optimality_defect == pytest.approx(one.optimality_defect, rel=1e-6, abs=1e-15)
+        assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+
+
+def test_solve_columns_names_the_column_that_fails():
+    # zero data certifies at once; the second column cannot within one step
+    op, data, alphas = _block_problem(k=2)
+    data[:, 0] = 0.0
+    with pytest.raises(SolverError, match="FISTA column 1 stalled") as err:
+        solve_columns(op, data, alphas, l1(), SolverConfig(max_iters=1))
+    assert np.isfinite(err.value.defect)
+
+
+def test_solve_columns_validates_before_solving():
+    op, data, alphas = _block_problem(k=3)
+    with pytest.raises(ValueError, match="alpha"):
+        solve_columns(op, data, [0.1, -1.0, 0.1], l1())
+    with pytest.raises(ValueError, match="shape"):
+        solve_columns(op, data[:, 0], alphas[:1], l1())
+    data[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_columns(op, data, alphas, l1())
+    assert solve_columns(op, data[:, :0], alphas[:0], l1()) == []
+
+
+@pytest.mark.parametrize("solve", [
+    lambda op, v: solve_fista(op, v, 0.2, l1()),
+    lambda op, v: solve_tikhonov_exact(op, v, 0.2),
+    lambda op, v: solve_primal_dual(op, v, 0.2, tv_aniso(10)),
+], ids=["fista", "cg", "primal-dual"])
+def test_vector_solvers_return_one_solution(solve):
+    op, data, _ = _block_problem(k=1)
+    sol = solve(op, data[:, 0])
+    assert isinstance(sol, RegularizedSolution)
+    assert type(sol.iterations) is int
+
+
+def test_primal_dual_stall_raises_with_finite_defect():
+    # a one-row F that nearly annihilates constants leaves [F; D] nearly
+    # singular; the solve must end in SolverError, not overflow or hang
+    op = make_random_dense(1, 4, seed=51394)
+    with pytest.raises(SolverError, match="stalled") as err:
+        solve_primal_dual(op, [1.0], 0.4306, tv_aniso(4), SolverConfig(max_iters=2000))
+    assert np.isfinite(err.value.defect) and err.value.defect > 0.0
