@@ -130,7 +130,11 @@ def _finite_or_text(token: str) -> bool:
 def _bounded(sec, key: str, low=0.0, strict: bool = False, high=None):
     """``[section] key`` as the type of ``low``, rejected unless >= ``low`` (> if
     ``strict``) and, when ``high`` is given, <= ``high``."""
-    value = sec.getint(key) if isinstance(low, int) else sec.getfloat(key)
+    try:
+        value = sec.getint(key) if isinstance(low, int) else sec.getfloat(key)
+    except ValueError:
+        kind = "an integer" if isinstance(low, int) else "a number"
+        raise ConfigError(f"[{sec.name}] {key} must be {kind}, got {sec.get(key)!r}") from None
     if not (value > low if strict else value >= low) or (high is not None and value > high):
         need = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
         raise ConfigError(f"[{sec.name}] {key} must be {need}, got {value!r}")
@@ -458,9 +462,11 @@ def run(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else conf["experiment"].getint("seed")
-    out_dir = _out_dir(args, conf)
     try:
+        seed = _bounded(conf["experiment"], "seed", 0) if args.seed is None else args.seed
+        if seed < 0:  # the [experiment] seed has been checked already
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        out_dir = _out_dir(args, conf)
         return _write_artifacts(out_dir, args.command, seed,
                                 *_DISPATCH[args.command](conf, seed, out_dir))
     except ConfigError as err:

@@ -62,7 +62,6 @@ class SourceInstance:
     p_star: Subgradient
     z_star: np.ndarray
     v_star: np.ndarray      # F u*, the exact data
-    defect: float           # ||F* z* - p*||, zero by construction
 
     @property
     def source_norm(self) -> float:
@@ -184,13 +183,7 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
         check = is_subgradient(reg, u_star, p_star, tol=1e-8)
         if not check.ok:
             continue
-        return SourceInstance(
-            u_star=u_star,
-            p_star=p_star,
-            z_star=z_star,
-            v_star=op.apply(u_star),
-            defect=norm(op.adjoint(z_star) - p_arr),
-        )
+        return SourceInstance(u_star=u_star, p_star=p_star, z_star=z_star, v_star=op.apply(u_star))
     raise RuntimeError(
         f"no verifiable source instance for kind={reg.kind!r} after {max_attempts} attempts"
     )
@@ -288,7 +281,7 @@ _INSTANCE_BUILDERS = {"quadratic": _quadratic_instance, "l1": _l1_instance, "tv_
 def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha: float) -> float:
     """Optimality defect of u* for the witness data v* + alpha z*.
 
-    Zero (up to the instance defect) because F*(F u* - v* - alpha z*) + alpha p*
+    Zero (up to ||F* z* - p*||) because F*(F u* - v* - alpha z*) + alpha p*
     = alpha (p* - F* z*); the source condition makes u* exactly optimal there.
     """
     _check_alpha(alpha)
@@ -299,11 +292,21 @@ def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha
 
 # -- certified estimates -------------------------------------------------------
 
+def _check_instance(op, reg, instance):
+    """Certify the source condition p* = F* z* in dJ(u*) on ``op``, the operator
+    being certified: ||F* z* - p*|| <= 1e-10 (else ValueError), then p* in
+    dJ(u*) at 1e-8, the tolerance ``construct_source_instance`` accepts at."""
+    defect = norm(op.adjoint(instance.z_star) - instance.p_star.p)
+    if not defect <= 1e-10:
+        raise ValueError(f"source certificate too loose for this operator "
+                         f"(defect ||F* z* - p*|| = {defect:.3e} > 1e-10)")
+    _check_membership(reg, instance.u_star, instance.p_star.p, instance.p_star.dual, 1e-8, "p*")
+
+
 def _distances_to_instance(reg, instance, solutions):
     """Each solution with its symmetric Bregman distance to the instance's
-    (u*, p*); p* is certified once, each solution's subgradient once, both at
-    ``symmetric_bregman``'s membership tolerance 1e-6."""
-    _check_membership(reg, instance.u_star, instance.p_star.p, instance.p_star.dual, 1e-6, "p")
+    (u*, p*), whose p* ``_check_instance`` has certified; each solution's
+    subgradient is certified once, at ``symmetric_bregman``'s tolerance 1e-6."""
     distances = []
     for sol in solutions:
         _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
@@ -325,10 +328,7 @@ def _estimate_terms(op, reg, instance, data, alpha, config, solution):
     cfg = config or SolverConfig()
     _check_alpha(alpha)
     v = as_vector(data, op.out_dim, "data")
-    if instance.defect > 1e-10:
-        raise ValueError(
-            f"source certificate too loose for certification (defect {instance.defect:.3e})"
-        )
+    _check_instance(op, reg, instance)
     sol, d_sym = _distance_to_instance(op, reg, instance, v, alpha, cfg, solution)
     return cfg, sol, d_sym, norm(v - instance.v_star) ** 2, instance.source_norm ** 2
 
@@ -438,6 +438,7 @@ def convergence_study(op: LinearForwardMap, reg: Regularizer, instance: SourceIn
         raise ValueError("deltas and alphas must align")
     if not alphas.size:
         raise ValueError("the alpha schedule is empty")
+    _check_instance(op, reg, instance)
     g = substream(seed, "noise").standard_normal(op.out_dim)
     g /= norm(g)
     z_sq = instance.source_norm ** 2
@@ -497,6 +498,7 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     alphas = np.asarray(alphas, dtype=float)
     if not alphas.size:
         raise ValueError("the alpha grid is empty")
+    _check_instance(op, reg, instance)
     m = op.out_dim
     z_sq = instance.source_norm ** 2
     noise = np.stack([noise_sigma * substream(seed, "noise", r).standard_normal(m)

@@ -43,6 +43,9 @@ __all__ = [
 # rather than roundoff and are raised instead of clamped.
 NEGATIVE_TOLERANCE = 1e-8
 
+# Membership counts an entry of u (l1) or Du (tv) as nonzero above this, relative.
+SUPPORT_ATOL = 1e-7
+
 # The randomized membership check evaluates its probe in row blocks of about
 # this many entries (64 KiB of float64), so its temporaries stay in cache.
 _PROBE_BLOCK = 8192
@@ -198,7 +201,8 @@ def _tv_dual_fit(D: sp.csr_matrix, p: np.ndarray, du: np.ndarray, support_atol: 
     Entries of q are pinned to sign((Du)_e) on edges where |Du| exceeds the
     support threshold and boxed in [-1,1] elsewhere; solved by the shared
     accelerated projected gradient, within its default budget, to a gradient
-    mapping of 1e-14*(1 + ||p||).
+    mapping of 1e-14*(1 + ||p||), with a 2% margin on ``lip``: a power-iteration
+    estimate of ||D||^2, which runs low.
     """
     fixed = np.abs(du) > support_atol
     signs = np.sign(du)
@@ -209,14 +213,13 @@ def _tv_dual_fit(D: sp.csr_matrix, p: np.ndarray, du: np.ndarray, support_atol: 
         q[fixed] = signs[fixed]
         return q
 
-    q, _, _ = accelerated_projected_gradient(lambda q: D @ (dt @ q - p), project, lip,
+    q, _, _ = accelerated_projected_gradient(lambda q: D @ (dt @ q - p), project, 1.02 * lip,
                                              np.zeros(D.shape[0]), 1e-14 * (1.0 + norm(p)))
     return norm(dt @ q - p)
 
 
 def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
-                   samples: int = 100, seed: int = 0,
-                   support_atol: float = 1e-7) -> MembershipResult:
+                   samples: int = 100, seed: int = 0) -> MembershipResult:
     """Certify p in the subdifferential of J at u, within ``tol``.
 
     Combines the closed-form characterization of the subdifferential with a
@@ -234,7 +237,7 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
     if reg.kind == "quadratic":
         violation = float(np.max(np.abs(p - u)))
     elif reg.kind == "l1":
-        on = np.abs(u) > support_atol * scale
+        on = np.abs(u) > SUPPORT_ATOL * scale
         v_on = np.max(np.abs(p[on] - np.sign(u[on]))) if np.any(on) else 0.0
         v_off = np.max(np.abs(p[~on]) - 1.0) if np.any(~on) else 0.0
         violation = float(max(v_on, max(v_off, 0.0)))
@@ -244,14 +247,14 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
         edge_scale = max(1.0, float(np.max(np.abs(du))) if du.size else 1.0)
         if dual is not None:
             q = as_vector(dual, reg.D.shape[0], "dual witness")
-            fixed = np.abs(du) > support_atol * edge_scale
+            fixed = np.abs(du) > SUPPORT_ATOL * edge_scale
             v_res = norm(reg.D.T @ q - p)
             v_box = max(float(np.max(np.abs(q))) - 1.0, 0.0)
             v_sign = float(np.max(np.abs(q[fixed] - np.sign(du[fixed])))) if np.any(fixed) else 0.0
             violation = max(v_res, v_box, v_sign)
         else:
             lip = reg.edge_map_norm() ** 2
-            violation = _tv_dual_fit(reg.D, p, du, support_atol * edge_scale, lip)
+            violation = _tv_dual_fit(reg.D, p, du, SUPPORT_ATOL * edge_scale, lip)
     else:  # pragma: no cover - constructor prevents this
         raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 

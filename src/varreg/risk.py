@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm
-from varreg.estimates import EstimateReport, SourceInstance, _distance_to_instance, _headroom, _report
+from varreg.estimates import (EstimateReport, SourceInstance, _check_instance, _distance_to_instance, _headroom,
+                              _report)
 from varreg.operators import SampledDesign, make_sampled, population_map
-from varreg.regularizers import Regularizer, Subgradient, _check_membership
+from varreg.regularizers import Regularizer, Subgradient
 from varreg.solvers import SolverConfig
 
 __all__ = [
@@ -142,21 +143,15 @@ def error_decomposition(pair: RiskPair, theta, f_star_risk_pop: float | None = N
     )
 
 
-def _validate_instance(pair: RiskPair, instance: SourceInstance):
-    if not np.array_equal(pair.theta_star.shape, instance.u_star.shape) or \
-            not np.allclose(pair.theta_star, instance.u_star, rtol=0.0, atol=1e-12):
-        raise ValueError("risk pair and source instance disagree on theta*")
-    defect = norm(pair.population_map.adjoint(instance.z_star) - instance.p_star.p)
-    if defect > 1e-8 * (1.0 + norm(instance.p_star.p)):
-        raise ValueError(
-            f"source certificate does not match the population map (defect {defect:.3e})"
-        )
-
-
 def _empirical_terms(pair, reg, instance, alpha, cfg, solution):
     """The terms of both certificates at the empirical solution u_a, from one
     residual pass rp = F_pop u_a - v_pop, re = Fe u_a - ve: d_sym to the
-    instance, ||rp||^2, the operator gap G, ||Fe u* - ve||^2, R(u_a), Rhat(u_a)."""
+    instance, ||rp||^2, the operator gap G, ||Fe u* - ve||^2, R(u_a), Rhat(u_a).
+    The instance must share the pair's theta* and hold on the population map."""
+    if pair.theta_star.shape != instance.u_star.shape or \
+            not np.allclose(pair.theta_star, instance.u_star, rtol=0.0, atol=1e-12):
+        raise ValueError("risk pair and source instance disagree on theta*")
+    _check_instance(pair.population_map, reg, instance)
     sol, d_sym = _distance_to_instance(pair.empirical_map, reg, instance, pair.v_emp, alpha, cfg, solution)
     rp = pair.population_map.apply(sol.u_alpha) - pair.v_pop
     re = pair.empirical_map.apply(sol.u_alpha) - pair.v_emp
@@ -177,7 +172,6 @@ def check_operator_error_estimate(pair: RiskPair, reg: Regularizer, instance: So
     """
     cfg = config or SolverConfig()
     _check_alpha(alpha)
-    _validate_instance(pair, instance)
     d_sym, pop_gap, gap, noise_energy, _, _ = _empirical_terms(pair, reg, instance, alpha, cfg, solution)
     z_sq = instance.source_norm ** 2
     lhs = 0.25 * pop_gap + alpha * d_sym
@@ -217,16 +211,12 @@ def check_risk_theorem(pair: RiskPair, reg: Regularizer, theta_star, z_star,
     _check_alpha(alpha)
     theta_star = as_vector(theta_star, pair.population_map.in_dim, "theta_star")
     z_star = as_vector(z_star, pair.population_map.out_dim, "z_star")
-    p_arr = pair.population_map.adjoint(z_star)
-    _check_membership(reg, theta_star, p_arr, None, 1e-8, "F_pop* z* at theta*")
     instance = SourceInstance(
         u_star=theta_star,
-        p_star=Subgradient(p=p_arr, owner=theta_star),
+        p_star=Subgradient(p=pair.population_map.adjoint(z_star), owner=theta_star),
         z_star=z_star,
         v_star=pair.population_map.apply(theta_star),
-        defect=0.0,
     )
-    _validate_instance(pair, instance)
     d_sym, pop_gap, gap, noise_energy, risk, risk_hat = _empirical_terms(
         pair, reg, instance, alpha, cfg, solution)
     risk_gap = risk - risk_hat

@@ -149,6 +149,9 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, command, key, value
     ("solve", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4"], "[regularizer] shape"),
     ("bregman", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4"], "[regularizer] shape"),
     ("convergence", ["regularizer.kind=tv_aniso", "regularizer.shape=4,4"], "[regularizer] shape"),
+    ("solve", ["solve.alpha=abc"], "[solve] alpha"),
+    ("solve", ["operator.out_dim=2.5"], "[operator] out_dim"),
+    ("bias-variance", ["bias_variance.replicates=x"], "[bias_variance] replicates"),
 ], ids=["solve-sigma", "bregman-sigma", "debias-sigma", "radon-sigma", "bias-variance-sigma",
         "risk-sigma", "tv-shape", "alpha-min", "decay", "delta0", "discrepancy-negative",
         "discrepancy-below-one", "max-iters", "bregman-iterations", "radon-grid", "n-samples",
@@ -156,7 +159,8 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, command, key, value
         "operator-error-alpha", "risk-alpha", "tol", "step-safety-above-one", "step-safety-zero",
         "use-discrepancy", "tv-shape-rank", "spectrum-text", "spectrum-length", "data-length",
         "data-text", "tv-shape-one", "tv-shape-size", "tv-one-entry-operator", "tv-image-size",
-        "solve-tv-image-instance", "bregman-tv-image-instance", "convergence-tv-image-instance"])
+        "solve-tv-image-instance", "bregman-tv-image-instance", "convergence-tv-image-instance",
+        "alpha-text", "out-dim-fraction", "replicates-text"])
 def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, settings, key):
     args = [command, "--output", str(tmp_path)]
     for setting in settings:
@@ -164,6 +168,30 @@ def test_out_of_range_config_value_exits_two(tmp_path, capsys, command, settings
     assert run(args) == 2
     assert key in capsys.readouterr().err
     assert not any(tmp_path.glob("*_summary.json"))
+
+
+@pytest.mark.parametrize("args, key", [
+    (["--set", "experiment.seed=abc"], "[experiment] seed"),
+    (["--set", "experiment.seed=-3"], "[experiment] seed"),
+    (["--seed", "-1"], "--seed"),
+], ids=["config-text", "config-negative", "flag-negative"])
+def test_invalid_seed_exits_two(tmp_path, capsys, args, key):
+    assert run(["solve", "--output", str(tmp_path)] + args) == 2
+    assert key in capsys.readouterr().err
+    assert not any(tmp_path.glob("*_summary.json"))
+
+
+def test_radon_operator_solves(tmp_path):
+    assert run(["solve", "--set", "operator.kind=radon", "--set", "operator.grid_n=6",
+                "--set", "operator.n_angles=6", "--set", "operator.n_offsets=6",
+                "--set", "regularizer.kind=quadratic", "--output", str(tmp_path)]) == 0
+    assert (tmp_path / "solve.csv").exists() and (tmp_path / "solve_summary.json").exists()
+
+
+def test_solver_failure_exits_one(tmp_path, capsys):
+    assert run(["solve", "--set", "solver.max_iters=1", "--output", str(tmp_path)]) == 1
+    assert "error: solver failed" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_tv_image_shape_solves_given_data(tmp_path):

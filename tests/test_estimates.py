@@ -5,12 +5,15 @@ from varreg import (
     SolverConfig,
     SubgradientError,
     bias_variance_study,
+    build_risk_pair,
+    check_operator_error_estimate,
     check_effective_estimate,
     check_error_estimate,
     check_higher_order_estimate,
     construct_source_instance,
     convergence_study,
     distance_function,
+    draw_design,
     identity_map,
     is_subgradient,
     l1,
@@ -37,7 +40,7 @@ def test_construct_source_instance_certificates(kind):
     for seed in range(5):
         op = make_random_dense(16, 10, seed=5000 + seed)
         inst = construct_source_instance(op, reg, seed=seed)
-        assert inst.defect <= 1e-10
+        assert np.linalg.norm(op.adjoint(inst.z_star) - inst.p_star.p) <= 1e-10
         np.testing.assert_allclose(op.adjoint(inst.z_star), inst.p_star.p, atol=1e-9)
         np.testing.assert_allclose(op.apply(inst.u_star), inst.v_star, atol=1e-12)
         assert is_subgradient(reg, inst.u_star, inst.p_star, tol=1e-8).ok
@@ -225,10 +228,38 @@ def test_effective_estimate_reports_optimal_alpha():
 def test_estimates_reject_loose_certificates():
     op = make_random_dense(10, 6, seed=10)
     inst = construct_source_instance(op, quadratic(), seed=7)
+    dz = op.apply(np.eye(6)[0])
+    dz *= 1e-3 / np.linalg.norm(op.adjoint(dz))   # ||F* z - p*|| = 1e-3
     loose = SourceInstance(u_star=inst.u_star, p_star=inst.p_star,
-                           z_star=inst.z_star, v_star=inst.v_star, defect=1e-3)
+                           z_star=inst.z_star + dz, v_star=inst.v_star)
     with pytest.raises(ValueError, match="too loose"):
         check_error_estimate(op, quadratic(), loose, inst.v_star, 0.1, TIGHT)
+
+
+def test_instance_is_checked_on_the_operator_it_certifies(monkeypatch):
+    # an l1 instance drawn for one operator: on another, ||F* z* - p*|| is O(1)
+    # and every certificate refuses it before solving anything
+    op = make_random_dense(24, 16, seed=1)
+    other = make_random_dense(24, 16, seed=2)
+    inst = construct_source_instance(op, l1(), seed=0)
+    assert np.linalg.norm(other.adjoint(inst.z_star) - inst.p_star.p) > 1.0
+    pair = build_risk_pair(other, inst.u_star, draw_design(other.out_dim, 12, 0.0, seed=1))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the instance was checked")
+
+    monkeypatch.setattr(estimates, "solve_variational", no_solve)
+    monkeypatch.setattr(estimates, "solve_columns", no_solve)
+    data = other.apply(inst.u_star)
+    for certify in (
+        lambda: check_error_estimate(other, l1(), inst, data, 0.1),
+        lambda: check_effective_estimate(other, l1(), inst, data, 0.1),
+        lambda: convergence_study(other, l1(), inst, [0.1, 0.05], [0.1, 0.05]),
+        lambda: bias_variance_study(other, l1(), inst, 0.05, [0.1, 0.5], 2),
+        lambda: check_operator_error_estimate(pair, l1(), inst, 0.1),
+    ):
+        with pytest.raises(ValueError, match=r"defect \|\|F\* z\* - p\*\|\|"):
+            certify()
 
 
 def test_higher_order_quadratic_matches_closed_form():
@@ -288,7 +319,7 @@ def _scaled_instance(op, scale, inst):
 
     u = inst.u_star * s
     return SourceInstance(u_star=u, p_star=Subgradient(p=inst.p_star.p * s, owner=u),
-                          z_star=inst.z_star * s, v_star=inst.v_star * s, defect=0.0)
+                          z_star=inst.z_star * s, v_star=inst.v_star * s)
 
 
 def test_convergence_study_rate_regime():

@@ -285,6 +285,27 @@ def test_tv_dual_fit_matches_replaced_loop(case, dim, noise, data_seed):
         assert got.ok and got.max_violation <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [200, (48, 48)], ids=["1d-200", "2d-48"])
+def test_tv_dual_fit_steps_within_one_over_lipschitz(monkeypatch, shape):
+    # power iteration underestimates ||D||^2 here (by 0.31% and 0.75%); the
+    # fit's Lipschitz constant must still bound the closed form, summed over
+    # the grid axes: 4*sin^2(pi*(n-1)/(2n)) per axis of length n
+    axes = (shape,) if isinstance(shape, int) else shape
+    exact = sum(4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2 for n in axes)
+    reg = tv_aniso(shape)
+    u = np.zeros(reg.D.shape[1])
+    lips = []
+    real = regularizers.accelerated_projected_gradient
+
+    def capture(grad_fn, project, lip, *args, **kwargs):
+        lips.append(lip)
+        return real(grad_fn, project, lip, *args, **kwargs)
+
+    monkeypatch.setattr(regularizers, "accelerated_projected_gradient", capture)
+    assert is_subgradient(reg, u, np.zeros_like(u)).ok
+    assert len(lips) == 1 and reg.edge_map_norm() ** 2 < exact <= lips[0]
+
+
 def test_tv_dual_fit_certifies_valid_48x48_subgradient():
     # six signed blocks on a 48x48 grid and p = D^T q with q = sign(Du) on the
     # jumps: the fit needs more than 2000 iterations to certify this p

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from varreg import operators, risk
+from varreg import operators, regularizers, risk
 from varreg import (
     RadonGeometry,
     SolverConfig,
@@ -200,7 +200,7 @@ def test_operator_error_estimate_validates_instance():
     # certificate computed against the raw base operator, not the weighted map
     bad = construct_source_instance(base, quadratic(), seed=3)
     pair_bad = build_risk_pair(base, bad.u_star, draw_design(20, 10, 0.0, seed=1))
-    with pytest.raises(ValueError, match="population map"):
+    with pytest.raises(ValueError, match="too loose"):
         check_operator_error_estimate(pair_bad, quadratic(), bad, 0.1, CFG)
     with pytest.raises(ValueError, match="alpha"):
         check_operator_error_estimate(pair, quadratic(), inst, 0.0, CFG)
@@ -252,6 +252,28 @@ def test_risk_theorem_rejects_invalid_source():
     bad_z = rng.standard_normal(20)
     with pytest.raises(SubgradientError, match="not a subgradient"):
         check_risk_theorem(pair, l1(), theta, bad_z, 0.1, CFG)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "l1"])
+def test_risk_theorem_certifies_source_once(monkeypatch, kind):
+    # p* = F_pop* z* is a membership check at theta*, made once per call;
+    # the solution's subgradient is the only other one
+    reg = quadratic() if kind == "quadratic" else l1()
+    base = make_random_dense(30, 8, seed=13)
+    inst = construct_source_instance(risk.population_map(base), reg, seed=7)
+    pair = _pair(base, inst.u_star, n=20, sigma=0.1, seed=5)
+    sol = solve_variational(pair.empirical_map, pair.v_emp, 0.1, reg, CFG)
+    points = []
+    real = regularizers.is_subgradient
+
+    def counting(reg, u, p, *args, **kwargs):
+        points.append(np.array(u, dtype=float))
+        return real(reg, u, p, *args, **kwargs)
+
+    monkeypatch.setattr(regularizers, "is_subgradient", counting)
+    assert check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.1, CFG, solution=sol).holds
+    assert sum(np.array_equal(u, inst.u_star) for u in points) == 1
+    assert sum(np.array_equal(u, sol.u_alpha) for u in points) == 1
 
 
 def _counted(monkeypatch, op):
