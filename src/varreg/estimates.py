@@ -241,7 +241,7 @@ def _tv_instance(op, reg, rng):
     if op.in_dim != n:
         raise ValueError("operator and regularizer dimensions differ")
     D = reg.D
-    Dt = D.T.toarray()
+    Dt = reg.Dt.toarray()
     w = op.adjoint(rng.standard_normal(op.out_dim))
     q_free, *_ = np.linalg.lstsq(Dt, w, rcond=None)
     peak = float(np.max(np.abs(q_free)))
@@ -253,7 +253,7 @@ def _tv_instance(op, reg, rng):
     def grad_fn(q):
         return D @ (Dt @ q - target)
 
-    lip = max(1.02 * np.linalg.norm(Dt, 2) ** 2, 1e-30)
+    lip = 1.02 * reg.edge_map_norm() ** 2
     q0 = np.clip(q_free * (1.5 / peak), -1.0, 1.0)
     q_hat, _, _ = accelerated_projected_gradient(
         grad_fn, lambda q: np.clip(q, -1.0, 1.0), lip, q0, 1e-12, max_iters=100_000

@@ -27,7 +27,7 @@ from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm
 from varreg.estimates import (EstimateReport, SourceInstance, _check_instance, _distance_to_instance, _headroom,
                               _report)
 from varreg.operators import SampledDesign, make_sampled, population_map
-from varreg.regularizers import Regularizer, Subgradient
+from varreg.regularizers import Regularizer, Subgradient, _check_membership
 from varreg.solvers import SolverConfig
 
 __all__ = [
@@ -147,11 +147,7 @@ def _empirical_terms(pair, reg, instance, alpha, cfg, solution):
     """The terms of both certificates at the empirical solution u_a, from one
     residual pass rp = F_pop u_a - v_pop, re = Fe u_a - ve: d_sym to the
     instance, ||rp||^2, the operator gap G, ||Fe u* - ve||^2, R(u_a), Rhat(u_a).
-    The instance must share the pair's theta* and hold on the population map."""
-    if pair.theta_star.shape != instance.u_star.shape or \
-            not np.allclose(pair.theta_star, instance.u_star, rtol=0.0, atol=1e-12):
-        raise ValueError("risk pair and source instance disagree on theta*")
-    _check_instance(pair.population_map, reg, instance)
+    The caller has matched theta* and certified the instance on the population map."""
     sol, d_sym = _distance_to_instance(pair.empirical_map, reg, instance, pair.v_emp, alpha, cfg, solution)
     rp = pair.population_map.apply(sol.u_alpha) - pair.v_pop
     re = pair.empirical_map.apply(sol.u_alpha) - pair.v_emp
@@ -159,6 +155,12 @@ def _empirical_terms(pair, reg, instance, alpha, cfg, solution):
     risk = 0.5 * float(np.dot(rp, rp)) + 0.5 * pair.noise_sigma ** 2
     return (d_sym, norm(rp) ** 2, float(np.dot(rp, rp) - np.dot(re, re)),
             float(np.dot(noise_res, noise_res)), risk, 0.5 * float(np.dot(re, re)))
+
+
+def _match_theta_star(pair, theta_star):
+    if pair.theta_star.shape != theta_star.shape or \
+            not np.allclose(pair.theta_star, theta_star, rtol=0.0, atol=1e-12):
+        raise ValueError("risk pair and source instance disagree on theta*")
 
 
 def check_operator_error_estimate(pair: RiskPair, reg: Regularizer, instance: SourceInstance,
@@ -172,6 +174,8 @@ def check_operator_error_estimate(pair: RiskPair, reg: Regularizer, instance: So
     """
     cfg = config or SolverConfig()
     _check_alpha(alpha)
+    _match_theta_star(pair, instance.u_star)
+    _check_instance(pair.population_map, reg, instance)
     d_sym, pop_gap, gap, noise_energy, _, _ = _empirical_terms(pair, reg, instance, alpha, cfg, solution)
     z_sq = instance.source_norm ** 2
     lhs = 0.25 * pop_gap + alpha * d_sym
@@ -202,21 +206,21 @@ def check_risk_theorem(pair: RiskPair, reg: Regularizer, theta_star, z_star,
         0.25*||F_pop(theta_a - theta*)||^2 + alpha*d_sym
             <= (R(theta_a) - Rhat(theta_a)) + alpha^2*||z*||^2 + ||Fe theta* - ve||^2.
 
-    The source condition p* = F_pop* z* is verified at theta* before anything
-    is solved.  R - Rhat equals half the operator gap plus sigma^2/2, so this
-    right-hand side dominates the operator-gap bound and inherits its
-    certificate; the term breakdown records both gap conventions.
+    p* = F_pop* z* is formed here, so the source condition is p* in dJ(theta*),
+    certified at 1e-8 before anything is solved.  R - Rhat equals half the
+    operator gap plus sigma^2/2, so this right-hand side dominates the
+    operator-gap bound and inherits its certificate; the term breakdown
+    records both gap conventions.
     """
     cfg = config or SolverConfig()
     _check_alpha(alpha)
     theta_star = as_vector(theta_star, pair.population_map.in_dim, "theta_star")
     z_star = as_vector(z_star, pair.population_map.out_dim, "z_star")
-    instance = SourceInstance(
-        u_star=theta_star,
-        p_star=Subgradient(p=pair.population_map.adjoint(z_star), owner=theta_star),
-        z_star=z_star,
-        v_star=pair.population_map.apply(theta_star),
-    )
+    _match_theta_star(pair, theta_star)
+    p_star = pair.population_map.adjoint(z_star)
+    _check_membership(reg, theta_star, p_star, None, 1e-8, "p*")
+    instance = SourceInstance(u_star=theta_star, p_star=Subgradient(p=p_star, owner=theta_star),
+                              z_star=z_star, v_star=pair.v_pop)
     d_sym, pop_gap, gap, noise_energy, risk, risk_hat = _empirical_terms(
         pair, reg, instance, alpha, cfg, solution)
     risk_gap = risk - risk_hat

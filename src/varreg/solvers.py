@@ -51,8 +51,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not np.isfinite(self.tol) or self.tol <= 0.0:
             raise ValueError("tol must be finite and positive")
         if not 0.0 < self.step_safety <= 1.0:
@@ -264,8 +266,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     cfg, v, fwd, adj, _, target, u = _enter(op, data, alpha, config, u0)
     if reg.D.shape[1] != op.in_dim:
         raise ValueError("regularizer shape does not match operator")
-    d_mat = reg.D
-    dt_mat = d_mat.T.tocsr()
+    d_mat, dt_mat = reg.D, reg.Dt
     f_mat = op.matrix
     if f_mat is None:
         f_mat = np.empty((op.out_dim, op.in_dim))

@@ -4,6 +4,7 @@ relies on is pinned here."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -28,3 +29,12 @@ def test_tracer_span_names_resolve():
     regularizers = importlib.import_module("varreg.regularizers")
     assert callable(solvers.accelerated_projected_gradient)
     assert callable(regularizers._tv_dual_fit)
+
+
+def test_tracer_class_hooks_are_plain_functions():
+    # the tracer patches these through vars(cls)[name]: a renamed method, or
+    # one turned into a property, would fail only a traced run
+    from varreg import LinearForwardMap, Regularizer
+    for cls, name in ((LinearForwardMap, "apply"), (LinearForwardMap, "adjoint"),
+                      (Regularizer, "prox"), (Regularizer, "edge_map_norm")):
+        assert inspect.isfunction(vars(cls).get(name)), f"{cls.__name__}.{name}"

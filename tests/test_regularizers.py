@@ -23,6 +23,7 @@ from varreg import regularizers
 from varreg.regularizers import (
     NEGATIVE_TOLERANCE,
     MembershipResult,
+    Regularizer,
     _probe_directions,
     _tv_dual_fit,
     difference_matrix,
@@ -169,8 +170,7 @@ def _reference_is_subgradient(reg, u, p, tol=1e-8, *, dual=None, samples=100, se
             v_sign = float(np.max(np.abs(q[fixed] - np.sign(du[fixed])))) if np.any(fixed) else 0.0
             violation = max(v_res, v_box, v_sign)
         else:
-            lip = reg.edge_map_norm() ** 2
-            violation = _tv_dual_fit(reg.D, p, du, support_atol * edge_scale, lip)
+            violation = _tv_dual_fit(reg, p, du, support_atol * edge_scale)
     rng = np.random.default_rng(seed)
     radius = 1.0 + float(np.max(np.abs(u)))
     w = u[None, :] + radius * rng.standard_normal((samples, u.size))
@@ -278,7 +278,8 @@ def test_tv_dual_fit_matches_replaced_loop(case, dim, noise, data_seed):
     reg, u, p, _ = _membership_case(case, dim, np.random.default_rng(data_seed), noise)
     got = is_subgradient(reg, u, p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularizers, "_tv_dual_fit", _reference_tv_dual_fit)
+        mp.setattr(regularizers, "_tv_dual_fit", lambda reg, p, du, atol: _reference_tv_dual_fit(
+            reg.D, p, du, atol, reg.edge_map_norm() ** 2))
         ref = is_subgradient(reg, u, p)
     assert got.ok == ref.ok
     if noise == 0.0:
@@ -287,9 +288,8 @@ def test_tv_dual_fit_matches_replaced_loop(case, dim, noise, data_seed):
 
 @pytest.mark.parametrize("shape", [200, (48, 48)], ids=["1d-200", "2d-48"])
 def test_tv_dual_fit_steps_within_one_over_lipschitz(monkeypatch, shape):
-    # power iteration underestimates ||D||^2 here (by 0.31% and 0.75%); the
-    # fit's Lipschitz constant must still bound the closed form, summed over
-    # the grid axes: 4*sin^2(pi*(n-1)/(2n)) per axis of length n
+    # ||D||^2 is the closed form summed over the grid axes, 4*sin^2(pi*(n-1)/(2n))
+    # per axis of length n, and the fit's Lipschitz constant bounds it
     axes = (shape,) if isinstance(shape, int) else shape
     exact = sum(4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2 for n in axes)
     reg = tv_aniso(shape)
@@ -303,7 +303,8 @@ def test_tv_dual_fit_steps_within_one_over_lipschitz(monkeypatch, shape):
 
     monkeypatch.setattr(regularizers, "accelerated_projected_gradient", capture)
     assert is_subgradient(reg, u, np.zeros_like(u)).ok
-    assert len(lips) == 1 and reg.edge_map_norm() ** 2 < exact <= lips[0]
+    assert len(lips) == 1 and exact <= lips[0]
+    assert reg.edge_map_norm() ** 2 == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
 def test_tv_dual_fit_certifies_valid_48x48_subgradient():
@@ -488,11 +489,22 @@ def test_difference_matrix_shapes_and_action():
 
 
 def test_edge_map_norm_matches_dense_svd():
-    # power iteration underestimates slightly on the clustered top spectrum of
-    # the chain map; it is only used for step sizing, so 0.1% is plenty
-    reg = tv_aniso(16)
-    dense = float(np.linalg.svd(reg.D.toarray(), compute_uv=False)[0])
-    est = reg.edge_map_norm()
-    assert est <= dense + 1e-12
-    assert abs(est - dense) <= 1e-3 * dense
-    assert est < 2.0  # chain difference map norm is below 2
+    # the closed form is the exact top singular value of D
+    for shape in (2, 3, 16, 200, (1, 5), (5, 1), (2, 3), (24, 24)):
+        reg = tv_aniso(shape)
+        dense = float(np.linalg.svd(reg.D.toarray(), compute_uv=False)[0])
+        assert reg.edge_map_norm() == pytest.approx(dense, rel=1e-13, abs=0.0), shape
+        if isinstance(shape, int):  # a 1-d signal is the 1 x n image
+            one, row = difference_matrix(shape), difference_matrix((1, shape))
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(one, attr), getattr(row, attr))
+
+
+def test_tv_edge_map_is_built_once_read_only():
+    reg = tv_aniso((3, 4))
+    for m in (reg.D, reg.Dt):
+        assert m.format == "csr"
+        assert not any(a.flags.writeable for a in (m.data, m.indices, m.indptr))
+    assert (reg.Dt != reg.D.T).nnz == 0
+    with pytest.raises(TypeError):
+        Regularizer(kind="tv_aniso", shape=(3, 4), D=reg.D)

@@ -276,6 +276,29 @@ def test_risk_theorem_certifies_source_once(monkeypatch, kind):
     assert sum(np.array_equal(u, sol.u_alpha) for u in points) == 1
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "l1"])
+def test_risk_theorem_makes_one_product_each_way_on_population_map(monkeypatch, kind):
+    # p* = F_pop* z* is formed once and F_pop u_a once; v* is the pair's v_pop
+    reg = quadratic() if kind == "quadratic" else l1()
+    base = make_random_dense(30, 8, seed=13)
+    inst = construct_source_instance(risk.population_map(base), reg, seed=7)
+    pair = _pair(base, inst.u_star, n=20, sigma=0.1, seed=5)
+    sol = solve_variational(pair.empirical_map, pair.v_emp, 0.1, reg, CFG)
+    solved = check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.1, CFG)
+    calls = {"_apply": 0, "_adjoint": 0}
+    for name in calls:
+        real = getattr(pair.population_map, name)
+
+        def counting(x, real=real, name=name):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(pair.population_map, name, counting)
+    report = check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.1, CFG, solution=sol)
+    assert calls == {"_apply": 1, "_adjoint": 1}
+    assert (report.lhs, report.rhs) == (solved.lhs, solved.rhs)
+
+
 def _counted(monkeypatch, op):
     calls = []
     real = op._apply

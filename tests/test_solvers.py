@@ -41,6 +41,11 @@ def perturbed_start(dim: int, seed: int, scale: float = 0.1) -> np.ndarray:
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverConfig(max_iters=2.5)
+    for seed in (-1, 2.5, "0"):
+        with pytest.raises(ValueError, match="seed"):
+            SolverConfig(seed=seed)
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
@@ -521,6 +526,23 @@ def test_solve_columns_matches_single_solves(kind):
         np.testing.assert_allclose(sol.p_alpha.p, one.p_alpha.p, rtol=0.0, atol=1e-10)
         assert sol.optimality_defect == pytest.approx(one.optimality_defect, rel=1e-6, abs=1e-15)
         assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+
+
+@pytest.mark.parametrize("kind", ["l1-convolution", "tv-dense"])
+def test_solve_columns_falls_back_to_single_solves(kind):
+    # an operator without a matrix, or TV, is solved column by column
+    op, data, alphas = _block_problem(k=4)
+    if kind == "l1-convolution":
+        op, reg = make_convolution([0.25, 0.5, 0.25], 14), l1()
+    else:
+        reg = tv_aniso(10)
+    block = solve_columns(op, data, alphas, reg)
+    assert len(block) == alphas.size
+    for j, sol in enumerate(block):
+        one = solve_variational(op, data[:, j], alphas[j], reg)
+        np.testing.assert_array_equal(sol.u_alpha, one.u_alpha)
+        np.testing.assert_array_equal(sol.p_alpha.p, one.p_alpha.p)
+        assert sol.iterations == one.iterations
 
 
 def test_solve_columns_names_the_column_that_fails():
