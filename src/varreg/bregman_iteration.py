@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from varreg.core import LinearForwardMap, _power_iteration, as_vector, norm
-from varreg.regularizers import Regularizer, Subgradient, bregman_distance, subgradient_from_optimality
+from varreg.regularizers import Regularizer, Subgradient, bregman_distance
 from varreg.solvers import (
     RegularizedSolution,
     SolverConfig,
@@ -94,11 +94,12 @@ def bregman_iterate(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
         except SolverError as err:
             raise SolverError(f"inner solve failed at Bregman step {k}: {err}", err.defect) from err
         u = sol.u_alpha
-        misfit = v - op.apply(u)
-        p_rec = p_rec + op.adjoint(misfit) / alpha
-        p_opt = subgradient_from_optimality(op, v_shift, u, alpha)
-        agreement = norm(p_rec - p_opt.p)
-        if agreement > 10.0 * cfg.tol * (1.0 + norm(p_opt.p)):
+        fu = op._apply(u)
+        misfit = v - fu
+        p_rec = p_rec + op._adjoint(misfit) / alpha
+        p_opt = op._adjoint(v_shift - fu) / alpha
+        agreement = norm(p_rec - p_opt)
+        if agreement > 10.0 * cfg.tol * (1.0 + norm(p_opt)):
             raise SolverError(
                 f"Bregman dual bookkeeping diverged at step {k}: defect {agreement:.3e}", agreement
             )

@@ -66,39 +66,46 @@ def norm(a) -> float:
 
 
 class LinearForwardMap:
-    """A linear operator together with its adjoint.
+    """A linear operator stored as its matrix, together with its adjoint.
 
-    Parameters
-    ----------
-    apply_fn, adjoint_fn : callables mapping 1-d arrays to 1-d arrays.
-    in_dim, out_dim : dimensions of model and data space.
-    matrix : optional dense or scipy.sparse backing matrix.  Purely an
-        implementation detail used for fast row sampling; the public contract
-        is ``apply``/``adjoint``.
+    ``matrix`` is a non-empty, finite dense array or scipy.sparse matrix; it
+    is marked read-only, a sparse one stored as CSR.  The adjoint is stored
+    beside it: ``matrix.T`` for a dense array, the CSR transpose for a sparse
+    one.  The raw kernels ``_apply``/``_adjoint`` are the products with these
+    two and take vectors or (n, k) blocks without validation.
 
     Operators are immutable: ``_norm_cache`` memoizes
     :func:`operator_norm_estimate` per ``(iters, seed)``, and ``_population``
     holds the full-design map of :func:`varreg.operators.population_map`.
     """
 
-    def __init__(self, apply_fn, adjoint_fn, in_dim: int, out_dim: int, matrix=None):
-        if in_dim <= 0 or out_dim <= 0:
-            raise ValueError("operator dimensions must be positive")
-        self._apply = apply_fn
-        self._adjoint = adjoint_fn
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
-        self.matrix = matrix
+    def __init__(self, matrix):
+        sparse = sp.issparse(matrix)
+        a = sp.csr_matrix(matrix, dtype=float) if sparse else np.asarray(matrix, dtype=float)
+        # a sparse matrix's size is its nnz, so emptiness is read off the shape
+        if a.ndim != 2 or 0 in a.shape:
+            raise ValueError("matrix must be 2-d and non-empty")
+        if not np.all(np.isfinite(a.data if sparse else a)):
+            raise ValueError("matrix contains non-finite entries")
+        if sparse:
+            a = _read_only_csr(a)
+            at = _read_only_csr(a.T.tocsr())
+        else:
+            a.flags.writeable = False
+            at = a.T
+        self.matrix = a
+        self.out_dim, self.in_dim = a.shape
+        # bound once: a hot loop calls the products without a Python frame of its own
+        self._apply = a.__matmul__
+        self._adjoint = at.__matmul__
         self._norm_cache: dict[tuple[int, int], float] = {}
         self._population: LinearForwardMap | None = None
 
     def apply(self, u) -> np.ndarray:
-        u = as_vector(u, self.in_dim, "model vector")
-        return np.asarray(self._apply(u), dtype=float)
+        return self._apply(as_vector(u, self.in_dim, "model vector"))
 
     def adjoint(self, v) -> np.ndarray:
-        v = as_vector(v, self.out_dim, "data vector")
-        return np.asarray(self._adjoint(v), dtype=float)
+        return self._adjoint(as_vector(v, self.out_dim, "data vector"))
 
     def __call__(self, u) -> np.ndarray:
         return self.apply(u)
@@ -115,8 +122,7 @@ def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def identity_map(dim: int) -> LinearForwardMap:
-    eye = _read_only_csr(sp.identity(dim, format="csr"))
-    return LinearForwardMap(lambda u: u.copy(), lambda v: v.copy(), dim, dim, matrix=eye)
+    return LinearForwardMap(sp.identity(dim, format="csr"))
 
 
 def adjoint_consistency_check(op: LinearForwardMap, trials: int = 32, seed: int = 0) -> float:
@@ -154,10 +160,10 @@ def operator_norm_estimate(op: LinearForwardMap, iters: int = 200, seed: int = 0
 POWER_ITERATION_RTOL = 1e-12
 
 
-def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> float:
-    """Power iteration on ``adjoint_fn(apply_fn(.))`` from a seeded Gaussian start.
+def _power_iteration(fwd, adj, dim: int, iters: int, seed: int) -> float:
+    """Power iteration on ``adj(fwd(.))`` from a seeded Gaussian start.
 
-    Calls the raw kernels without validation; returns ||apply_fn(x)|| for the
+    Calls the raw kernels without validation; returns ||fwd(x)|| for the
     final unit iterate x.  ||F*F x|| is nondecreasing over unit iterates, so
     the loop stops after at most ``iters`` steps, or once a step raises it by
     no more than ``POWER_ITERATION_RTOL`` relative.
@@ -170,7 +176,7 @@ def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> f
     x /= nx
     prev = 0.0
     for _ in range(iters):
-        w = adjoint_fn(apply_fn(x))
+        w = adj(fwd(x))
         nw = norm(w)
         if nw == 0.0:
             # x is in the kernel of F*F, hence of F
@@ -179,7 +185,7 @@ def _power_iteration(apply_fn, adjoint_fn, dim: int, iters: int, seed: int) -> f
         if nw - prev <= POWER_ITERATION_RTOL * nw:
             break
         prev = nw
-    return norm(apply_fn(x))
+    return norm(fwd(x))
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

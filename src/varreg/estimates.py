@@ -171,9 +171,7 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
     into range(F*), saturated edges define the jump set of a piecewise-constant
     u*.  Raises RuntimeError if no attempt yields a verified instance.
     """
-    build = _INSTANCE_BUILDERS.get(reg.kind)
-    if build is None:
-        raise ValueError(f"unknown regularizer kind {reg.kind!r}")
+    build = _INSTANCE_BUILDERS[reg.kind]
     for attempt in range(max_attempts):
         try:
             u_star, p_arr, z_star, dual = build(op, reg, substream(seed, "instance", attempt))

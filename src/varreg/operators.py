@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import LinearForwardMap, _read_only_csr, as_vector
+from varreg.core import LinearForwardMap, as_vector
 
 __all__ = [
     "RadonGeometry",
@@ -37,13 +37,7 @@ OFFSET_BOUND = float(np.sqrt(2.0))
 
 def make_dense(matrix) -> LinearForwardMap:
     """Forward map backed by its own read-only copy of a dense matrix."""
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("matrix must be 2-d and non-empty")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    a.flags.writeable = False
-    return LinearForwardMap(lambda u: a @ u, lambda v: a.T @ v, a.shape[1], a.shape[0], matrix=a)
+    return LinearForwardMap(np.array(matrix, dtype=float))
 
 
 def make_random_dense(out_dim: int, in_dim: int, seed: int = 0, singular_values=None) -> LinearForwardMap:
@@ -66,34 +60,25 @@ def make_random_dense(out_dim: int, in_dim: int, seed: int = 0, singular_values=
 
 
 def make_convolution(kernel, n: int) -> LinearForwardMap:
-    """Circular convolution on signals of length ``n``.
+    """Circular convolution on signals of length ``n``, as a sparse circulant.
 
-    The kernel is centered: tap j acts at shift j - (len(kernel)-1)//2, so a
-    symmetric kernel gives a symmetric operator and the impulse response of
-    [0.25, 0.5, 0.25] starts at 0.5.
+    The kernel is centered: tap j acts at shift s_j = j - (len(kernel)-1)//2,
+    so row i holds tap j at column (i - s_j) mod n.  A symmetric kernel gives
+    a symmetric operator, and the impulse response of [0.25, 0.5, 0.25]
+    starts at 0.5.
     """
     k = as_vector(kernel, name="kernel")
-    if n <= 0:
-        raise ValueError("signal length must be positive")
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"signal length must be positive and an integer, got n={n!r}")
     if k.size == 0:
         raise ValueError("kernel must have at least one tap")
     if k.size > n:
         raise ValueError("kernel longer than signal")
     shifts = np.arange(k.size) - (k.size - 1) // 2
-
-    def apply_fn(u):
-        out = np.zeros(n)
-        for kj, sj in zip(k, shifts):
-            out += kj * np.roll(u, sj)
-        return out
-
-    def adjoint_fn(v):
-        out = np.zeros(n)
-        for kj, sj in zip(k, shifts):
-            out += kj * np.roll(v, -sj)
-        return out
-
-    return LinearForwardMap(apply_fn, adjoint_fn, n, n)
+    rows = np.arange(n)[:, None]
+    cols = (rows - shifts) % n
+    return LinearForwardMap(sp.csr_matrix((np.tile(k, n), (np.repeat(rows, k.size), cols.ravel())),
+                                          shape=(n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +192,7 @@ def make_radon(geometry: RadonGeometry) -> LinearForwardMap:
         rows = np.empty(0, dtype=np.int64)
         cols = np.empty(0, dtype=np.int64)
         vals = np.empty(0)
-    a = _read_only_csr(sp.csr_matrix((vals, (rows, cols)), shape=(geometry.out_dim, geometry.in_dim)))
-    at = _read_only_csr(a.T.tocsr())
-    return LinearForwardMap(lambda u: a @ u, lambda v: at @ v, geometry.in_dim, geometry.out_dim, matrix=a)
+    return LinearForwardMap(sp.csr_matrix((vals, (rows, cols)), shape=(geometry.out_dim, geometry.in_dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -277,27 +260,13 @@ def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMa
     if rows.min() < 0 or rows.max() >= op.out_dim:
         raise ValueError("sample_rows out of range for base operator")
     sqw = np.sqrt(design.weights)
-    if op.matrix is not None:
-        a = op.matrix[rows]
-        if sp.issparse(a):
-            # scale rows in place on the fresh row selection, keeping its sorted indices
-            a.data *= np.repeat(sqw, np.diff(a.indptr))
-            a = _read_only_csr(a)
-            at = _read_only_csr(a.T.tocsr())
-            return LinearForwardMap(lambda u: a @ u, lambda v: at @ v, op.in_dim, design.size, matrix=a)
-        a = sqw[:, None] * np.asarray(a)
-        a.flags.writeable = False
-        return LinearForwardMap(lambda u: a @ u, lambda v: a.T @ v, op.in_dim, design.size, matrix=a)
-
-    def apply_fn(u):
-        return sqw * op._apply(u)[rows]
-
-    def adjoint_fn(v):
-        full = np.zeros(op.out_dim)
-        np.add.at(full, rows, sqw * v)
-        return op._adjoint(full)
-
-    return LinearForwardMap(apply_fn, adjoint_fn, op.in_dim, design.size)
+    a = op.matrix[rows]
+    if sp.issparse(a):
+        # scale rows in place on the fresh row selection, keeping its sorted indices
+        a.data *= np.repeat(sqw, np.diff(a.indptr))
+    else:
+        a = sqw[:, None] * a
+    return LinearForwardMap(a)
 
 
 def population_map(op: LinearForwardMap) -> LinearForwardMap:

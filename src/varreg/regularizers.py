@@ -100,6 +100,8 @@ class Regularizer:
     Dt: sp.csr_matrix | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if self.kind not in ("quadratic", "l1", "tv_aniso"):
+            raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if self.kind == "tv_aniso":
             self.D = _read_only_csr(difference_matrix(self.shape))
             self.Dt = _read_only_csr(self.D.T.tocsr())
@@ -232,7 +234,7 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
         v_on = np.max(np.abs(p[on] - np.sign(u[on]))) if np.any(on) else 0.0
         v_off = np.max(np.abs(p[~on]) - 1.0) if np.any(~on) else 0.0
         violation = float(max(v_on, max(v_off, 0.0)))
-    elif reg.kind == "tv_aniso":
+    else:
         reg._check_dim(u)
         du = reg.D @ u
         edge_scale = max(1.0, float(np.max(np.abs(du))) if du.size else 1.0)
@@ -245,8 +247,6 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
             violation = max(v_res, v_box, v_sign)
         else:
             violation = _tv_dual_fit(reg, p, du, SUPPORT_ATOL * edge_scale)
-    else:  # pragma: no cover - constructor prevents this
-        raise ValueError(f"unknown regularizer kind {reg.kind!r}")
 
     # randomized check of the subgradient inequality at w = u + radius*g
     radius = 1.0 + float(np.max(np.abs(u)))

@@ -218,11 +218,11 @@ def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
                   config: SolverConfig | None = None) -> list[RegularizedSolution]:
     """One certified solution per column of ``data`` (out_dim x k), column j at ``alphas[j]``.
 
-    l1 on an operator with a matrix runs FISTA on the whole block: each column
-    keeps its own momentum, restart, stop, defect target tol*(1 + ||F*v_j||)
-    and certifying prox step, and takes as many iterations as ``solve_fista``
-    on that column alone.  Other kinds solve column by column with
-    ``solve_variational``.  A column that fails raises SolverError naming it.
+    l1 runs FISTA on the whole block: each column keeps its own momentum,
+    restart, stop, defect target tol*(1 + ||F*v_j||) and certifying prox step,
+    and takes as many iterations as ``solve_fista`` on that column alone.
+    Other kinds solve column by column with ``solve_variational``.  A column
+    that fails raises SolverError naming it.
     """
     cfg = config or SolverConfig()
     block = np.asarray(data, dtype=float)
@@ -232,15 +232,13 @@ def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
                                      f"expected ({op.out_dim}, k) with k alphas")
     for alpha in alphas:
         _check_alpha(alpha)
-    if reg.kind != "l1" or op.matrix is None or not alphas.size:
+    if reg.kind != "l1" or not alphas.size:
         return [solve_variational(op, v, alpha, reg, cfg) for v, alpha in zip(block.T, alphas)]
     if not np.all(np.isfinite(block)):
         raise ValueError("data contains non-finite entries")
-    mat = op.matrix
-    mat_t = mat.T
-    b = mat_t @ block
+    b = op._adjoint(block)
     target = cfg.tol * (1.0 + np.sqrt(_column_dots(b, b)))
-    return _fista(op, lambda x: mat @ x, lambda y: mat_t @ y, block, alphas, reg, cfg, target,
+    return _fista(op, op._apply, op._adjoint, block, alphas, reg, cfg, target,
                   np.zeros((op.in_dim, alphas.size)))
 
 
@@ -249,9 +247,8 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     """Diagonally preconditioned, over-relaxed primal-dual (Chambolle-Pock) on [F; D].
 
     Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>,
-    with both dual blocks stacked against K = [F; D], stored the way F is (an F
-    without a matrix is materialized densely, one unit vector at a time through
-    its forward kernel).  The diagonal steps
+    with both dual blocks stacked against K = [F; D], stored the way F is
+    (dense or CSR).  The diagonal steps
     tau_j = step_safety / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
     Chambolle, ICCV 2011) need no norm estimate.  Each step is moved a factor
     ``_RELAX`` along its direction (Condat, JOTA 2013; Chambolle & Pock, Math.
@@ -268,13 +265,6 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
         raise ValueError("regularizer shape does not match operator")
     d_mat, dt_mat = reg.D, reg.Dt
     f_mat = op.matrix
-    if f_mat is None:
-        f_mat = np.empty((op.out_dim, op.in_dim))
-        e = np.zeros(op.in_dim)
-        for j in range(op.in_dim):
-            e[j] = 1.0
-            f_mat[:, j] = fwd(e)
-            e[j] = 0.0
     if sp.issparse(f_mat):
         k_mat = sp.vstack([f_mat, d_mat]).tocsr()
     else:
@@ -334,7 +324,5 @@ def solve_variational(op: LinearForwardMap, data, alpha: float, reg: Regularizer
         return solve_tikhonov_exact(op, data, alpha, config, u0=u0)
     if reg.kind == "l1":
         return solve_fista(op, data, alpha, reg, config, u0=u0)
-    if reg.kind == "tv_aniso":
-        return solve_primal_dual(op, data, alpha, reg, config, u0=u0)
-    raise ValueError(f"unknown regularizer kind {reg.kind!r}")
+    return solve_primal_dual(op, data, alpha, reg, config, u0=u0)
 

@@ -17,6 +17,7 @@ from varreg import (
     substream,
     tv_aniso,
 )
+from varreg import bregman_iteration
 
 
 def test_scalar_recursion_closed_form():
@@ -90,6 +91,35 @@ def test_shifted_data_recursion_as_stored():
     for step in trace.steps:
         np.testing.assert_array_equal(step.v_shifted, prev + (v - op.apply(step.u)))
         prev = step.v_shifted
+
+
+def test_each_step_forms_f_u_once(monkeypatch):
+    # outside the inner solve a step makes one forward product, F u^k, and
+    # two adjoint ones: the dual recursion and the optimality subgradient
+    op = make_random_dense(9, 6, seed=4)
+    v = substream(5, "count").standard_normal(9)
+    calls = {"_apply": 0, "_adjoint": 0}
+    for name in calls:
+        def counting(x, real=getattr(op, name), name=name):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(op, name, counting)
+    inner = {"_apply": 0, "_adjoint": 0}
+
+    def counted_solve(*args, **kwargs):
+        before = dict(calls)
+        sol = solve_variational(*args, **kwargs)
+        for name in inner:
+            inner[name] += calls[name] - before[name]
+        return sol
+
+    monkeypatch.setattr(bregman_iteration, "solve_variational", counted_solve)
+    trace = bregman_iterate(op, v, 0.5, quadratic(), 4, SolverConfig(tol=1e-10))
+    steps = len(trace.steps)
+    assert steps == 4
+    assert calls["_apply"] - inner["_apply"] == steps
+    assert calls["_adjoint"] - inner["_adjoint"] == 2 * steps
 
 
 def test_discrepancy_principle_stops_early():

@@ -58,13 +58,26 @@ def test_cauchy_schwarz_sampled():
 
 
 def test_forward_map_validates_dimensions():
-    with pytest.raises(ValueError):
-        LinearForwardMap(lambda u: u, lambda v: v, 0, 3)
+    # an empty matrix is rejected dense or sparse (a sparse matrix's size is its nnz)
+    for empty in (np.zeros((0, 3)), sp.csr_matrix((3, 0))):
+        with pytest.raises(ValueError, match="non-empty"):
+            LinearForwardMap(empty)
     op = identity_map(3)
     with pytest.raises(DimensionMismatchError):
         op.apply([1.0, 2.0])
     with pytest.raises(DimensionMismatchError):
         op.adjoint([1.0, 2.0, 3.0, 4.0])
+
+
+def test_forward_map_takes_any_finite_matrix():
+    # an all-zero CSR (nnz 0) is a valid operator; a NaN entry is not, dense or sparse
+    zero = LinearForwardMap(sp.csr_matrix((3, 2)))
+    assert (zero.out_dim, zero.in_dim) == (3, 2)
+    np.testing.assert_array_equal(zero.apply([1.0, 2.0]), np.zeros(3))
+    bad = np.array([[1.0, np.nan], [0.0, 2.0]])
+    for matrix in (bad, sp.csr_matrix(bad)):
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearForwardMap(matrix)
 
 
 def test_identity_map_roundtrip():
@@ -101,7 +114,8 @@ def test_adjoint_consistency_correct_and_broken():
     assert adjoint_consistency_check(identity_map(8), trials=32, seed=5) <= 1e-14
     # deliberately wrong adjoint must be flagged with an O(1) defect
     b = rng.standard_normal((4, 4))
-    broken = LinearForwardMap(lambda u: b @ u, lambda v: b @ v, 4, 4)
+    broken = make_dense(b)
+    broken._adjoint = broken._apply
     assert adjoint_consistency_check(broken, trials=32, seed=5) > 1e-2
 
 
@@ -154,18 +168,20 @@ def test_power_iteration_stops_early_without_losing_accuracy(m, n, seed):
 
 
 class _CountingMatvec:
-    def __init__(self, a):
-        self.a, self.calls = a, 0
+    """Wraps an operator's raw kernel and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
 
     def __call__(self, u):
         self.calls += 1
-        return self.a @ u
+        return self.fn(u)
 
 
 def test_operator_norm_is_cached_per_operator():
     a = substream(4, "cache").standard_normal((7, 5))
-    apply_fn = _CountingMatvec(a)
-    op = LinearForwardMap(apply_fn, lambda v: a.T @ v, 5, 7)
+    op = make_dense(a)
+    op._apply = apply_fn = _CountingMatvec(op._apply)
     first = operator_norm_estimate(op)
     assert apply_fn.calls == 24  # 23 steps to convergence, then ||F x||
     assert operator_norm_estimate(op) == first
@@ -176,8 +192,8 @@ def test_operator_norm_is_cached_per_operator():
 
 def test_operator_norm_cache_keys_on_iters_and_seed():
     a = substream(5, "cache").standard_normal((6, 6))
-    apply_fn = _CountingMatvec(a)
-    op = LinearForwardMap(apply_fn, lambda v: a.T @ v, 6, 6)
+    op = make_dense(a)
+    op._apply = apply_fn = _CountingMatvec(op._apply)
     base = operator_norm_estimate(op, iters=3, seed=0)
     other_seed = operator_norm_estimate(op, iters=3, seed=1)
     other_iters = operator_norm_estimate(op, iters=4, seed=0)

@@ -9,12 +9,14 @@ from varreg import (
     adjoint_consistency_check,
     draw_design,
     full_design,
+    identity_map,
     load_image_csv,
     make_convolution,
     make_dense,
     make_radon,
     make_random_dense,
     make_sampled,
+    population_map,
     save_image_csv,
     substream,
 )
@@ -116,6 +118,10 @@ def test_convolution_rejects_bad_sizes():
         make_convolution([1.0, 2.0, 3.0], 2)
     with pytest.raises(ValueError, match="signal length must be positive"):
         make_convolution([1.0], 0)
+    # a non-integer length is rejected, not truncated to an integer size
+    for n in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"n={n!r}"):
+            make_convolution([1.0], n)
 
 
 def test_convolution_rejects_empty_kernel():
@@ -194,22 +200,51 @@ def test_radon_adjoint_consistency_property(grid_n, n_angles, n_offsets, seed):
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
-@given(base=st.sampled_from(["csr", "dense", "matrix-free"]), size=st.integers(3, 16),
+@given(base=st.sampled_from(["radon", "dense", "convolution"]), size=st.integers(3, 16),
        n_samples=st.integers(1, 60), noise_sigma=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_sampled_adjoint_consistency_property(base, size, n_samples, noise_sigma, seed):
-    # each storage of the base operator takes its own branch of make_sampled
-    if base == "csr":
-        op = make_radon(RadonGeometry.regular(size, 6, size))
-        assert sp.issparse(op.matrix)
-    elif base == "dense":
-        op = make_random_dense(size + 5, size, seed=seed)
-        assert isinstance(op.matrix, np.ndarray)
-    else:
-        op = make_convolution([0.25, 0.5, 0.25], size)
-        assert op.matrix is None
+    # a sparse base (radon, convolution) and a dense one are both row-selected from their matrix
+    op = {"radon": lambda: make_radon(RadonGeometry.regular(size, 6, size)),
+          "dense": lambda: make_random_dense(size + 5, size, seed=seed),
+          "convolution": lambda: make_convolution([0.25, 0.5, 0.25], size)}[base]()
+    assert sp.issparse(op.matrix) == (base != "dense")
     sampled = make_sampled(op, draw_design(op.out_dim, n_samples, noise_sigma, seed))
     assert adjoint_consistency_check(sampled, trials=8, seed=seed) <= 1e-12
+
+
+_FACTORIES = {
+    "identity": lambda: identity_map(6),
+    "dense": lambda: make_dense(substream(0, "factory").standard_normal((4, 6))),
+    "random-dense": lambda: make_random_dense(9, 6, seed=2),
+    "convolution": lambda: make_convolution([0.1, 0.6, 0.3], 6),
+    "radon": lambda: make_radon(RadonGeometry.regular(4, 5, 6)),
+    "sampled-sparse": lambda: make_sampled(make_radon(RadonGeometry.regular(4, 5, 6)),
+                                           draw_design(30, 7, 0.1, seed=3)),
+    "sampled-dense": lambda: make_sampled(make_random_dense(9, 6, seed=2), draw_design(9, 7, 0.1, seed=3)),
+    "population": lambda: population_map(make_random_dense(9, 6, seed=2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FACTORIES))
+def test_every_operator_is_its_read_only_matrix(name):
+    # one representation: a read-only ndarray or CSR whose products take vectors and blocks
+    op = _FACTORIES[name]()
+    m = op.matrix
+    if sp.issparse(m):
+        assert m.format == "csr"
+        arrays = (m.data, m.indices, m.indptr)
+    else:
+        assert isinstance(m, np.ndarray)
+        arrays = (m,)
+    assert not any(a.flags.writeable for a in arrays)
+    assert m.shape == (op.out_dim, op.in_dim)
+    rng = substream(1, "factory")
+    x, y = rng.standard_normal((op.in_dim, 3)), rng.standard_normal((op.out_dim, 3))
+    np.testing.assert_allclose(op._apply(x), np.column_stack([op.apply(c) for c in x.T]),
+                               rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(op._adjoint(y), np.column_stack([op.adjoint(c) for c in y.T]),
+                               rtol=0.0, atol=1e-14)
 
 
 def test_full_design_realizes_quadrature_norm():

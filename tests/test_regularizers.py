@@ -43,6 +43,12 @@ def test_value_examples():
     assert tv_aniso((2, 2)).value(img) == 1.0 + 3.0 + 0.0 + 2.0
 
 
+def test_unknown_kind_is_rejected_at_construction():
+    # an unknown kind would otherwise fall through to the l1 prox and the TV value
+    with pytest.raises(ValueError, match="unknown regularizer kind 'huber'"):
+        Regularizer("huber")
+
+
 def test_tv_value_checks_dimension():
     with pytest.raises(DimensionMismatchError):
         tv_aniso(4).value([1.0, 2.0])
