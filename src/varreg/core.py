@@ -46,6 +46,12 @@ def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _check_count(n, least: int, name: str) -> None:
+    """Reject a count that is not an integer of at least ``least``."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 def _check_alpha(alpha: float) -> None:
     """Reject a regularization parameter that is not a finite positive number."""
     if not 0.0 < alpha < np.inf:

@@ -19,14 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm, operator_norm_estimate, substream
+from varreg.core import (LinearForwardMap, _check_alpha, _check_count, as_vector, norm, operator_norm_estimate,
+                         substream)
 from varreg.regularizers import (
     Regularizer,
     Subgradient,
     _check_membership,
+    _clamp,
     bregman_distance,
     is_subgradient,
-    symmetric_bregman,
 )
 from varreg.solvers import (SolverConfig, _cg, _check_finite, accelerated_projected_gradient, solve_columns,
                              solve_variational)
@@ -136,8 +137,8 @@ def distance_function(op: LinearForwardMap, p_star, rho: float,
     source element.
     """
     cfg = config or _TIGHT
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    if not 0.0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and nonnegative, got {rho}")
     p = as_vector(p_star, op.in_dim, "p_star")
     if rho == 0.0:
         return norm(p)
@@ -178,8 +179,7 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
         except _RetryDraw:
             continue
         p_star = Subgradient(p=p_arr, owner=u_star, dual=dual)
-        check = is_subgradient(reg, u_star, p_star, tol=1e-8)
-        if not check.ok:
+        if not is_subgradient(reg, u_star, p_star, tol=1e-8).ok:
             continue
         return SourceInstance(u_star=u_star, p_star=p_star, z_star=z_star, v_star=op.apply(u_star))
     raise RuntimeError(
@@ -302,15 +302,15 @@ def _check_instance(op, reg, instance):
 
 
 def _distances_to_instance(reg, instance, solutions):
-    """Each solution with its symmetric Bregman distance to the instance's
-    (u*, p*), whose p* ``_check_instance`` has certified; each solution's
-    subgradient is certified once, at ``symmetric_bregman``'s tolerance 1e-6."""
-    distances = []
-    for sol in solutions:
-        _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
-        distances.append((sol, symmetric_bregman(reg, sol.u_alpha, instance.u_star, sol.p_alpha,
-                                                 instance.p_star, check=False)))
-    return distances
+    """Each solution with its clamped symmetric Bregman distance <p - p*, u - u*> to
+    the instance, whose p* ``_check_instance`` has certified; the solutions'
+    subgradients are certified in one call, at ``symmetric_bregman``'s 1e-6: a block, or one vector."""
+    us, ps, duals = zip(*[(sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual) for sol in solutions])
+    stack = np.column_stack if len(solutions) > 1 else (lambda cols: cols[0])
+    _check_membership(reg, stack(us), stack(ps), None if any(q is None for q in duals) else stack(duals),
+                      1e-6, "p_tilde")
+    return [(sol, _clamp(float(np.dot(sol.p_alpha.p - instance.p_star.p, sol.u_alpha - instance.u_star)),
+                         "symmetric Bregman distance")) for sol in solutions]
 
 
 def _distance_to_instance(op, reg, instance, data, alpha, cfg, solution=None):
@@ -434,8 +434,8 @@ def convergence_study(op: LinearForwardMap, reg: Regularizer, instance: SourceIn
     alphas = np.asarray(alphas, dtype=float)
     if deltas.shape != alphas.shape:
         raise ValueError("deltas and alphas must align")
-    if not alphas.size:
-        raise ValueError("the alpha schedule is empty")
+    if alphas.ndim != 1 or not alphas.size:
+        raise ValueError(f"the alpha schedule must be 1-d and non-empty, got shape {alphas.shape}")
     _check_instance(op, reg, instance)
     g = substream(seed, "noise").standard_normal(op.out_dim)
     g /= norm(g)
@@ -489,13 +489,12 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     so means that tie at roundoff cannot flip it.
     """
     cfg = config or SolverConfig()
-    if replicates < 2:
-        raise ValueError("need at least 2 replicates for a standard error")
+    _check_count(replicates, 2, "replicates")  # for a standard error
     if not 0.0 <= noise_sigma < np.inf:
         raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
     alphas = np.asarray(alphas, dtype=float)
-    if not alphas.size:
-        raise ValueError("the alpha grid is empty")
+    if alphas.ndim != 1 or not alphas.size:
+        raise ValueError(f"the alpha grid must be 1-d and non-empty, got shape {alphas.shape}")
     _check_instance(op, reg, instance)
     m = op.out_dim
     z_sq = instance.source_norm ** 2

@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _read_only_csr,
-                         accelerated_projected_gradient, as_vector, inner, norm)
+from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count,
+                         _read_only_csr, accelerated_projected_gradient, as_vector, inner, norm)
 
 __all__ = [
     "Regularizer",
@@ -47,8 +47,8 @@ NEGATIVE_TOLERANCE = 1e-8
 # Membership counts an entry of u (l1) or Du (tv) as nonzero above this, relative.
 SUPPORT_ATOL = 1e-7
 
-# The randomized membership check evaluates its probe in row blocks of about
-# this many entries (64 KiB of float64), so its temporaries stay in cache.
+# The randomized membership check evaluates its probe in chunks of about this many
+# entries (64 KiB of float64): temporaries stay in cache and below malloc's mmap threshold.
 _PROBE_BLOCK = 8192
 
 # One flat read-only Gaussian draw, for the last seed asked for, shared by every
@@ -116,8 +116,8 @@ class Regularizer:
         if self.kind == "quadratic":
             return 0.5 * float(np.dot(u, u))
         if self.kind == "l1":
-            return float(np.sum(np.abs(u)))
-        return float(np.sum(np.abs(self.D @ u)))
+            return float(np.abs(u).sum())
+        return float(np.abs(self.D @ u).sum())
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
         """Values for each row of a 2-d array of candidates."""
@@ -125,8 +125,8 @@ class Regularizer:
         if self.kind == "quadratic":
             return 0.5 * np.einsum("ij,ij->i", U, U)
         if self.kind == "l1":
-            return np.sum(np.abs(U), axis=1)
-        return np.sum(np.abs(self.D @ U.T), axis=0)
+            return np.abs(U).sum(axis=1)
+        return np.abs(self.D @ U.T).sum(axis=0)
 
     def prox(self, tau: float, x) -> np.ndarray:
         """Proximal map argmin_u 0.5*||u - x||^2 + tau*J(u)."""
@@ -183,9 +183,7 @@ def subgradient_from_optimality(op: LinearForwardMap, data, u_alpha, alpha: floa
 
 def _resolve(p, dual=None):
     if isinstance(p, Subgradient):
-        if dual is None:
-            dual = p.dual
-        p = p.p
+        p, dual = p.p, p.dual if dual is None else dual
     return np.asarray(p, dtype=float), dual
 
 
@@ -218,51 +216,63 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
     Combines the closed-form characterization of the subdifferential with a
     randomized check of the defining inequality J(w) >= J(u) + <p, w-u> over
     ``samples`` seeded points.  Returns the decision and the largest observed
-    violation.
+    violation, or for (n, k) blocks ``u``, ``p`` (``dual`` None or (edges, k))
+    (k,) arrays of them, each column's as its own vector call gives them.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    u = as_vector(u, name="u")
+    _check_count(samples, 1, "samples")
     p, dual = _resolve(p, dual)
-    p = as_vector(p, u.size, "p")
-
-    scale = max(1.0, float(np.max(np.abs(u))))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if u.ndim > 2 or 0 in u.shape:
+        raise ValueError(f"u must be a non-empty vector or (n, k) block, got shape {u.shape}")
+    us, ps = _columns(u, u.shape, "u"), _columns(p, u.shape, "p")
+    peak = np.abs(us).max(axis=1)
     if reg.kind == "quadratic":
-        violation = float(np.max(np.abs(p - u)))
+        violation = np.abs(ps - us).max(axis=1)
     elif reg.kind == "l1":
-        on = np.abs(u) > SUPPORT_ATOL * scale
-        v_on = np.max(np.abs(p[on] - np.sign(u[on]))) if np.any(on) else 0.0
-        v_off = np.max(np.abs(p[~on]) - 1.0) if np.any(~on) else 0.0
-        violation = float(max(v_on, max(v_off, 0.0)))
+        on = np.abs(us) > SUPPORT_ATOL * np.maximum(1.0, peak)[:, None]
+        violation = np.where(on, np.abs(ps - np.sign(us)), np.abs(ps) - 1.0).max(axis=1)
     else:
-        reg._check_dim(u)
-        du = reg.D @ u
-        edge_scale = max(1.0, float(np.max(np.abs(du))) if du.size else 1.0)
-        if dual is not None:
-            q = as_vector(dual, reg.D.shape[0], "dual witness")
-            fixed = np.abs(du) > SUPPORT_ATOL * edge_scale
-            v_res = norm(reg.Dt @ q - p)
-            v_box = max(float(np.max(np.abs(q))) - 1.0, 0.0)
-            v_sign = float(np.max(np.abs(q[fixed] - np.sign(du[fixed])))) if np.any(fixed) else 0.0
-            violation = max(v_res, v_box, v_sign)
-        else:
-            violation = _tv_dual_fit(reg, p, du, SUPPORT_ATOL * edge_scale)
+        reg._check_dim(us[0])
+        qs = [None] * len(us) if dual is None else _columns(dual, reg.D.shape[:1] + u.shape[1:], "dual witness")
+        violation = np.empty(len(us))
+        for j, (uj, pj, q) in enumerate(zip(us, ps, qs)):  # the witness q, or else a fitted one
+            du = reg.D @ uj
+            support_atol = SUPPORT_ATOL * max(1.0, float(np.abs(du).max()))
+            fixed = np.abs(du) > support_atol
+            violation[j] = _tv_dual_fit(reg, pj, du, support_atol) if q is None else max(
+                norm(reg.Dt @ q - pj), max(float(np.abs(q).max()) - 1.0, 0.0),
+                float(np.abs(q[fixed] - np.sign(du[fixed])).max()) if fixed.any() else 0.0)
 
     # randomized check of the subgradient inequality at w = u + radius*g
-    radius = 1.0 + float(np.max(np.abs(u)))
-    j_u = reg.value(u)
-    probe = _probe_directions(seed, samples, u.size)
-    for rows in _probe_row_blocks(samples, u.size):
-        w = radius * probe[rows]
-        w += u
-        values = reg.value_batch(w)
-        w -= u  # the same rounded w - u as forming it out of place
-        gaps = w @ p
-        gaps += j_u
-        gaps -= values
-        violation = max(violation, float(np.max(gaps)))
-    violation = max(violation, 0.0)
-    return MembershipResult(ok=bool(violation <= tol), max_violation=violation)
+    probe = _probe_directions(seed, samples, u.shape[0])
+    radius, j_u = 1.0 + peak, np.array([reg._value(uj) for uj in us])
+    for cols, row_slices in _probe_blocks(len(us), samples, u.shape[0]):
+        if cols.stop - cols.start == 1:  # one column: a vector call's scalar and 1-d operands, which cost less
+            r, uc, pc, jc = radius[cols.start], us[cols.start], ps[cols.start], j_u[cols.start]
+        else:
+            r, uc, pc, jc = radius[cols, None, None], us[cols, None], ps[cols, :, None], j_u[cols, None, None]
+        best = violation[cols]
+        for rows in row_slices:
+            w = probe[rows] * r
+            w += uc
+            values = reg.value_batch(w.reshape(-1, w.shape[-1]))
+            w -= uc  # the same rounded w - u as forming it out of place
+            gaps = np.matmul(w, pc)
+            gaps += jc
+            gaps -= values.reshape(gaps.shape)
+            np.fmax(best, gaps.reshape(len(best), -1).max(axis=1), out=best)  # skips a NaN (overflow)
+    violation = np.maximum(violation, 0.0) if u.ndim == 2 else max(float(violation[0]), 0.0)
+    return MembershipResult(ok=violation <= tol, max_violation=violation)
+
+
+def _columns(x, shape: tuple, name: str) -> np.ndarray:
+    """A finite (n,) or (n, k) ``x`` of ``shape`` as C-contiguous rows, each rounding as the vector would."""
+    a = np.atleast_1d(np.asarray(x, dtype=float))
+    if a.shape != shape:
+        raise DimensionMismatchError(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return np.ascontiguousarray(a.T) if a.ndim == 2 else a[None]
 
 
 def _probe_directions(seed: int, samples: int, dim: int) -> np.ndarray:
@@ -281,30 +291,29 @@ def _probe_directions(seed: int, samples: int, dim: int) -> np.ndarray:
     return flat[:need].reshape(samples, dim)
 
 
-def _probe_row_blocks(samples: int, dim: int):
-    """Row slices of the probe, about ``_PROBE_BLOCK`` entries each.
+def _probe_blocks(k: int, samples: int, dim: int) -> list:
+    """(column slice, row slices) chunks of a k-column block's probe, about ``_PROBE_BLOCK`` entries each.
 
     ``w @ p`` must round each row as one product over all ``samples`` rows
     does.  OpenBLAS's gemv takes rows in groups of 4 and a tail, and numpy
-    sends a single-row product to dot, so blocks are a multiple of 4 rows
-    and a lone last row joins the block before it.
+    sends a single-row product to dot, so row slices are a multiple of 4 rows
+    and a lone last row joins the slice before it.  Columns share a chunk only
+    if each has one slice of several rows (TV sums a lone row another way).
     """
     step = max(4, _PROBE_BLOCK // dim // 4 * 4)
-    start = 0
-    while start < samples:
-        stop = start + step
-        if stop >= samples - 1:
-            stop = samples
-        yield slice(start, stop)
-        start = stop
+    bounds = [0, *range(step, samples - 1, step), samples]
+    rows = [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    width = max(1, _PROBE_BLOCK // (samples * dim)) if len(rows) == 1 and samples > 1 else 1
+    return [(slice(col, col + width), rows) for col in range(0, k, width)]
 
 
 def _check_membership(reg, u, p, dual, membership_tol, what):
     res = is_subgradient(reg, u, p, tol=membership_tol, dual=dual)
-    if not res.ok:
-        raise SubgradientError(
-            f"{what} is not a subgradient (violation {res.max_violation:.3e} > tol {membership_tol:.1e})"
-        )
+    bad = np.flatnonzero(~np.atleast_1d(res.ok))
+    if bad.size:
+        where = f" of column {bad[0]}" if np.ndim(u) == 2 else ""
+        raise SubgradientError(f"{what}{where} is not a subgradient (violation "
+                               f"{np.atleast_1d(res.max_violation)[bad[0]]:.3e} > tol {membership_tol:.1e})")
 
 
 def _clamp(value: float, what: str) -> float:
@@ -328,8 +337,7 @@ def bregman_distance(reg: Regularizer, u_tilde, u, p, *, membership_tol: float =
     p, dual = _resolve(p)
     if check:
         _check_membership(reg, u, p, dual, membership_tol, "p")
-    raw = reg.value(u_tilde) - reg.value(u) - inner(p, u_tilde - u)
-    return _clamp(raw, "Bregman distance")
+    return _clamp(reg.value(u_tilde) - reg.value(u) - inner(p, u_tilde - u), "Bregman distance")
 
 
 def symmetric_bregman(reg: Regularizer, u_tilde, u, p_tilde, p, *, membership_tol: float = 1e-6,
@@ -345,5 +353,4 @@ def symmetric_bregman(reg: Regularizer, u_tilde, u, p_tilde, p, *, membership_to
     if check:
         _check_membership(reg, u_tilde, p_tilde, dual_tilde, membership_tol, "p_tilde")
         _check_membership(reg, u, p, dual, membership_tol, "p")
-    raw = inner(p_tilde - p, u_tilde - u)
-    return _clamp(raw, "symmetric Bregman distance")
+    return _clamp(inner(p_tilde - p, u_tilde - u), "symmetric Bregman distance")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _column_dots,
+from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots,
                          accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient
 
@@ -51,10 +51,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        _check_count(self.max_iters, 1, "max_iters")
+        _check_count(self.seed, 0, "seed")
         if not np.isfinite(self.tol) or self.tol <= 0.0:
             raise ValueError("tol must be finite and positive")
         if not 0.0 < self.step_safety <= 1.0:

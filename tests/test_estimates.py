@@ -26,7 +26,7 @@ from varreg import (
     substream,
     tv_aniso,
 )
-from varreg import estimates, solvers
+from varreg import estimates, regularizers, solvers
 from varreg.estimates import OFF_SUPPORT_MARGIN, SourceInstance
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
@@ -129,8 +129,9 @@ def test_distance_function_endpoints():
     p_in = a.T @ z
     big = 10.0 * np.linalg.norm(z)
     assert distance_function(op, p_in, big, TIGHT) <= 1e-8
-    with pytest.raises(ValueError, match="rho"):
-        distance_function(op, p, -1.0)
+    for rho in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
+            distance_function(op, p, rho)
 
 
 def test_distance_function_matches_ridge_sweep():
@@ -398,7 +399,7 @@ def test_bias_variance_study_interior_minimum():
 ], ids=["exact-tie", "perturbed-up", "perturbed-down", "distinct"])
 def test_bias_variance_argmin_breaks_ties_toward_larger_alpha(monkeypatch, means, expected):
     calls = iter(means * 2)  # one pass over the alpha grid per replicate
-    monkeypatch.setattr(estimates, "symmetric_bregman", lambda *args, **kwargs: next(calls))
+    monkeypatch.setattr(estimates, "_clamp", lambda *args, **kwargs: next(calls))
     op = make_random_dense(8, 6, seed=29)
     inst = construct_source_instance(op, quadratic(), seed=0)
     res = bias_variance_study(op, quadratic(), inst, 0.0, [0.1, 0.2, 0.4, 0.8], 2)
@@ -411,6 +412,52 @@ def test_bias_variance_study_needs_replicates():
     inst = construct_source_instance(op, quadratic(), seed=0)
     with pytest.raises(ValueError, match="replicates"):
         bias_variance_study(op, quadratic(), inst, 0.1, [0.1], 1)
+
+
+@pytest.mark.parametrize("replicates", [2.5, True])
+def test_bias_variance_study_needs_an_integer_count_of_replicates(replicates):
+    op = make_random_dense(8, 6, seed=29)
+    inst = construct_source_instance(op, quadratic(), seed=0)
+    with pytest.raises(ValueError, match="replicates must be an integer >= 2"):
+        bias_variance_study(op, quadratic(), inst, 0.1, [0.1, 0.2], replicates)
+
+
+def test_studies_reject_an_alpha_grid_that_is_not_1d():
+    op = make_random_dense(8, 6, seed=29)
+    inst = construct_source_instance(op, quadratic(), seed=0)
+    with pytest.raises(ValueError, match=r"alpha grid must be 1-d.*\(1, 2\)"):
+        bias_variance_study(op, quadratic(), inst, 0.1, [[0.1, 0.2]], 2)
+    with pytest.raises(ValueError, match=r"alpha schedule must be 1-d.*\(\)"):
+        convergence_study(op, quadratic(), inst, 0.1, 0.1)
+
+
+def test_bias_variance_study_certifies_its_solutions_in_one_call(monkeypatch):
+    # the default CLI study's shape: 16 replicates x 8 alphas, l1 on a 24 x 16
+    # map; p* is certified once and the 128 solutions' subgradients in one block
+    op, reg = make_random_dense(24, 16, seed=0), l1()
+    inst = construct_source_instance(op, reg, seed=0)
+    calls = []
+    real = regularizers.is_subgradient
+
+    def counting(reg, u, p, *args, **kwargs):
+        calls.append(np.shape(u))
+        return real(reg, u, p, *args, **kwargs)
+
+    monkeypatch.setattr(regularizers, "is_subgradient", counting)
+    res = bias_variance_study(op, reg, inst, 0.05, np.geomspace(1e-3, 1.0, 8), 16)
+    assert all(r.holds for r in res.rows)
+    assert calls == [(16,), (16, 128)]
+
+
+def test_distances_to_instance_name_the_first_failing_column():
+    op, reg = make_random_dense(24, 16, seed=0), l1()
+    inst = construct_source_instance(op, reg, seed=0)
+    sols = solvers.solve_columns(op, np.repeat(inst.v_star[:, None], 6, axis=1), np.full(6, 0.1), reg)
+    assert len(estimates._distances_to_instance(reg, inst, sols)) == 6
+    for j in (3, 5):
+        sols[j].p_alpha.p = sols[j].p_alpha.p + 0.5
+    with pytest.raises(SubgradientError, match="p_tilde of column 3 is not a subgradient"):
+        estimates._distances_to_instance(reg, inst, sols)
 
 
 def test_studies_reject_an_empty_alpha_grid():

@@ -345,6 +345,64 @@ def test_is_subgradient_lone_last_row_matches_reference(dim, samples):
     assert got == _reference_is_subgradient(reg, u, p, samples=samples, seed=5)
 
 
+def _assert_block_matches_vector_calls(case, dim, k, samples, seed, block, data_seed):
+    """Every column of a block, at its own scale and noise, gets the verdict and
+    violation of its own vector call, bit for bit.  A p pushed along one probe
+    row makes the probe, not the closed form, hold that column's violation."""
+    rng = np.random.default_rng(data_seed)
+    samples = max(1, min(samples, 9215 // dim))  # per column, as in the unblocked reference test
+    cols = []
+    for _ in range(k):
+        reg, u, p, dual = _membership_case(case, dim, rng, rng.choice([0.0, 1e-9, 1e-3, 1.0]))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        u, p = u * scale, (p * scale if reg.kind == "quadratic" else p)
+        if rng.random() < 0.5:
+            row = np.random.default_rng(seed).standard_normal((samples, u.size))[rng.integers(samples)]
+            p = p + 3.0 * (1.0 + np.max(np.abs(u))) * row
+        cols.append((u, p, dual))
+    us, ps = (np.column_stack(c) for c in list(zip(*cols))[:2])
+    duals = None if cols[0][2] is None else np.column_stack([c[2] for c in cols])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "_PROBE_BLOCK", block)
+        got = is_subgradient(reg, us, ps, dual=duals, samples=samples, seed=seed)
+        want = [is_subgradient(reg, u, p, dual=q, samples=samples, seed=seed) for u, p, q in cols]
+    assert got.ok.tolist() == [w.ok for w in want]
+    assert got.max_violation.tolist() == [w.max_violation for w in want]
+
+
+MEMBERSHIP_CASES = ["quadratic", "l1", "tv", "tv-witness", "tv2d-witness"]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=st.sampled_from(MEMBERSHIP_CASES), dim=st.integers(2, 200), k=st.integers(1, 8),
+       samples=st.integers(1, 250), seed=st.integers(0, 3), block=st.sampled_from([8192, 512, 64, 1]),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_block_is_subgradient_matches_vector_calls(case, dim, k, samples, seed, block, data_seed):
+    _assert_block_matches_vector_calls(case, dim, k, samples, seed, block, data_seed)
+
+
+@pytest.mark.parametrize("case", MEMBERSHIP_CASES)
+@pytest.mark.parametrize("samples", [1, 2, 5])
+def test_block_is_subgradient_matches_vector_calls_at_few_samples(case, samples):
+    # one probe row per column is where TV's value_batch sums in another order,
+    # and five rows in blocks of four leave a lone last row
+    for data_seed in range(4):
+        for block in (8192, 1):
+            _assert_block_matches_vector_calls(case, 64, 4, samples, 1, block, data_seed)
+
+
+@pytest.mark.parametrize("samples", [2.5, True, "3"])
+def test_is_subgradient_rejects_non_integer_samples(samples):
+    with pytest.raises(ValueError, match="samples must be an integer >= 1"):
+        is_subgradient(quadratic(), [1.0, 2.0], [1.0, 2.0], samples=samples)
+
+
+@pytest.mark.parametrize("u", [[], np.zeros((0, 3)), np.zeros((3, 0))], ids=["vector", "no-rows", "no-columns"])
+def test_is_subgradient_rejects_an_empty_u(u):
+    with pytest.raises(ValueError, match="u must be a non-empty"):
+        is_subgradient(l1(), u, u)
+
+
 def test_probe_directions_share_one_read_only_draw():
     big = _probe_directions(11, 30, 50)
     np.testing.assert_array_equal(big, np.random.default_rng(11).standard_normal((30, 50)))
