@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from varreg.core import LinearForwardMap, _power_iteration, as_vector, norm
+from varreg.core import LinearForwardMap, _check_count, _power_iteration, as_vector, norm
 from varreg.regularizers import Regularizer, Subgradient, bregman_distance
 from varreg.solvers import (
     RegularizedSolution,
@@ -77,9 +77,12 @@ def bregman_iterate(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     Bregman distance d_J^{p^k}(reference, u^k) to each step record.
     """
     cfg = config or SolverConfig()
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
+    _check_count(n_iters, 1, "n_iters")
     v = as_vector(data, op.out_dim, "data")
+    if not 1.0 <= discrepancy_factor < np.inf:
+        raise ValueError(f"discrepancy_factor must be finite and >= 1, got {discrepancy_factor!r}")
+    if noise_level is not None and not 0.0 <= noise_level < np.inf:
+        raise ValueError(f"noise_level must be finite and >= 0, got {noise_level!r}")
     if reference is not None:
         reference = as_vector(reference, op.in_dim, "reference")
     inner_cfg = replace(cfg, tol=cfg.tol / 10.0)

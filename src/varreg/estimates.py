@@ -87,15 +87,8 @@ def _headroom(tol: float, rhs: float) -> float:
 
 def _report(lhs: float, rhs: float, tol: float, components: dict) -> EstimateReport:
     headroom = _headroom(tol, rhs)
-    components = dict(components)
-    components["headroom"] = headroom
-    return EstimateReport(
-        lhs=float(lhs),
-        rhs=float(rhs),
-        holds=bool(lhs <= rhs + headroom),
-        slack=float(rhs - lhs),
-        components=components,
-    )
+    return EstimateReport(lhs=float(lhs), rhs=float(rhs), holds=bool(lhs <= rhs + headroom),
+                          slack=float(rhs - lhs), components={**components, "headroom": headroom})
 
 
 # -- source element and distance function ------------------------------------
@@ -182,9 +175,7 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
         if not is_subgradient(reg, u_star, p_star, tol=1e-8).ok:
             continue
         return SourceInstance(u_star=u_star, p_star=p_star, z_star=z_star, v_star=op.apply(u_star))
-    raise RuntimeError(
-        f"no verifiable source instance for kind={reg.kind!r} after {max_attempts} attempts"
-    )
+    raise RuntimeError(f"no verifiable source instance for kind={reg.kind!r} after {max_attempts} attempts")
 
 
 class _RetryDraw(Exception):
@@ -252,10 +243,9 @@ def _tv_instance(op, reg, rng):
         return D @ (Dt @ q - target)
 
     lip = 1.02 * reg.edge_map_norm() ** 2
-    q0 = np.clip(q_free * (1.5 / peak), -1.0, 1.0)
-    q_hat, _, _ = accelerated_projected_gradient(
-        grad_fn, lambda q: np.clip(q, -1.0, 1.0), lip, q0, 1e-12, max_iters=100_000
-    )
+    # the kernel starts from the box clip of its start point: two ufuncs, without np.clip's dispatch
+    q_hat, _, _ = accelerated_projected_gradient(grad_fn, lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
+                                                 lip, q_free * (1.5 / peak), 1e-12, max_iters=100_000)
     active = np.abs(q_hat) >= SATURATION_THRESHOLD
     if not np.any(active):
         raise _RetryDraw

@@ -240,6 +240,16 @@ def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
                   np.zeros((op.in_dim, alphas.size)))
 
 
+def _row_scaled(mat, scale: np.ndarray):
+    """diag(scale) @ mat without a sparse product: a CSR copy with scaled rows, or a dense array
+    in C order, so that its products sum along contiguous rows (a transposed layout rounds otherwise)."""
+    if not sp.issparse(mat):
+        return np.ascontiguousarray(scale[:, None] * mat)
+    mat = mat.tocsr(copy=True)
+    mat.data *= np.repeat(scale, np.diff(mat.indptr))
+    return mat
+
+
 def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
                       config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
     """Diagonally preconditioned, over-relaxed primal-dual (Chambolle-Pock) on [F; D].
@@ -248,7 +258,9 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     with both dual blocks stacked against K = [F; D], stored the way F is
     (dense or CSR).  The diagonal steps
     tau_j = step_safety / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
-    Chambolle, ICCV 2011) need no norm estimate.  Each step is moved a factor
+    Chambolle, ICCV 2011) need no norm estimate; they are folded into the
+    stored products sigma*K and 2*tau*K^T by scaling the rows of K and K^T,
+    and the box clip of q is two in-place ufuncs.  Each step is moved a factor
     ``_RELAX`` along its direction (Condat, JOTA 2013; Chambolle & Pock, Math.
     Prog. 2016), which keeps the fixed point and the step condition.  The
     certified pair is the unrelaxed one, (u_hat, clipped q): a relaxed q can
@@ -261,19 +273,13 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     cfg, v, fwd, adj, _, target, u = _enter(op, data, alpha, config, u0)
     if reg.D.shape[1] != op.in_dim:
         raise ValueError("regularizer shape does not match operator")
-    d_mat, dt_mat = reg.D, reg.Dt
-    f_mat = op.matrix
-    if sp.issparse(f_mat):
-        k_mat = sp.vstack([f_mat, d_mat]).tocsr()
-    else:
-        k_mat = np.vstack([f_mat, d_mat.toarray()])
+    d_mat, dt_mat, f_mat = reg.D, reg.Dt, op.matrix
+    k_mat = sp.vstack([f_mat, d_mat]).tocsr() if sp.issparse(f_mat) else np.vstack([f_mat, d_mat.toarray()])
     abs_k = abs(k_mat)
     tau = cfg.step_safety / np.asarray(abs_k.sum(axis=0)).ravel()
     # rows of F that see no pixel (rays missing the grid) get any finite step
     sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
-    # the steps are folded into the stored products: sigma*K and 2*tau*K^T
-    k_sig = sp.diags(sig) @ k_mat
-    kt_tau2 = sp.diags(2.0 * tau) @ k_mat.T
+    k_sig, kt_tau2 = _row_scaled(k_mat, sig), _row_scaled(k_mat.T, 2.0 * tau)
 
     m = op.out_dim
     u_ext = np.empty_like(u)
@@ -292,7 +298,8 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
         y, q = w[:m], w[m:]  # views: the data dual and the edge dual
         y -= sig_v
         y *= damp
-        np.clip(q, -alpha, alpha, out=q)
+        np.minimum(q, alpha, out=q)  # the box clip, without np.clip's dispatch
+        np.maximum(q, -alpha, out=q)
         if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
             u_hat = u - 0.5 * d
             residual = fwd(u_hat) - v

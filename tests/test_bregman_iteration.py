@@ -156,6 +156,32 @@ def test_inner_solver_failure_is_reported():
         bregman_iterate(op, v, 0.1, l1(), 0)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(n_iters=True), "n_iters"),
+    (dict(n_iters=2.5), "n_iters"),
+    (dict(n_iters=np.int64(0)), "n_iters"),
+    (dict(discrepancy_factor=-1.0), "discrepancy_factor"),
+    (dict(discrepancy_factor=0.5), "discrepancy_factor"),
+    (dict(discrepancy_factor=float("nan")), "discrepancy_factor"),
+    (dict(discrepancy_factor=float("inf")), "discrepancy_factor"),
+    (dict(noise_level=-1.0), "noise_level"),
+    (dict(noise_level=float("nan")), "noise_level"),
+    (dict(noise_level=float("inf")), "noise_level"),
+], ids=["n-iters-bool", "n-iters-float", "n-iters-zero", "factor-negative", "factor-below-one",
+        "factor-nan", "factor-inf", "noise-negative", "noise-nan", "noise-inf"])
+def test_bregman_iterate_rejects_bad_arguments(kwargs, name):
+    args = dict(n_iters=3, noise_level=0.1, discrepancy_factor=1.1) | kwargs
+    with pytest.raises(ValueError, match=name):
+        bregman_iterate(identity_map(2), [1.0, -1.0], 1.0, quadratic(), args.pop("n_iters"), **args)
+
+
+def test_bregman_iterate_accepts_boundary_arguments():
+    # a factor of exactly 1, a zero noise level and a numpy integer count are valid
+    trace = bregman_iterate(identity_map(2), [1.0, -1.0], 1.0, quadratic(), np.int64(2),
+                            noise_level=0.0, discrepancy_factor=1.0)
+    assert len(trace.steps) == 2 and not trace.stopped_by_discrepancy
+
+
 def test_debias_identity_example():
     # step one soft-thresholds [2, 0.5] at alpha=1 to [1, 0]; the sign-safe
     # refit on the recovered support restores the data value exactly

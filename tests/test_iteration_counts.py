@@ -5,17 +5,21 @@ arithmetic or stopping rule shows up here as a changed count.  When such a
 change is intended, update the count and say why.
 """
 
+import numpy as np
 import pytest
 
+import varreg.bregman_iteration as bregman_module
 from conftest import radon_phantom_problem
 from varreg import (
     SolverConfig,
+    bregman_iterate,
     debias_two_step,
     l1,
     make_random_dense,
     solve_fista,
     solve_primal_dual,
     solve_tikhonov_exact,
+    solve_variational,
     substream,
     tv_aniso,
 )
@@ -62,3 +66,28 @@ def _primal_dual_radon():
 ], ids=["cg", "fista", "debias", "primal-dual-dense-1d", "primal-dual-radon-16"])
 def test_iteration_count_is_pinned(solve, expected):
     assert solve().iterations == expected
+
+
+@pytest.mark.parametrize("alpha, expected", [(0.03, 2250), (0.1, 1075)])
+def test_primal_dual_radon_24_count_is_pinned(alpha, expected):
+    # the tv-radon benchmark's alpha-grid solves
+    op, reg, v = radon_phantom_problem(24)
+    assert solve_primal_dual(op, v, alpha, reg, SolverConfig()).iterations == expected
+
+
+def test_bregman_radon_16_inner_counts_are_pinned(monkeypatch):
+    # the tv-radon benchmark's Bregman run: inner solves at tol 1e-9, stopped
+    # by the discrepancy principle at the demo noise's norm
+    op, reg, v = radon_phantom_problem(16)
+    noise_level = np.linalg.norm(0.01 * substream(0, "noise").standard_normal(op.out_dim))
+    counts = []
+
+    def counted(*args):
+        sol = solve_variational(*args)
+        counts.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(bregman_module, "solve_variational", counted)
+    trace = bregman_iterate(op, v, 0.1, reg, 30, SolverConfig(tol=1e-8), noise_level=noise_level)
+    assert trace.stopped_by_discrepancy
+    assert counts == [1125, 1150, 1650, 1625, 1450, 1275, 1475]

@@ -291,6 +291,91 @@ def test_primal_dual_certifies_unrelaxed_pair(name):
     assert abs(defect - sol.optimality_defect) <= 1e-12 * sol.optimality_defect
 
 
+def _diag_product_primal_dual(op, v, alpha, reg, cfg):
+    """The primal-dual loop with its steps folded into K by sp.diags products
+    and its box clip by np.clip, transcribed as it stood before row scaling
+    and ufunc clipping replaced them.  Returns (iterations, u_hat, p, defect)
+    at its first certified check."""
+    d_mat, dt_mat, f_mat = reg.D, reg.Dt, op.matrix
+    if sp.issparse(f_mat):
+        k_mat = sp.vstack([f_mat, d_mat]).tocsr()
+    else:
+        k_mat = np.vstack([f_mat, d_mat.toarray()])
+    abs_k = abs(k_mat)
+    tau = cfg.step_safety / np.asarray(abs_k.sum(axis=0)).ravel()
+    sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
+    k_sig = sp.diags(sig) @ k_mat
+    kt_tau2 = sp.diags(2.0 * tau) @ k_mat.T
+    m = op.out_dim
+    target = cfg.tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    u = np.zeros(op.in_dim)
+    u_ext = np.empty_like(u)
+    z = np.zeros(k_mat.shape[0])
+    sig_v = sig[:m] * v
+    damp = 1.0 / (1.0 + sig[:m])
+    for iterations in range(1, cfg.max_iters + 1):
+        d = kt_tau2 @ z
+        w = k_sig @ np.subtract(u, d, out=u_ext)
+        w += z
+        y, q = w[:m], w[m:]
+        y -= sig_v
+        y *= damp
+        np.clip(q, -alpha, alpha, out=q)
+        if iterations % 25 == 0:
+            u_hat = u - 0.5 * d
+            residual = op.matrix @ u_hat - v
+            du = d_mat @ u_hat
+            p = (dt_mat @ q) / alpha
+            defect = np.linalg.norm(op.matrix.T @ residual + alpha * p)
+            tv_val = float(np.sum(np.abs(du)))
+            compl = alpha * tv_val - float(np.dot(q, du))
+            obj = 0.5 * float(np.dot(residual, residual)) + alpha * tv_val
+            if defect <= target and compl <= cfg.tol * (1.0 + obj):
+                return iterations, u_hat, p, defect
+        d *= 0.5 * 1.7
+        u -= d
+        w -= z
+        w *= 1.7
+        z += w
+    raise AssertionError("the transcribed loop did not certify")
+
+
+def _certify_dense_tv_problem(i):
+    # certify-dense's shapes: n = 6 + i % 11 unknowns, n + 4 + i % 7 rows
+    n = 6 + i % 11
+    op = make_random_dense(n + 4 + i % 7, n, seed=100 + i)
+    rng = substream(i, "pd-row-scaling")
+    return op, tv_aniso(n), rng.standard_normal(op.out_dim), float(rng.uniform(0.05, 0.5))
+
+
+@pytest.mark.parametrize("name", ["dense-1d", "certify-0", "certify-5", "certify-10", "certify-23"])
+def test_primal_dual_matches_diag_product_loop_bit_for_bit(name):
+    # dense K: the row-scaled products and the ufunc clip round exactly as the
+    # sp.diags products and np.clip did
+    if name == "dense-1d":
+        (op, reg, v, alpha), cfg = _tv_problem(name), SolverConfig()
+    else:
+        (op, reg, v, alpha), cfg = _certify_dense_tv_problem(int(name[8:])), SolverConfig(tol=1e-10)
+    sol = solve_primal_dual(op, v, alpha, reg, cfg)
+    iterations, u, p, defect = _diag_product_primal_dual(op, v, alpha, reg, cfg)
+    assert sol.iterations == iterations
+    assert np.array_equal(sol.u_alpha, u)
+    assert np.array_equal(sol.p_alpha.p, p)
+    assert sol.optimality_defect == defect
+
+
+def test_primal_dual_matches_diag_product_loop_on_csr():
+    # CSR K: the row-scaled copies keep K's sorted column order, where the
+    # sp.diags products reversed each row, so sums round differently
+    op, reg, v, alpha = _tv_problem("radon-16")
+    cfg = SolverConfig()
+    sol = solve_primal_dual(op, v, alpha, reg, cfg)
+    iterations, u, p, _ = _diag_product_primal_dual(op, v, alpha, reg, cfg)
+    assert sol.iterations == iterations == 925
+    assert np.linalg.norm(sol.u_alpha - u) <= 1e-12 * np.linalg.norm(u)
+    assert np.linalg.norm(sol.p_alpha.p - p) <= 1e-12 * np.linalg.norm(p)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(n=st.integers(2, 10), extra_rows=st.integers(0, 4),
        alpha=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
