@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -20,6 +22,7 @@ from varreg import (
     save_image_csv,
     substream,
 )
+from varreg import operators
 
 
 def test_make_dense_matches_matmul():
@@ -197,6 +200,140 @@ def test_radon_adjoint_consistency():
 def test_radon_adjoint_consistency_property(grid_n, n_angles, n_offsets, seed):
     op = make_radon(RadonGeometry.regular(grid_n, n_angles, n_offsets))
     assert adjoint_consistency_check(op, trials=8, seed=seed) <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [{"grid_n": 2.5}, {"grid_n": True}, {"grid_n": np.float64(3.0)}])
+def test_radon_geometry_rejects_non_integer_grid(kwargs):
+    with pytest.raises(ValueError, match="grid_n"):
+        RadonGeometry(angles=np.array([0.0]), offsets=np.array([0.0]), **kwargs)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((2.5, 3, 3), "grid_n"),
+    ((4, 2.5, 3), "n_angles"),
+    ((4, True, 3), "n_angles"),
+    ((4, 0, 3), "n_angles"),
+    ((4, 3, 2.5), "n_offsets"),
+    ((4, 3, np.float64(3.0)), "n_offsets"),
+])
+def test_radon_regular_rejects_non_integer_counts(args, name):
+    with pytest.raises(ValueError, match=name):
+        RadonGeometry.regular(*args)
+
+
+def test_radon_regular_accepts_numpy_integers():
+    geo = RadonGeometry.regular(np.int64(5), np.int64(3), np.int32(4))
+    assert (geo.in_dim, geo.out_dim) == (25, 12)
+    _assert_same_csr(make_radon(geo).matrix, make_radon(RadonGeometry.regular(5, 3, 4)).matrix)
+
+
+def _trace_ray_reference(grid_n, angle, offset):
+    """Exact intersection lengths of one ray with the pixel grid, transcribed
+    from the per-ray trace that make_radon's array pass replaced."""
+    eps = 1e-12
+    c, s = np.cos(angle), np.sin(angle)
+    p0 = np.array([offset * c, offset * s])
+    d = np.array([-s, c])
+    t_lo, t_hi = -np.inf, np.inf
+    for axis in range(2):
+        if abs(d[axis]) > eps:
+            t0 = (-1.0 - p0[axis]) / d[axis]
+            t1 = (1.0 - p0[axis]) / d[axis]
+            t_lo = max(t_lo, min(t0, t1))
+            t_hi = min(t_hi, max(t0, t1))
+        elif not -1.0 <= p0[axis] <= 1.0:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+    if not t_hi > t_lo:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    h = 2.0 / grid_n
+    edges = -1.0 + h * np.arange(grid_n + 1)
+    crossings = [np.array([t_lo, t_hi])]
+    for axis in range(2):
+        if abs(d[axis]) > eps:
+            t = (edges - p0[axis]) / d[axis]
+            crossings.append(t[(t > t_lo) & (t < t_hi)])
+    t = np.unique(np.concatenate(crossings))
+    if t.size < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0)
+    lengths = np.diff(t)
+    mids = p0[None, :] + (0.5 * (t[:-1] + t[1:]))[:, None] * d[None, :]
+    ix = np.clip(((mids[:, 0] + 1.0) / h).astype(np.int64), 0, grid_n - 1)
+    iy = np.clip(((mids[:, 1] + 1.0) / h).astype(np.int64), 0, grid_n - 1)
+    keep = lengths > 1e-14
+    return (iy[keep] * grid_n + ix[keep]), lengths[keep]
+
+
+def _radon_reference(geo):
+    """The per-ray loop over angles (outer) and offsets (inner), as a CSR matrix."""
+    rows, cols, vals = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for ia, angle in enumerate(geo.angles):
+        for io, offset in enumerate(geo.offsets):
+            idx, lens = _trace_ray_reference(geo.grid_n, float(angle), float(offset))
+            rows.append(np.full(idx.size, ia * geo.offsets.size + io, dtype=np.int64))
+            cols.append(idx)
+            vals.append(lens)
+    coo = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_matrix(coo, shape=(geo.out_dim, geo.in_dim))
+
+
+def _assert_same_csr(a, b):
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+# rays at and within 1e-13 of the axes (|d| on either side of the 1e-12 cut), through
+# corners, along grid lines and the box's sides, and just missing the grid
+_EDGE_ANGLES = np.array([0.0, 1e-14, 1e-13, 5e-13, 1e-12, 2e-12, np.pi / 4,
+                         np.pi / 2 - 1e-13, np.pi / 2 - 1e-14, np.pi / 2, np.pi / 2 + 1e-14,
+                         np.pi / 2 + 1e-13, 3 * np.pi / 4, np.pi - 1e-13])
+_EDGE_OFFSETS = np.array([-np.sqrt(2.0), -1.0, -0.5, 0.0, 0.5, 1.0, np.sqrt(2.0), np.sqrt(2.0) + 1e-12])
+
+
+def _random_geometry(seed):
+    rng = np.random.default_rng(seed)
+    return RadonGeometry(int(rng.integers(1, 41)), rng.uniform(0.0, np.pi, 30),
+                         rng.uniform(-np.sqrt(2.0), np.sqrt(2.0), 20))
+
+
+_BIT_IDENTITY_GEOMETRIES = {
+    "cli-16": lambda: RadonGeometry.regular(16, 18, 18),
+    "bench-24": lambda: RadonGeometry.regular(24, 18, 18),
+    "bench-32": lambda: RadonGeometry.regular(32, 40, 50),
+    "grid-64": lambda: RadonGeometry.regular(64, 24, 28),
+    "edge-rays-8": lambda: RadonGeometry(8, _EDGE_ANGLES, _EDGE_OFFSETS),
+    "edge-rays-7": lambda: RadonGeometry(7, _EDGE_ANGLES, _EDGE_OFFSETS),
+    "one-pixel": lambda: RadonGeometry(1, _EDGE_ANGLES, _EDGE_OFFSETS),
+    "one-pixel-regular": lambda: RadonGeometry.regular(1, 7, 9),
+    **{f"random-{seed}": (lambda seed=seed: _random_geometry(seed)) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIT_IDENTITY_GEOMETRIES))
+def test_radon_matches_per_ray_trace_bit_for_bit(name):
+    geo = _BIT_IDENTITY_GEOMETRIES[name]()
+    _assert_same_csr(make_radon(geo).matrix, _radon_reference(geo))
+
+
+@pytest.mark.parametrize("chunk", [1, 36 * 7 + 5], ids=["one-ray", "split-angle"])
+def test_radon_does_not_depend_on_chunk_size(monkeypatch, chunk):
+    # 36 * 7 + 5 entries hold 7 rays of a 16^2 grid, so chunks split each angle's 18 offsets
+    geos = [RadonGeometry.regular(16, 18, 18), RadonGeometry(8, _EDGE_ANGLES, _EDGE_OFFSETS)]
+    expected = [make_radon(geo).matrix for geo in geos]
+    monkeypatch.setattr(operators, "_RADON_CHUNK", chunk)
+    for geo, ref in zip(geos, expected):
+        _assert_same_csr(make_radon(geo).matrix, ref)
+
+
+def test_radon_build_peak_memory_is_bounded():
+    # chunked, the traced peak is about 5 CSRs' bytes; one pass over all 2000 rays at once, about 13
+    geo = RadonGeometry.regular(32, 40, 50)
+    tracemalloc.start()
+    try:
+        m = make_radon(geo).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
