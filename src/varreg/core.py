@@ -209,59 +209,57 @@ def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
     (x, mapping_norm, iterations) where mapping_norm is the final
     projected-gradient mapping scaled by the Lipschitz constant.
 
-    ``x0`` of shape (n, k) runs k independent problems as one block: each
-    column has its own momentum, restart and stop, ``tol`` may be a (k,)
-    array, and ``grad_fn(z, cols)``/``project(z, cols)`` are called on the
-    columns ``cols`` (indices into the block) that still run.  A column that
-    stops is frozen at that step; mapping_norm and iterations are then
+    ``x0`` of shape (n, k) runs k independent problems as one block, and
+    ``tol`` may then be a (k,) array.  ``grad_fn`` and ``project`` always get
+    the whole (n, k) block.  Each column has its own momentum, restart and
+    stop: a column that stops is recorded at that step and masked out, while
+    the block keeps its full width.  mapping_norm and iterations are then
     per-column arrays.
     """
     lip = max(lip, 1e-30)
     step = 1.0 / lip
-    x = np.asarray(x0, dtype=float).copy()
-    block = x.ndim == 2
-    # a vector keeps scalar reductions and truth tests, far cheaper than numpy's on one small array
-    dots, root, every, some = (_column_dots, np.sqrt, np.all, np.any) if block else \
-        (np.dot, math.sqrt, bool, bool)
-    if block:
-        live = np.arange(x.shape[1])  # block columns still running
-        tol, t, cols = np.broadcast_to(tol, live.shape), np.ones(live.size), (live,)
-        x_out, map_out, iters_out = x.copy(), np.full(live.size, np.inf), np.full(live.size, max_iters)
-    else:
-        t, cols = 1.0, ()
-    x = project(x, *cols)
+    x = project(np.asarray(x0, dtype=float).copy())
     y = x.copy()
     mapping = np.inf
-    for iterations in range(1, max_iters + 1):
-        x_new = project(y - step * grad_fn(y, *cols), *cols)
-        d = x_new - y
-        mapping = lip * root(dots(d, d))
-        running = mapping > tol  # false once converged, or once the iterate is not finite
-        if not every(running):
-            if not block:
+    if x.ndim == 1:
+        # a vector keeps scalar reductions and truth tests, far cheaper than numpy's on one small array
+        t = 1.0
+        for iterations in range(1, max_iters + 1):
+            x_new = project(y - step * grad_fn(y))
+            d = x_new - y
+            mapping = lip * math.sqrt(np.dot(d, d))
+            if not mapping > tol:  # converged, or the iterate is not finite
                 return x_new, mapping, iterations
-            done = live[~running]
-            x_out[:, done], map_out[done], iters_out[done] = x_new[:, ~running], mapping[~running], iterations
-            if not running.any():
-                return x_out, map_out, iters_out
-            live, tol, t, mapping = live[running], tol[running], t[running], mapping[running]
-            x, y, x_new = x[:, running], y[:, running], x_new[:, running]
-            cols = (live,)
-        uphill = dots(y - x_new, x_new - x) > 0.0
-        if some(uphill):  # momentum uphill: restart from x
-            if block:
-                t[uphill] = 1.0
-                x_up = x[:, uphill]
-                x_new[:, uphill] = project(x_up - step * grad_fn(x_up, live[uphill]), live[uphill])
-            else:
+            if np.dot(y - x_new, x_new - x) > 0.0:  # momentum uphill: restart from x
                 t = 1.0
                 x_new = project(x - step * grad_fn(x))
-        t_new = 0.5 * (1.0 + root(1.0 + 4.0 * t * t))
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_new + ((t - 1.0) / t_new) * (x_new - x)
+            x, t = x_new, t_new
+        return x, mapping, max_iters
+    k = x.shape[1]
+    live, t = np.ones(k, dtype=bool), np.ones(k)
+    x_out, map_out, iters_out = x.copy(), np.full(k, np.inf), np.full(k, max_iters)
+    for iterations in range(1, max_iters + 1):
+        x_new = project(y - step * grad_fn(y))
+        d = x_new - y
+        mapping = lip * np.sqrt(_column_dots(d, d))
+        stop = live & ~(mapping > tol)
+        if stop.any():
+            np.copyto(x_out, x_new, where=stop)
+            map_out[stop], iters_out[stop] = mapping[stop], iterations
+            live &= ~stop
+            if not live.any():
+                return x_out, map_out, iters_out
+        uphill = live & (_column_dots(y - x_new, x_new - x) > 0.0)
+        if uphill.any():
+            t[uphill] = 1.0
+            np.copyto(x_new, project(x - step * grad_fn(x)), where=uphill)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         y = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
-    if not block:
-        return x, mapping, max_iters
-    x_out[:, live], map_out[live] = x, mapping
+    np.copyto(x_out, x, where=live)
+    np.copyto(map_out, mapping, where=live)
     return x_out, map_out, iters_out
 
 

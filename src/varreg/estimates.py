@@ -203,9 +203,9 @@ def _l1_instance(op, reg, rng):
     idx = np.flatnonzero(support)
     # smallest correction pinning the dual to exactly +-1 on the support:
     # rows of B are F e_i, so (F* z)_S = B z
-    basis = np.zeros((idx.size, op.in_dim))
-    basis[np.arange(idx.size), idx] = 1.0
-    B = np.stack([op.apply(basis[j]) for j in range(idx.size)])
+    basis = np.zeros((op.in_dim, idx.size))
+    basis[idx, np.arange(idx.size)] = 1.0
+    B = op._apply(basis).T
     gram = B @ B.T
     try:
         corr = B.T @ scipy.linalg.solve(gram, signs - B @ z1, assume_a="pos")

@@ -213,10 +213,9 @@ class SampledDesign:
 
 def draw_design(base_out_dim: int, n_samples: int, noise_sigma: float, seed: int) -> SampledDesign:
     """Draw i.i.d. uniform row indices and Gaussian noise, deterministically."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be nonnegative")
+    _check_count(n_samples, 1, "n_samples")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     rows = rng.integers(0, base_out_dim, size=n_samples)
     noise = noise_sigma * rng.standard_normal(n_samples)

@@ -70,7 +70,6 @@ class RegularizedSolution:
     J_value: float
     optimality_defect: float  # ||F*(F u - v) + alpha*p||
     iterations: int
-    gap: float | None = None  # primal-dual solver only
 
 
 def _check_finite(defect: float, solver: str) -> None:
@@ -92,7 +91,7 @@ def _enter(op: LinearForwardMap, data, alpha: float, config: SolverConfig | None
 
 def _certified(solver: str, target: float, u: np.ndarray, p: np.ndarray, alpha: float,
                residual: np.ndarray, J_value: float, defect: float, iterations: int,
-               dual=None, gap=None) -> RegularizedSolution:
+               dual=None) -> RegularizedSolution:
     """A solver's exit: the solution at ``u`` with data residual ``residual``,
     or SolverError unless its defect is finite and within ``target``."""
     _check_finite(defect, solver)
@@ -106,7 +105,6 @@ def _certified(solver: str, target: float, u: np.ndarray, p: np.ndarray, alpha: 
         J_value=J_value,
         optimality_defect=defect,
         iterations=iterations,
-        gap=gap,
     )
 
 
@@ -170,28 +168,24 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     """
     if reg.kind not in ("quadratic", "l1"):
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
-    cfg, v, fwd, adj, _, target, x0 = _enter(op, data, alpha, config, u0)
-    return _fista(op, fwd, adj, v, alpha, reg, cfg, target, x0)[0]
+    cfg, v, _, _, _, target, x0 = _enter(op, data, alpha, config, u0)
+    return _fista(op, v, alpha, reg, cfg, target, x0)[0]
 
 
-def _fista(op, fwd, adj, v, alpha, reg, cfg, target, x0) -> list[RegularizedSolution]:
+def _fista(op, v, alpha, reg, cfg, target, x0) -> list[RegularizedSolution]:
     """FISTA and its certifying prox step on one data vector ``v``, or on the
     columns of a block ``v`` with one ``alpha`` and ``target`` per column."""
+    fwd, adj = op._apply, op._adjoint
     sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
     lip = max((1.01 * sigma) ** 2, 1e-30)
     tau = cfg.step_safety / lip
-    if v.ndim == 1:
-        def grad(x):
-            return adj(fwd(x) - v)
+    thresh = tau * alpha  # a scalar, or one per column of a block
 
-        def prox(x):
-            return reg._prox(tau * alpha, x)
-    else:
-        def grad(x, cols=slice(None)):
-            return adj(fwd(x) - v[:, cols])
+    def grad(x):
+        return adj(fwd(x) - v)
 
-        def prox(x, cols=slice(None)):
-            return reg._prox(tau * alpha[cols], x)
+    def prox(x):
+        return reg._prox(thresh, x)
 
     # the prox-gradient map T is averaged, so the certifying step u = T(x) from
     # the kernel's x = T(y) moves no further than its last one; the defect
@@ -201,7 +195,7 @@ def _fista(op, fwd, adj, v, alpha, reg, cfg, target, x0) -> list[RegularizedSolu
                                                       cfg.max_iters)
     x_pre = x - tau * grad(x)
     u = prox(x_pre)
-    p = (x_pre - u) / (tau * alpha)
+    p = (x_pre - u) / thresh
     residual = fwd(u) - v
     g = adj(residual) + alpha * p
     if v.ndim == 1:
@@ -216,9 +210,10 @@ def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
                   config: SolverConfig | None = None) -> list[RegularizedSolution]:
     """One certified solution per column of ``data`` (out_dim x k), column j at ``alphas[j]``.
 
-    l1 runs FISTA on the whole block: each column keeps its own momentum,
-    restart, stop, defect target tol*(1 + ||F*v_j||) and certifying prox step,
-    and takes as many iterations as ``solve_fista`` on that column alone.
+    l1 runs FISTA on the whole block at its full width: each column keeps its
+    own momentum, restart, stop, defect target tol*(1 + ||F*v_j||) and
+    certifying prox step, and takes as many iterations as ``solve_fista`` on
+    that column alone.  A column that has stopped is masked, not removed.
     Other kinds solve column by column with ``solve_variational``.  A column
     that fails raises SolverError naming it.
     """
@@ -236,8 +231,7 @@ def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
         raise ValueError("data contains non-finite entries")
     b = op._adjoint(block)
     target = cfg.tol * (1.0 + np.sqrt(_column_dots(b, b)))
-    return _fista(op, op._apply, op._adjoint, block, alphas, reg, cfg, target,
-                  np.zeros((op.in_dim, alphas.size)))
+    return _fista(op, block, alphas, reg, cfg, target, np.zeros((op.in_dim, alphas.size)))
 
 
 def _row_scaled(mat, scale: np.ndarray):
@@ -313,7 +307,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
             gap = defect + max(compl, 0.0)
             if defect <= target and compl <= cfg.tol * (1.0 + obj):
                 return _certified("primal-dual", target, u_hat, p, alpha, residual, tv_val,
-                                  defect, iterations, dual=q / alpha, gap=gap)
+                                  defect, iterations, dual=q / alpha)
         d *= 0.5 * _RELAX
         u -= d
         w -= z

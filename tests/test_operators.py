@@ -440,10 +440,15 @@ def test_draw_design_determinism_and_noise():
 
 
 def test_draw_design_validation():
-    with pytest.raises(ValueError, match="n_samples"):
-        draw_design(10, 0, noise_sigma=0.0, seed=0)
-    with pytest.raises(ValueError, match="noise_sigma"):
-        draw_design(10, 5, noise_sigma=-0.5, seed=0)
+    for n_samples in (0, -3, 2.5, True, np.float64(4.0)):
+        with pytest.raises(ValueError, match="n_samples must be an integer >= 1"):
+            draw_design(10, n_samples, noise_sigma=0.0, seed=0)
+    for noise_sigma in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+            draw_design(10, 5, noise_sigma=noise_sigma, seed=0)
+    design = draw_design(10, np.int64(3), noise_sigma=0.1, seed=0)
+    assert design.sample_rows.shape == design.noise.shape == (3,)
+    np.testing.assert_array_equal(design.sample_rows, draw_design(10, 3, 0.1, seed=0).sample_rows)
 
 
 def test_image_csv_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -557,29 +559,98 @@ def _block_problem(k=12, seed=3):
     return op, data, alphas
 
 
+def _mixed_block(alphas, lip):
+    """The prox of a block whose odd columns are l1 problems and the others
+    quadratic, each at its own alpha, and a maker of each column's own prox."""
+    is_l1 = np.arange(alphas.size) % 2 == 1
+
+    def prox(z, thresh, l1_cols):
+        return np.where(l1_cols, np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0), z / (1.0 + thresh))
+
+    def column(j):
+        return lambda z: prox(z, alphas[j] / lip, is_l1[j])
+
+    return lambda z: prox(z, alphas / lip, is_l1), column
+
+
 def test_block_kernel_mixed_quadratic_and_l1_columns():
     # one block with quadratic and l1 columns at mixed alphas: every column
     # stops, restarts and iterates as it does alone
     op, data, alphas = _block_problem()
     a = op.matrix
     lip = np.linalg.norm(a, 2) ** 2
-    is_l1 = np.arange(alphas.size) % 2 == 1
-
-    def prox(z, thresh, l1_cols):
-        return np.where(l1_cols, np.sign(z) * np.maximum(np.abs(z) - thresh, 0.0), z / (1.0 + thresh))
-
+    prox, prox_of = _mixed_block(alphas, lip)
     tol = 1e-9 * (1.0 + np.linalg.norm(a.T @ data, axis=0))
     x, mapping, iters = accelerated_projected_gradient(
-        lambda y, cols: a.T @ (a @ y - data[:, cols]),
-        lambda z, cols: prox(z, alphas[cols] / lip, is_l1[cols]), lip, np.zeros((10, alphas.size)), tol)
+        lambda y: a.T @ (a @ y - data), prox, lip, np.zeros((10, alphas.size)), tol)
     assert len(set(iters.tolist())) > 1  # the columns stop at different steps
     for j in range(alphas.size):
         x_j, map_j, it_j = accelerated_projected_gradient(
-            lambda y: a.T @ (a @ y - data[:, j]), lambda z: prox(z, alphas[j] / lip, is_l1[j]), lip,
-            np.zeros(10), tol[j])
+            lambda y: a.T @ (a @ y - data[:, j]), prox_of(j), lip, np.zeros(10), tol[j])
         assert iters[j] == it_j
         assert mapping[j] <= tol[j] and map_j <= tol[j]
         np.testing.assert_allclose(x[:, j], x_j, rtol=0.0, atol=1e-12)
+
+
+def test_block_kernel_column_whose_gradient_turns_nan():
+    # column 3's gradient turns NaN once its iterate's entry 0 leaves zero,
+    # mid-run; it stops there with a NaN mapping, as it does alone, while the
+    # other columns keep their iterations and values
+    op, data, alphas = _block_problem()
+    a = op.matrix
+    lip = np.linalg.norm(a, 2) ** 2
+    prox, prox_of = _mixed_block(alphas, lip)
+    tol = 1e-12 * (1.0 + np.linalg.norm(a.T @ data, axis=0))
+    bad, entry = 3, 0
+
+    def grad(y):
+        g = a.T @ (a @ y - data)
+        if y[entry, bad] != 0.0:
+            g[:, bad] = np.nan
+        return g
+
+    def grad_of(j, poisoned):
+        def grad_j(y):
+            g = a.T @ (a @ y - data[:, j])
+            return g * np.nan if poisoned and y[entry] != 0.0 else g
+        return grad_j
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, mapping, iters = accelerated_projected_gradient(grad, prox, lip, np.zeros((10, alphas.size)), tol)
+        _, map_bad, it_bad = accelerated_projected_gradient(grad_of(bad, True), prox_of(bad), lip,
+                                                            np.zeros(10), tol[bad])
+        _, _, it_clean = accelerated_projected_gradient(grad_of(bad, False), prox_of(bad), lip,
+                                                        np.zeros(10), tol[bad])
+        assert 1 < it_bad < it_clean  # the gradient turns NaN mid-run
+        assert iters[bad] == it_bad and np.isnan(mapping[bad]) and np.isnan(map_bad)
+        assert np.all(np.isnan(x[:, bad]))
+        for j in set(range(alphas.size)) - {bad}:
+            x_j, map_j, it_j = accelerated_projected_gradient(grad_of(j, False), prox_of(j), lip,
+                                                              np.zeros(10), tol[j])
+            assert iters[j] == it_j and mapping[j] <= tol[j]
+            np.testing.assert_allclose(x[:, j], x_j, rtol=0.0, atol=1e-15)
+
+
+def test_block_kernel_callbacks_see_the_full_block():
+    # columns stop at different steps, yet every callback gets all k columns
+    op, data, alphas = _block_problem()
+    a = op.matrix
+    lip = np.linalg.norm(a, 2) ** 2
+    prox, _ = _mixed_block(alphas, lip)
+    shapes = []
+
+    def grad(y):
+        shapes.append(y.shape)
+        return a.T @ (a @ y - data)
+
+    def project(z):
+        shapes.append(z.shape)
+        return prox(z)
+
+    _, _, iters = accelerated_projected_gradient(grad, project, lip, np.zeros((10, alphas.size)), 1e-9)
+    assert len(set(iters.tolist())) > 1
+    assert len(shapes) > 2 * iters.max() and set(shapes) == {(10, alphas.size)}
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "l1"])
