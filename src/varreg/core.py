@@ -195,7 +195,8 @@ def _power_iteration(fwd, adj, dim: int, iters: int, seed: int) -> float:
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", a, b)
+    """<a, b> of two vectors (as np.dot rounds it), or of each column pair of two (n, k) blocks."""
+    return np.dot(a, b) if a.ndim == 1 else np.einsum("ij,ij->j", a, b)
 
 
 def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
@@ -228,7 +229,7 @@ def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
             x_new = project(y - step * grad_fn(y))
             d = x_new - y
             mapping = lip * math.sqrt(np.dot(d, d))
-            if not mapping > tol:  # converged, or the iterate is not finite
+            if not tol < mapping < math.inf:  # converged, or the mapping is not finite
                 return x_new, mapping, iterations
             if np.dot(y - x_new, x_new - x) > 0.0:  # momentum uphill: restart from x
                 t = 1.0
@@ -244,7 +245,7 @@ def accelerated_projected_gradient(grad_fn, project, lip: float, x0: np.ndarray,
         x_new = project(y - step * grad_fn(y))
         d = x_new - y
         mapping = lip * np.sqrt(_column_dots(d, d))
-        stop = live & ~(mapping > tol)
+        stop = live & ~((mapping > tol) & (mapping < np.inf))
         if stop.any():
             np.copyto(x_out, x_new, where=stop)
             map_out[stop], iters_out[stop] = mapping[stop], iterations

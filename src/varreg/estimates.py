@@ -171,7 +171,7 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
             u_star, p_arr, z_star, dual = build(op, reg, substream(seed, "instance", attempt))
         except _RetryDraw:
             continue
-        p_star = Subgradient(p=p_arr, owner=u_star, dual=dual)
+        p_star = Subgradient(p=p_arr, dual=dual)
         if not is_subgradient(reg, u_star, p_star, tol=1e-8).ok:
             continue
         return SourceInstance(u_star=u_star, p_star=p_star, z_star=z_star, v_star=op.apply(u_star))
@@ -291,23 +291,15 @@ def _check_instance(op, reg, instance):
     _check_membership(reg, instance.u_star, instance.p_star.p, instance.p_star.dual, 1e-8, "p*")
 
 
-def _distances_to_instance(reg, instance, solutions):
-    """Each solution with its clamped symmetric Bregman distance <p - p*, u - u*> to
-    the instance, whose p* ``_check_instance`` has certified; the solutions'
-    subgradients are certified in one call, at ``symmetric_bregman``'s 1e-6: a block, or one vector."""
-    us, ps, duals = zip(*[(sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual) for sol in solutions])
-    stack = np.column_stack if len(solutions) > 1 else (lambda cols: cols[0])
-    _check_membership(reg, stack(us), stack(ps), None if any(q is None for q in duals) else stack(duals),
-                      1e-6, "p_tilde")
-    return [(sol, _clamp(float(np.dot(sol.p_alpha.p - instance.p_star.p, sol.u_alpha - instance.u_star)),
-                         "symmetric Bregman distance")) for sol in solutions]
-
-
-def _distance_to_instance(op, reg, instance, data, alpha, cfg, solution=None):
-    """The solution (``solution`` if given, else solved from ``data``) and its
-    symmetric Bregman distance to the instance's (u*, p*)."""
-    sol = solution if solution is not None else solve_variational(op, data, alpha, reg, cfg)
-    return _distances_to_instance(reg, instance, [sol])[0]
+def _distances_to_instance(reg, instance, sol):
+    """The clamped symmetric Bregman distance <p - p*, u - u*> of a solution to the instance
+    (whose p* ``_check_instance`` has certified), or a block solution's (k,) distances; the
+    subgradients are certified in one call, at ``symmetric_bregman``'s 1e-6."""
+    _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
+    u, p = sol.u_alpha.T.copy(), sol.p_alpha.p.T.copy()  # columns as C-contiguous rows, rounding as vectors do
+    dists = [_clamp(float(np.dot(dp, du)), "symmetric Bregman distance")
+             for dp, du in zip(np.atleast_2d(p) - instance.p_star.p, np.atleast_2d(u) - instance.u_star)]
+    return dists[0] if u.ndim == 1 else np.array(dists)
 
 
 def _estimate_terms(op, reg, instance, data, alpha, config, solution):
@@ -317,7 +309,8 @@ def _estimate_terms(op, reg, instance, data, alpha, config, solution):
     _check_alpha(alpha)
     v = as_vector(data, op.out_dim, "data")
     _check_instance(op, reg, instance)
-    sol, d_sym = _distance_to_instance(op, reg, instance, v, alpha, cfg, solution)
+    sol = solution if solution is not None else solve_variational(op, v, alpha, reg, cfg)
+    d_sym = _distances_to_instance(reg, instance, sol)
     return cfg, sol, d_sym, norm(v - instance.v_star) ** 2, instance.source_norm ** 2
 
 
@@ -370,7 +363,7 @@ def check_higher_order_estimate(op: LinearForwardMap, reg: Regularizer, u_star, 
     v = as_vector(data, op.out_dim, "data")
     p_arr = op.adjoint(op.apply(eta_star))
     _check_membership(reg, u_star, p_arr, None, 1e-8, "F* F eta* at u*")
-    p_star = Subgradient(p=p_arr, owner=u_star)
+    p_star = Subgradient(p=p_arr)
     sol = solution if solution is not None else solve_variational(op, v, alpha, reg, cfg)
     lhs = bregman_distance(reg, sol.u_alpha, u_star, p_star, check=False)
     shifted = u_star - alpha * eta_star
@@ -430,19 +423,19 @@ def convergence_study(op: LinearForwardMap, reg: Regularizer, instance: SourceIn
     g = substream(seed, "noise").standard_normal(op.out_dim)
     g /= norm(g)
     z_sq = instance.source_norm ** 2
-    solved = _distances_to_instance(reg, instance, solve_columns(
-        op, instance.v_star[:, None] + np.outer(g, deltas), alphas, reg, cfg))
+    sol = solve_columns(op, instance.v_star[:, None] + np.outer(g, deltas), alphas, reg, cfg)
+    dists, us = _distances_to_instance(reg, instance, sol), sol.u_alpha.T.copy()  # contiguous columns
     rows = []
-    for i, (delta, alpha, (sol, d_sym)) in enumerate(zip(deltas, alphas, solved)):
+    for i, (delta, alpha, d_sym, u, J) in enumerate(zip(deltas, alphas, dists, us, sol.J_value)):
         bound = delta ** 2 / alpha + alpha * z_sq
         rows.append(ConvergenceRow(
             n=i,
             delta=float(delta),
             alpha=float(alpha),
-            bregman=d_sym,
+            bregman=float(d_sym),
             bound=float(bound),
-            output_err=norm(op.apply(sol.u_alpha) - instance.v_star),
-            J_value=sol.J_value,
+            output_err=norm(op.apply(u) - instance.v_star),
+            J_value=float(J),
             holds=bool(d_sym <= bound + _headroom(cfg.tol, bound)),
         ))
     return rows
@@ -493,9 +486,8 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     energies = np.array([norm(row) ** 2 for row in noise])
     # one column per (replicate, alpha), replicate-major
     data = np.repeat(instance.v_star[:, None] + noise.T, alphas.size, axis=1)
-    solved = _distances_to_instance(reg, instance, solve_columns(
-        op, data, np.tile(alphas, replicates), reg, cfg))
-    dists = np.array([d_sym for _, d_sym in solved]).reshape(replicates, alphas.size)
+    sol = solve_columns(op, data, np.tile(alphas, replicates), reg, cfg)
+    dists = _distances_to_instance(reg, instance, sol).reshape(replicates, alphas.size)
     expected_energy = m * noise_sigma ** 2
     rows = []
     for a, alpha in enumerate(alphas):

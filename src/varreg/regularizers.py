@@ -63,14 +63,13 @@ class SubgradientError(ValueError):
 
 @dataclass
 class Subgradient:
-    """A subgradient ``p`` of a regularizer at the point ``owner``.
+    """A subgradient ``p`` of a regularizer at a point.
 
     ``dual`` optionally carries the TV edge-dual witness q with p = D^T q,
     which makes later membership checks exact and cheap.
     """
 
     p: np.ndarray
-    owner: np.ndarray
     dual: np.ndarray | None = None
 
 
@@ -178,7 +177,7 @@ def subgradient_from_optimality(op: LinearForwardMap, data, u_alpha, alpha: floa
     u_alpha = as_vector(u_alpha, op.in_dim, "u_alpha")
     data = as_vector(data, op.out_dim, "data")
     p = op.adjoint(data - op.apply(u_alpha)) / alpha
-    return Subgradient(p=p, owner=u_alpha.copy())
+    return Subgradient(p=p)
 
 
 def _resolve(p, dual=None):

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm
-from varreg.estimates import (EstimateReport, SourceInstance, _check_instance, _distance_to_instance, _headroom,
-                              _report)
+from varreg.estimates import (EstimateReport, SourceInstance, _check_instance, _distances_to_instance,
+                              _headroom, _report)
 from varreg.operators import SampledDesign, make_sampled, population_map
 from varreg.regularizers import Regularizer, Subgradient, _check_membership
-from varreg.solvers import SolverConfig
+from varreg.solvers import SolverConfig, solve_variational
 
 __all__ = [
     "RiskPair",
@@ -148,7 +148,8 @@ def _empirical_terms(pair, reg, instance, alpha, cfg, solution):
     residual pass rp = F_pop u_a - v_pop, re = Fe u_a - ve: d_sym to the
     instance, ||rp||^2, the operator gap G, ||Fe u* - ve||^2, R(u_a), Rhat(u_a).
     The caller has matched theta* and certified the instance on the population map."""
-    sol, d_sym = _distance_to_instance(pair.empirical_map, reg, instance, pair.v_emp, alpha, cfg, solution)
+    sol = solve_variational(pair.empirical_map, pair.v_emp, alpha, reg, cfg) if solution is None else solution
+    d_sym = _distances_to_instance(reg, instance, sol)
     rp = pair.population_map.apply(sol.u_alpha) - pair.v_pop
     re = pair.empirical_map.apply(sol.u_alpha) - pair.v_emp
     noise_res = pair.empirical_map.apply(instance.u_star) - pair.v_emp
@@ -219,7 +220,7 @@ def check_risk_theorem(pair: RiskPair, reg: Regularizer, theta_star, z_star,
     _match_theta_star(pair, theta_star)
     p_star = pair.population_map.adjoint(z_star)
     _check_membership(reg, theta_star, p_star, None, 1e-8, "p*")
-    instance = SourceInstance(u_star=theta_star, p_star=Subgradient(p=p_star, owner=theta_star),
+    instance = SourceInstance(u_star=theta_star, p_star=Subgradient(p=p_star),
                               z_star=z_star, v_star=pair.v_pop)
     d_sym, pop_gap, gap, noise_energy, risk, risk_hat = _empirical_terms(
         pair, reg, instance, alpha, cfg, solution)

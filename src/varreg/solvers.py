@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots,
                          accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
-from varreg.regularizers import Regularizer, Subgradient
+from varreg.regularizers import Regularizer, Subgradient, quadratic
 
 __all__ = [
     "RegularizedSolution",
@@ -61,15 +61,19 @@ class SolverConfig:
 
 @dataclass
 class RegularizedSolution:
-    """Minimizer with its certificate: subgradient, residuals and defect."""
+    """Minimizer with its certificate: subgradient, residuals and defect.
+
+    ``solve_columns`` gives one solution for k columns: (n, k) ``u_alpha`` and ``p_alpha.p``,
+    an (edges, k) TV dual, and (k,) arrays of the scalars each column's vector solve gives.
+    """
 
     u_alpha: np.ndarray
     p_alpha: Subgradient
-    alpha: float
-    data_residual: float      # 0.5*||F u - v||^2
-    J_value: float
-    optimality_defect: float  # ||F*(F u - v) + alpha*p||
-    iterations: int
+    alpha: float | np.ndarray
+    data_residual: float | np.ndarray      # 0.5*||F u - v||^2
+    J_value: float | np.ndarray
+    optimality_defect: float | np.ndarray  # ||F*(F u - v) + alpha*p||
+    iterations: int | np.ndarray
 
 
 def _check_finite(defect: float, solver: str) -> None:
@@ -78,34 +82,42 @@ def _check_finite(defect: float, solver: str) -> None:
         raise SolverError(f"{solver} iterate is not finite (defect {defect})", defect)
 
 
-def _enter(op: LinearForwardMap, data, alpha: float, config: SolverConfig | None, u0):
-    """A solver's entry: its settings, the validated data, the raw kernels, F*v,
-    the defect target tol*(1 + ||F*v||) and a fresh start point (zero or ``u0``)."""
+def _solve(core, op: LinearForwardMap, data, alpha: float, reg, config: SolverConfig | None, u0):
+    """A vector solve: ``core`` on the validated data from a start point (zero or ``u0``)."""
     cfg = config or SolverConfig()
     _check_alpha(alpha)
     v = as_vector(data, op.out_dim, "data")
-    b = op._adjoint(v)
     u = np.zeros(op.in_dim) if u0 is None else as_vector(u0, op.in_dim, "u0").copy()
-    return cfg, v, op._apply, op._adjoint, b, cfg.tol * (1.0 + norm(b)), u
+    return core(op, v, alpha, reg, cfg, u)
 
 
-def _certified(solver: str, target: float, u: np.ndarray, p: np.ndarray, alpha: float,
-               residual: np.ndarray, J_value: float, defect: float, iterations: int,
-               dual=None) -> RegularizedSolution:
-    """A solver's exit: the solution at ``u`` with data residual ``residual``,
-    or SolverError unless its defect is finite and within ``target``."""
-    _check_finite(defect, solver)
-    if not defect <= target:
-        raise SolverError(f"{solver} stalled at defect {defect:.3e} > {target:.3e}", defect)
-    return RegularizedSolution(
-        u_alpha=u,
-        p_alpha=Subgradient(p=p, owner=u.copy(), dual=dual),
-        alpha=alpha,
-        data_residual=0.5 * float(np.dot(residual, residual)),
-        J_value=J_value,
-        optimality_defect=defect,
-        iterations=iterations,
-    )
+def _rhs(op: LinearForwardMap, v: np.ndarray, tol: float):
+    """F*v and the defect target tol*(1 + ||F*v||), a block's column by column as its vector solves round them."""
+    if v.ndim == 1:
+        b = op._adjoint(v)
+        return b, tol * (1.0 + norm(b))
+    bs = [op._adjoint(col) for col in v.T.copy()]
+    return np.column_stack(bs), tol * (1.0 + np.array([norm(b) for b in bs]))
+
+
+def _certified(solver: str, target, u: np.ndarray, p: np.ndarray, alpha, residual: np.ndarray,
+               reg: Regularizer, defect, iterations, dual=None, done=None) -> RegularizedSolution:
+    """A solver's exit, for a vector ``u`` or per column of an (n, k) block: the solution at ``u``
+    with data residual ``residual`` and its J under ``reg``, or SolverError naming the first column
+    whose defect is not finite or that is not ``done`` (by default: its defect within ``target``)."""
+    ok = defect <= target if done is None else done
+    if not (ok if u.ndim == 1 else ok.all()):
+        j = np.flatnonzero(~np.atleast_1d(ok))[0]
+        name = f"{solver} column {j}" if u.ndim == 2 else solver
+        d, t = (float(np.atleast_1d(x)[j]) for x in (defect, target))
+        _check_finite(d, name)
+        raise SolverError(f"{name} stalled at defect {d:.3e} (target {t:.3e})", d)
+    residual = 0.5 * _column_dots(residual, residual)
+    if u.ndim == 1:
+        return RegularizedSolution(u, Subgradient(p, dual), alpha, float(residual), reg._value(u),
+                                   float(defect), int(iterations))
+    J = np.array([reg._value(col) for col in u.T.copy()])  # column by column, rounding as a vector's J does
+    return RegularizedSolution(u, Subgradient(p, dual), alpha, residual, J, defect, iterations)
 
 
 def _cg(matvec, b: np.ndarray, x: np.ndarray, target: float, max_iters: int, name: str):
@@ -150,10 +162,21 @@ def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
 
     ``data`` and ``u0`` are validated once; the loop runs on the raw kernels.
     """
-    cfg, v, fwd, adj, b, target, u = _enter(op, data, alpha, config, u0)
-    u, defect, iterations = _cg(lambda x: adj(fwd(x)) + alpha * x, b, u, target, cfg.max_iters, "CG")
-    return _certified("CG", target, u, u.copy(), alpha, fwd(u) - v, 0.5 * float(np.dot(u, u)),
-                      defect, iterations)
+    return _solve(_tikhonov, op, data, alpha, quadratic(), config, u0)
+
+
+def _tikhonov(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
+    """CG on one data vector ``v``, or on each column of a block ``v`` in turn."""
+    fwd, adj = op._apply, op._adjoint
+    b, target = _rhs(op, v, cfg.tol)
+    if v.ndim == 1:
+        u, defect, iterations = _cg(lambda x: adj(fwd(x)) + alpha * x, b, u, target, cfg.max_iters, "CG")
+    else:  # one column at a time: u.T.copy() gives each its own contiguous start
+        columns = enumerate(zip(alpha.tolist(), b.T, u.T.copy(), target.tolist()))
+        runs = [_cg(lambda x, a=a: adj(fwd(x)) + a * x, b_j, u_j, t_j, cfg.max_iters, f"CG column {j}")
+                for j, (a, b_j, u_j, t_j) in columns]
+        u, defect, iterations = (np.array(x).T for x in zip(*runs))
+    return _certified("CG", target, u, u.copy(), alpha, fwd(u) - v, reg, defect, iterations)
 
 
 def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
@@ -168,14 +191,14 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     """
     if reg.kind not in ("quadratic", "l1"):
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
-    cfg, v, _, _, _, target, x0 = _enter(op, data, alpha, config, u0)
-    return _fista(op, v, alpha, reg, cfg, target, x0)[0]
+    return _solve(_fista, op, data, alpha, reg, config, u0)
 
 
-def _fista(op, v, alpha, reg, cfg, target, x0) -> list[RegularizedSolution]:
+def _fista(op, v, alpha, reg, cfg, x0) -> RegularizedSolution:
     """FISTA and its certifying prox step on one data vector ``v``, or on the
-    columns of a block ``v`` with one ``alpha`` and ``target`` per column."""
+    columns of a block ``v`` with one ``alpha`` per column."""
     fwd, adj = op._apply, op._adjoint
+    target = _rhs(op, v, cfg.tol)[1]
     sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
     lip = max((1.01 * sigma) ** 2, 1e-30)
     tau = cfg.step_safety / lip
@@ -198,40 +221,32 @@ def _fista(op, v, alpha, reg, cfg, target, x0) -> list[RegularizedSolution]:
     p = (x_pre - u) / thresh
     residual = fwd(u) - v
     g = adj(residual) + alpha * p
-    if v.ndim == 1:
-        return [_certified("FISTA", target, u, p, alpha, residual, reg._value(u), norm(g), iterations)]
-    defects = np.sqrt(_column_dots(g, g))
-    return [_certified(f"FISTA column {j}", target[j], u_j, p_j, float(alpha[j]), r_j, reg._value(u_j),
-                       float(defects[j]), int(iterations[j]))
-            for j, (u_j, p_j, r_j) in enumerate(zip(u.T.copy(), p.T.copy(), residual.T.copy()))]
+    return _certified("FISTA", target, u, p, alpha, residual, reg, np.sqrt(_column_dots(g, g)), iterations)
 
 
 def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
-                  config: SolverConfig | None = None) -> list[RegularizedSolution]:
-    """One certified solution per column of ``data`` (out_dim x k), column j at ``alphas[j]``.
+                  config: SolverConfig | None = None) -> RegularizedSolution:
+    """One certified solution for the k columns of ``data`` (out_dim x k), column j at ``alphas[j]``.
 
-    l1 runs FISTA on the whole block at its full width: each column keeps its
-    own momentum, restart, stop, defect target tol*(1 + ||F*v_j||) and
-    certifying prox step, and takes as many iterations as ``solve_fista`` on
-    that column alone.  A column that has stopped is masked, not removed.
-    Other kinds solve column by column with ``solve_variational``.  A column
-    that fails raises SolverError naming it.
+    The block is validated once and handed to the kind's solver: FISTA (l1) and
+    primal-dual (TV) run it at full width, each column with its own scalars,
+    stop and certificate, a stopped column masked, not removed; CG (quadratic)
+    solves one column after another.  Each column takes as many iterations as
+    its vector solve, to the same target tol*(1 + ||F*v_j||).  The fields are
+    per-column arrays; a column that fails raises SolverError naming it.
     """
     cfg = config or SolverConfig()
     block = np.asarray(data, dtype=float)
     alphas = np.asarray(alphas, dtype=float)
-    if block.ndim != 2 or block.shape[0] != op.out_dim or alphas.shape != block.shape[1:]:
+    if block.ndim != 2 or block.shape[0] != op.out_dim or alphas.shape != block.shape[1:] or not alphas.size:
         raise DimensionMismatchError(f"data of shape {block.shape} with {alphas.shape} alphas, "
-                                     f"expected ({op.out_dim}, k) with k alphas")
+                                     f"expected ({op.out_dim}, k) with k >= 1 alphas")
     for alpha in alphas:
         _check_alpha(alpha)
-    if reg.kind != "l1" or not alphas.size:
-        return [solve_variational(op, v, alpha, reg, cfg) for v, alpha in zip(block.T, alphas)]
     if not np.all(np.isfinite(block)):
         raise ValueError("data contains non-finite entries")
-    b = op._adjoint(block)
-    target = cfg.tol * (1.0 + np.sqrt(_column_dots(b, b)))
-    return _fista(op, block, alphas, reg, cfg, target, np.zeros((op.in_dim, alphas.size)))
+    core = {"quadratic": _tikhonov, "l1": _fista, "tv_aniso": _primal_dual}[reg.kind]
+    return core(op, block, alphas, reg, cfg, np.zeros((op.in_dim, alphas.size)))
 
 
 def _row_scaled(mat, scale: np.ndarray):
@@ -264,9 +279,17 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     """
     if reg.kind != "tv_aniso":
         raise ValueError(f"solve_primal_dual requires tv_aniso, not {reg.kind!r}")
-    cfg, v, fwd, adj, _, target, u = _enter(op, data, alpha, config, u0)
+    return _solve(_primal_dual, op, data, alpha, reg, config, u0)
+
+
+def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
+    """The primal-dual iteration on one data vector ``v``, or on the columns of a
+    block ``v`` with one ``alpha`` per column: each column's certified pair is
+    recorded at the first check that certifies it."""
     if reg.D.shape[1] != op.in_dim:
         raise ValueError("regularizer shape does not match operator")
+    fwd, adj = op._apply, op._adjoint
+    target = _rhs(op, v, cfg.tol)[1]
     d_mat, dt_mat, f_mat = reg.D, reg.Dt, op.matrix
     k_mat = sp.vstack([f_mat, d_mat]).tocsr() if sp.issparse(f_mat) else np.vstack([f_mat, d_mat.toarray()])
     abs_k = abs(k_mat)
@@ -275,14 +298,15 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
     k_sig, kt_tau2 = _row_scaled(k_mat, sig), _row_scaled(k_mat.T, 2.0 * tau)
 
-    m = op.out_dim
+    m, cols = op.out_dim, v.shape[1:]  # cols: () for a vector, (k,) for a block
+    column = (-1,) + (1,) * len(cols)  # a per-row scalar, broadcast over a block's columns
     u_ext = np.empty_like(u)
-    z = np.zeros(k_mat.shape[0])
-    sig_v = sig[:m] * v
-    damp = 1.0 / (1.0 + sig[:m])
-
-    defect = np.inf
-    gap = np.inf
+    z = np.zeros((k_mat.shape[0],) + cols)
+    sig_v = sig[:m].reshape(column) * v
+    damp = (1.0 / (1.0 + sig[:m])).reshape(column)
+    live = np.ones(cols, dtype=bool)
+    # each column's certified (u_hat, p, residual, q, defect, done, iterations), recorded as it stops
+    out = [*map(np.empty_like, (u, u, v, z[m:])), np.empty(cols), np.zeros(cols, bool), np.zeros(cols, int)]
     for iterations in range(1, cfg.max_iters + 1):
         # u_hat = u - d/2 with d = 2*tau*K^T z; the dual step sees u_hat's
         # extrapolation 2*u_hat - u = u - d
@@ -299,21 +323,30 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
             residual = fwd(u_hat) - v
             du = d_mat @ u_hat
             p = (dt_mat @ q) / alpha
-            defect = norm(adj(residual) + alpha * p)
-            _check_finite(defect, "primal-dual")
-            tv_val = float(np.sum(np.abs(du)))
-            compl = alpha * tv_val - float(np.dot(q, du))
-            obj = 0.5 * float(np.dot(residual, residual)) + alpha * tv_val
-            gap = defect + max(compl, 0.0)
-            if defect <= target and compl <= cfg.tol * (1.0 + obj):
-                return _certified("primal-dual", target, u_hat, p, alpha, residual, tv_val,
-                                  defect, iterations, dual=q / alpha)
+            g = adj(residual) + alpha * p
+            defect = np.sqrt(_column_dots(g, g))
+            tv_val = np.abs(du).sum(axis=0)
+            compl = alpha * tv_val - _column_dots(q, du)
+            obj = 0.5 * _column_dots(residual, residual) + alpha * tv_val
+            done = (defect <= target) & (compl <= cfg.tol * (1.0 + obj))
+            if not cols:  # a vector ends at its first stop: plain tests, no masks
+                if done or not defect < math.inf or iterations == cfg.max_iters:
+                    out = u_hat, p, residual, q, defect, done, iterations
+                    break
+            elif (stop := live & (done | ~np.isfinite(defect) | (iterations == cfg.max_iters))).any():
+                for rec, now in zip(out, (u_hat, p, residual, q, defect, done, iterations)):
+                    np.copyto(rec, now, where=stop)
+                live &= ~stop
+                if not live.any():
+                    break
         d *= 0.5 * _RELAX
         u -= d
         w -= z
         w *= _RELAX
         z += w
-    raise SolverError(f"primal-dual stalled at gap {gap:.3e} (defect {defect:.3e})", defect)
+    u_hat, p, residual, q, defect, done, iterations = out
+    return _certified("primal-dual", target, u_hat, p, alpha, residual, reg, defect, iterations,
+                      dual=q / alpha, done=done)
 
 
 def solve_variational(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
@@ -324,4 +357,3 @@ def solve_variational(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     if reg.kind == "l1":
         return solve_fista(op, data, alpha, reg, config, u0=u0)
     return solve_primal_dual(op, data, alpha, reg, config, u0=u0)
-

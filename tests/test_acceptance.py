@@ -158,7 +158,7 @@ def test_convergence_rates():
     inst = construct_source_instance(op, reg, seed=5)
     s = 0.3 / np.linalg.norm(inst.z_star)
     inst = SourceInstance(u_star=inst.u_star * s,
-                          p_star=Subgradient(p=inst.p_star.p * s, owner=inst.u_star * s),
+                          p_star=Subgradient(p=inst.p_star.p * s),
                           z_star=inst.z_star * s, v_star=inst.v_star * s)
     deltas = 0.05 * 0.5 ** np.arange(9)
     rows = convergence_study(op, reg, inst, deltas, deltas, seed=3, config=TIGHT)

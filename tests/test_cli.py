@@ -52,13 +52,19 @@ def test_solve_identity_example(tmp_path):
     assert is_subgradient(l1(), u, p, tol=1e-6).ok
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    # a command with operator draws and noise: everything must rerun bitwise
+@pytest.mark.parametrize("command, extra", [
+    ("bregman", []),
+    ("bias-variance", ["--set", "regularizer.kind=tv_aniso", "--seed", "1"]),
+    ("bias-variance", ["--set", "regularizer.kind=quadratic"]),
+], ids=["bregman", "bias-variance-tv", "bias-variance-quadratic"])
+def test_rerun_is_byte_identical(tmp_path, command, extra):
+    # commands with operator draws and noise (the studies as block solves): everything must rerun bitwise
     conf = _write(tmp_path, "[bregman]\niterations = 4\nsigma = 0.05\n")
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["bregman", "--config", conf, "--output", str(a)]) == 0
-    assert run(["bregman", "--config", conf, "--output", str(b)]) == 0
-    for name in ("bregman.csv", "bregman_summary.json"):
+    assert run([command, "--config", conf, "--output", str(a)] + extra) == 0
+    assert run([command, "--config", conf, "--output", str(b)] + extra) == 0
+    stem = command.replace("-", "_")
+    for name in (f"{stem}.csv", f"{stem}_summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 

@@ -319,7 +319,7 @@ def _scaled_instance(op, scale, inst):
     from varreg.regularizers import Subgradient
 
     u = inst.u_star * s
-    return SourceInstance(u_star=u, p_star=Subgradient(p=inst.p_star.p * s, owner=u),
+    return SourceInstance(u_star=u, p_star=Subgradient(p=inst.p_star.p * s),
                           z_star=inst.z_star * s, v_star=inst.v_star * s)
 
 
@@ -452,12 +452,38 @@ def test_bias_variance_study_certifies_its_solutions_in_one_call(monkeypatch):
 def test_distances_to_instance_name_the_first_failing_column():
     op, reg = make_random_dense(24, 16, seed=0), l1()
     inst = construct_source_instance(op, reg, seed=0)
-    sols = solvers.solve_columns(op, np.repeat(inst.v_star[:, None], 6, axis=1), np.full(6, 0.1), reg)
-    assert len(estimates._distances_to_instance(reg, inst, sols)) == 6
-    for j in (3, 5):
-        sols[j].p_alpha.p = sols[j].p_alpha.p + 0.5
+    sol = solvers.solve_columns(op, np.repeat(inst.v_star[:, None], 6, axis=1), np.full(6, 0.1), reg)
+    assert estimates._distances_to_instance(reg, inst, sol).shape == (6,)
+    sol.p_alpha.p[:, [3, 5]] += 0.5
     with pytest.raises(SubgradientError, match="p_tilde of column 3 is not a subgradient"):
-        estimates._distances_to_instance(reg, inst, sols)
+        estimates._distances_to_instance(reg, inst, sol)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "l1", "tv_aniso"])
+def test_studies_solve_through_one_block_call(kind, monkeypatch):
+    # the benchmark's tracer reads ``iterations`` as one count from the three
+    # vector solvers, so a study's block solution must never pass through them
+    op = make_random_dense(12, 8, seed=4)
+    reg = {"quadratic": quadratic(), "l1": l1(), "tv_aniso": tv_aniso(8)}[kind]
+    inst = construct_source_instance(op, reg, seed=0)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a study called a vector solver")
+
+    for name in ("solve_variational", "solve_tikhonov_exact", "solve_fista", "solve_primal_dual"):
+        monkeypatch.setattr(solvers, name, no_solve)
+    monkeypatch.setattr(estimates, "solve_variational", no_solve)
+    blocks = []
+    real = solvers.solve_columns
+
+    def counting(op, data, *args, **kwargs):
+        blocks.append(np.shape(data))
+        return real(op, data, *args, **kwargs)
+
+    monkeypatch.setattr(estimates, "solve_columns", counting)
+    bias_variance_study(op, reg, inst, 0.05, np.geomspace(1e-2, 1.0, 4), 3)
+    convergence_study(op, reg, inst, [0.1, 0.05], [0.1, 0.05])
+    assert blocks == [(12, 12), (12, 2)]
 
 
 def test_studies_reject_an_empty_alpha_grid():

@@ -323,7 +323,7 @@ def test_risk_certificates_share_one_residual_pass(monkeypatch, kind, sigma):
     alpha = 0.1
     sol = solve_variational(pair.empirical_map, pair.v_emp, alpha, reg, CFG)
     u = sol.u_alpha
-    p_star = Subgradient(p=pair.population_map.adjoint(inst.z_star), owner=inst.u_star)
+    p_star = Subgradient(p=pair.population_map.adjoint(inst.z_star))
     d_sym = symmetric_bregman(reg, u, inst.u_star, sol.p_alpha, p_star)
     pop_gap = np.linalg.norm(pair.population_map.apply(u) - pair.v_pop) ** 2
     noise_res = pair.empirical_map.apply(inst.u_star) - pair.v_emp
