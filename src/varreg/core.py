@@ -33,10 +33,8 @@ class DimensionMismatchError(ValueError):
 
 
 def as_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Coerce ``x`` to a finite 1-d float64 array, checking its dimension."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
+    """Coerce ``x`` to a finite C-contiguous 1-d float64 array (a strided view is copied), checking its dimension."""
+    v = np.ascontiguousarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-d, got shape {v.shape}")
     if dim is not None and v.size != dim:
@@ -183,7 +181,7 @@ def _power_iteration(fwd, adj, dim: int, iters: int, seed: int) -> float:
     prev = 0.0
     for _ in range(iters):
         w = adj(fwd(x))
-        nw = norm(w)
+        nw = math.sqrt(np.dot(w, w))  # norm(w) to the bit on a contiguous vector, without its dispatch
         if nw == 0.0:
             # x is in the kernel of F*F, hence of F
             return 0.0

@@ -14,7 +14,7 @@ of such inequalities and reports them with explicit floating-point headroom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -55,14 +55,26 @@ SATURATION_THRESHOLD = 0.99
 OFF_SUPPORT_MARGIN = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceInstance:
-    """Ground truth with a range-condition certificate p* = F* z*."""
+    """Ground truth with a range-condition certificate p* = F* z*.  Immutable: it holds
+    read-only float copies of the arrays it is given, so later writes to the caller's arrays
+    cannot change it, and the regularizers (by kind and shape) p* in dJ(u*) is certified for."""
 
     u_star: np.ndarray
     p_star: Subgradient
     z_star: np.ndarray
     v_star: np.ndarray      # F u*, the exact data
+    _certified: set = field(default_factory=set, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_star", Subgradient(self.p_star.p, self.p_star.dual))
+        for owner, name in ((self, "u_star"), (self, "z_star"), (self, "v_star"), (self.p_star, "p"),
+                            (self.p_star, "dual")):
+            if (a := getattr(owner, name)) is not None:
+                a = np.array(a, dtype=float)
+                a.flags.writeable = False
+                object.__setattr__(owner, name, a)
 
     @property
     def source_norm(self) -> float:
@@ -174,7 +186,9 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
         p_star = Subgradient(p=p_arr, dual=dual)
         if not is_subgradient(reg, u_star, p_star, tol=1e-8).ok:
             continue
-        return SourceInstance(u_star=u_star, p_star=p_star, z_star=z_star, v_star=op.apply(u_star))
+        instance = SourceInstance(u_star=u_star, p_star=p_star, z_star=z_star, v_star=op.apply(u_star))
+        instance._certified.add(repr(reg))  # the probe above is the one _check_instance makes
+        return instance
     raise RuntimeError(f"no verifiable source instance for kind={reg.kind!r} after {max_attempts} attempts")
 
 
@@ -282,13 +296,16 @@ def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha
 
 def _check_instance(op, reg, instance):
     """Certify the source condition p* = F* z* in dJ(u*) on ``op``, the operator
-    being certified: ||F* z* - p*|| <= 1e-10 (else ValueError), then p* in
-    dJ(u*) at 1e-8, the tolerance ``construct_source_instance`` accepts at."""
+    being certified: ||F* z* - p*|| <= 1e-10 (else ValueError) on every call, then p* in
+    dJ(u*) at 1e-8, the tolerance ``construct_source_instance`` accepts at, probed once per
+    instance and ``repr(reg)`` (its kind and shape, which fix J): it depends on nothing else."""
     defect = norm(op.adjoint(instance.z_star) - instance.p_star.p)
     if not defect <= 1e-10:
         raise ValueError(f"source certificate too loose for this operator "
                          f"(defect ||F* z* - p*|| = {defect:.3e} > 1e-10)")
-    _check_membership(reg, instance.u_star, instance.p_star.p, instance.p_star.dual, 1e-8, "p*")
+    if repr(reg) not in instance._certified:
+        _check_membership(reg, instance.u_star, instance.p_star.p, instance.p_star.dual, 1e-8, "p*")
+        instance._certified.add(repr(reg))
 
 
 def _distances_to_instance(reg, instance, sol):

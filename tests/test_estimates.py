@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from varreg import (
     l1,
     make_dense,
     make_random_dense,
+    population_map,
     quadratic,
     range_condition_defect,
     solve_source_element,
@@ -263,6 +266,100 @@ def test_instance_is_checked_on_the_operator_it_certifies(monkeypatch):
             certify()
 
 
+def _count_probes_at(monkeypatch, u_star):
+    """A list that grows by one for each membership probe at ``u_star``."""
+    calls = []
+    real = regularizers.is_subgradient
+
+    def counting(reg, u, p, *args, **kwargs):
+        if np.may_share_memory(u, u_star):
+            calls.append(reg.kind)
+        return real(reg, u, p, *args, **kwargs)
+
+    monkeypatch.setattr(regularizers, "is_subgradient", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "l1", "tv"])
+def test_drawn_instance_is_not_probed_again(kind, monkeypatch):
+    # acceptance 4's shape: a drawn instance, 3 noise levels, both estimates per
+    # solve; construction certified p* in dJ(u*), so no estimate probes it again
+    cfg = SolverConfig(tol=1e-10)
+    op = make_random_dense(14, 10, seed=4003)
+    reg = {"quadratic": quadratic(), "l1": l1(), "tv": tv_aniso(10)}[kind]
+    inst = construct_source_instance(op, reg, seed=3)
+    calls = _count_probes_at(monkeypatch, inst.u_star)
+    e = substream(3, "probes").standard_normal(op.out_dim)
+    for sigma in (0.0, 0.01, 0.1):
+        v = inst.v_star + sigma * e
+        sol = solve_variational(op, v, 0.2, reg, cfg)
+        assert check_error_estimate(op, reg, inst, v, 0.2, cfg, solution=sol).holds
+        assert check_effective_estimate(op, reg, inst, v, 0.2, cfg, solution=sol).holds
+    assert calls == []
+    # a hand-built copy is probed once, on first use
+    copy = SourceInstance(u_star=inst.u_star, p_star=inst.p_star, z_star=inst.z_star, v_star=inst.v_star)
+    calls = _count_probes_at(monkeypatch, copy.u_star)
+    for _ in range(3):
+        assert check_effective_estimate(op, reg, copy, inst.v_star, 0.2, cfg).holds
+    assert calls == [reg.kind]
+
+
+def test_bad_hand_built_instance_fails_on_first_use():
+    # u* with its signs flipped on the support: p* = F* z* still holds exactly,
+    # but p* is no subgradient of l1 at u*, and every certificate says so
+    op = make_random_dense(24, 16, seed=1)
+    pop = population_map(op)
+    inst = construct_source_instance(pop, l1(), seed=0)
+    u_bad = -inst.u_star
+    bad = SourceInstance(u_star=u_bad, p_star=inst.p_star, z_star=inst.z_star, v_star=pop.apply(u_bad))
+    pair = build_risk_pair(op, u_bad, draw_design(op.out_dim, 12, 0.0, seed=1))
+    assert pair.population_map is pop
+    for certify in (
+        lambda: check_error_estimate(pop, l1(), bad, bad.v_star, 0.1),
+        lambda: check_effective_estimate(pop, l1(), bad, bad.v_star, 0.1),
+        lambda: convergence_study(pop, l1(), bad, [0.1, 0.05], [0.1, 0.05]),
+        lambda: bias_variance_study(pop, l1(), bad, 0.05, [0.1, 0.5], 2),
+        lambda: check_operator_error_estimate(pair, l1(), bad, 0.1),
+    ):
+        with pytest.raises(SubgradientError, match=r"^p\* is not a subgradient"):
+            certify()
+
+
+def test_instance_is_certified_again_for_another_regularizer(monkeypatch):
+    op = make_random_dense(24, 16, seed=1)
+    inst = construct_source_instance(op, l1(), seed=0)
+    calls = _count_probes_at(monkeypatch, inst.u_star)
+    assert check_error_estimate(op, l1(), inst, inst.v_star, 0.1).holds
+    assert calls == []
+    with pytest.raises(SubgradientError, match=r"^p\* is not a subgradient"):
+        check_error_estimate(op, quadratic(), inst, inst.v_star, 0.1)
+    assert calls == ["quadratic"]
+
+
+def test_source_instance_is_immutable():
+    op = make_random_dense(14, 10, seed=5)
+    drawn = construct_source_instance(op, tv_aniso(10), seed=1)
+    given = [a.copy() for a in (drawn.u_star, drawn.z_star, drawn.v_star, drawn.p_star.p, drawn.p_star.dual)]
+    kept = [a.copy() for a in given]
+    u, z, v, p, q = given
+    inst = SourceInstance(u_star=u, p_star=regularizers.Subgradient(p=p, dual=q), z_star=z, v_star=v)
+    arrays = (inst.u_star, inst.z_star, inst.v_star, inst.p_star.p, inst.p_star.dual)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.u_star = u
+    # the caller's arrays stay writable and unchanged, and writing into them
+    # does not reach the instance
+    for a, b in zip(given, kept):
+        assert a.flags.writeable
+        np.testing.assert_array_equal(a, b)
+        a += 1.0
+    for a, b in zip(arrays, kept):
+        np.testing.assert_array_equal(a, b)
+    assert check_error_estimate(op, tv_aniso(10), inst, inst.v_star, 0.1).holds
+
+
 def test_higher_order_quadratic_matches_closed_form():
     rng = substream(6, "high")
     op = make_random_dense(12, 8, seed=13)
@@ -433,7 +530,8 @@ def test_studies_reject_an_alpha_grid_that_is_not_1d():
 
 def test_bias_variance_study_certifies_its_solutions_in_one_call(monkeypatch):
     # the default CLI study's shape: 16 replicates x 8 alphas, l1 on a 24 x 16
-    # map; p* is certified once and the 128 solutions' subgradients in one block
+    # map; p* was certified when the instance was drawn, so the study certifies
+    # only the 128 solutions' subgradients, in one block
     op, reg = make_random_dense(24, 16, seed=0), l1()
     inst = construct_source_instance(op, reg, seed=0)
     calls = []
@@ -446,7 +544,7 @@ def test_bias_variance_study_certifies_its_solutions_in_one_call(monkeypatch):
     monkeypatch.setattr(regularizers, "is_subgradient", counting)
     res = bias_variance_study(op, reg, inst, 0.05, np.geomspace(1e-3, 1.0, 8), 16)
     assert all(r.holds for r in res.rows)
-    assert calls == [(16,), (16, 128)]
+    assert calls == [(16, 128)]
 
 
 def test_distances_to_instance_name_the_first_failing_column():

@@ -781,3 +781,19 @@ def test_primal_dual_stall_raises_with_finite_defect():
     with pytest.raises(SolverError, match="stalled") as err:
         solve_primal_dual(op, [1.0], 0.4306, tv_aniso(4), SolverConfig(max_iters=2000))
     assert np.isfinite(err.value.defect) and err.value.defect > 0.0
+
+
+@pytest.mark.parametrize("solve, reg", [
+    (lambda op, v, reg: solve_tikhonov_exact(op, v, 0.1), quadratic()),
+    (lambda op, v, reg: solve_fista(op, v, 0.1, reg), l1()),
+    (lambda op, v, reg: solve_primal_dual(op, v, 0.1, reg), tv_aniso(10)),
+], ids=["cg", "fista", "pd"])
+def test_strided_data_solves_as_its_contiguous_copy(solve, reg):
+    # a column of a C-ordered block is a strided view; the solve must not
+    # depend on the data's memory layout, to the bit
+    op = make_random_dense(14, 10, seed=3)
+    V = substream(3, "strided").standard_normal((14, 12))
+    for j in range(V.shape[1]):
+        assert not V[:, j].flags.c_contiguous
+        strided, copied = solve(op, V[:, j], reg), solve(op, V[:, j].copy(), reg)
+        np.testing.assert_array_equal(strided.u_alpha, copied.u_alpha)
