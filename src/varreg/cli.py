@@ -339,8 +339,13 @@ def _cmd_convergence(conf, seed, out_dir):
     sec = conf["convergence"]
     steps = _bounded(sec, "steps", 1)
     delta0 = _bounded(sec, "delta0", strict=True)
-    deltas = delta0 * _bounded(sec, "decay", strict=True) ** np.arange(steps)
-    alphas = _bounded(sec, "alpha_over_delta", strict=True) * deltas
+    with np.errstate(all="ignore"):  # a schedule that leaves the floats is rejected below, not warned on
+        deltas = delta0 * _bounded(sec, "decay", strict=True) ** np.arange(steps)
+        alphas = _bounded(sec, "alpha_over_delta", strict=True) * deltas
+        terms = np.concatenate([deltas, alphas, deltas ** 2, deltas ** 2 / alphas])
+    if not np.all((terms > 0.0) & (terms < np.inf)):
+        raise ConfigError("[convergence] delta0, decay and alpha_over_delta must keep every delta = delta0*decay^n, "
+                          "delta^2, alpha = alpha_over_delta*delta and delta^2/alpha finite and > 0")
     instance = _source_instance(op, reg, seed)
     rows = convergence_study(op, reg, instance, deltas, alphas, seed=seed, config=cfg)
     for r in rows:

@@ -125,6 +125,16 @@ def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
+def _freeze(owner, names, dtype=float) -> None:
+    """Set each array field ``names`` of the frozen dataclass ``owner`` (a scalar or None is kept) to a
+    read-only ``dtype`` copy, so that neither it nor writes to the caller's arrays can change them."""
+    for name in names:
+        if not isinstance(a := getattr(owner, name), (float, int, np.generic, type(None))):
+            a = np.array(a, dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(owner, name, a)
+
+
 def identity_map(dim: int) -> LinearForwardMap:
     return LinearForwardMap(sp.identity(dim, format="csr"))
 

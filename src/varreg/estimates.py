@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from varreg.core import (LinearForwardMap, _check_alpha, _check_count, as_vector, norm, operator_norm_estimate,
-                         substream)
+from varreg.core import (LinearForwardMap, _check_alpha, _check_count, _freeze, as_vector, norm,
+                         operator_norm_estimate, substream)
 from varreg.regularizers import (
     Regularizer,
     Subgradient,
@@ -69,12 +69,8 @@ class SourceInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "p_star", Subgradient(self.p_star.p, self.p_star.dual))
-        for owner, name in ((self, "u_star"), (self, "z_star"), (self, "v_star"), (self.p_star, "p"),
-                            (self.p_star, "dual")):
-            if (a := getattr(owner, name)) is not None:
-                a = np.array(a, dtype=float)
-                a.flags.writeable = False
-                object.__setattr__(owner, name, a)
+        _freeze(self, ("u_star", "z_star", "v_star"))
+        _freeze(self.p_star, ("p", "dual"))
 
     @property
     def source_norm(self) -> float:
@@ -310,9 +306,12 @@ def _check_instance(op, reg, instance):
 
 def _distances_to_instance(reg, instance, sol):
     """The clamped symmetric Bregman distance <p - p*, u - u*> of a solution to the instance
-    (whose p* ``_check_instance`` has certified), or a block solution's (k,) distances; the
-    subgradients are certified in one call, at ``symmetric_bregman``'s 1e-6."""
-    _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
+    (whose p* ``_check_instance`` has certified), or a block solution's (k,) distances.  The
+    solution's p_tilde in dJ(u_alpha) is probed at ``symmetric_bregman``'s 1e-6, a block's columns
+    in one call, once per solution and ``repr(reg)``: the solution is immutable and records it."""
+    if repr(reg) not in sol._certified:
+        _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
+        sol._certified.add(repr(reg))
     u, p = sol.u_alpha.T.copy(), sol.p_alpha.p.T.copy()  # columns as C-contiguous rows, rounding as vectors do
     dists = [_clamp(float(np.dot(dp, du)), "symmetric Bregman distance")
              for dp, du in zip(np.atleast_2d(p) - instance.p_star.p, np.atleast_2d(u) - instance.u_star)]

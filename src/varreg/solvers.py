@@ -8,13 +8,13 @@ downstream error estimates consume exactly that pair (u_alpha, p_alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots,
-                         accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
+                         _freeze, accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient, quadratic
 
 __all__ = [
@@ -59,12 +59,14 @@ class SolverConfig:
             raise ValueError("step_safety must be in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularizedSolution:
     """Minimizer with its certificate: subgradient, residuals and defect.
 
     ``solve_columns`` gives one solution for k columns: (n, k) ``u_alpha`` and ``p_alpha.p``,
     an (edges, k) TV dual, and (k,) arrays of the scalars each column's vector solve gives.
+    Immutable: it holds read-only copies of the arrays it is given, and the regularizers (by kind
+    and shape) its p_alpha in dJ(u_alpha) has passed ``estimates._distances_to_instance``'s probe for.
     """
 
     u_alpha: np.ndarray
@@ -74,6 +76,13 @@ class RegularizedSolution:
     J_value: float | np.ndarray
     optimality_defect: float | np.ndarray  # ||F*(F u - v) + alpha*p||
     iterations: int | np.ndarray
+    _certified: set = field(default_factory=set, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_alpha", Subgradient(self.p_alpha.p, self.p_alpha.dual))
+        _freeze(self, ("u_alpha", "alpha", "data_residual", "J_value", "optimality_defect"))
+        _freeze(self, ("iterations",), int)
+        _freeze(self.p_alpha, ("p", "dual"))
 
 
 def _check_finite(defect: float, solver: str) -> None:

@@ -214,6 +214,18 @@ def test_empty_convergence_table_exits_two(tmp_path, capsys):
     assert not (tmp_path / "convergence_summary.json").exists()
 
 
+@pytest.mark.parametrize("setting", ["decay=1e-300", "decay=1e300", "delta0=1e308",
+                                     "alpha_over_delta=1e-310"])
+def test_convergence_schedule_out_of_floats_exits_two(tmp_path, capsys, setting):
+    # an underflowed delta, an overflowed delta, delta^2 or delta^2/alpha: each would
+    # reach the solver as a zero or infinite alpha, or certify rows against bound=inf
+    assert run(["convergence", "--set", f"convergence.{setting}", "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [convergence] delta0, decay and alpha_over_delta ")
+    assert "Warning" not in err
+    assert not (tmp_path / "convergence_summary.json").exists()
+
+
 @pytest.mark.parametrize("command, key", [
     ("operator-error", "operator_error.instances"),
     ("risk-theorem", "risk_theorem.instances"),

@@ -360,6 +360,111 @@ def test_source_instance_is_immutable():
     assert check_error_estimate(op, tv_aniso(10), inst, inst.v_star, 0.1).holds
 
 
+def _record_probes(monkeypatch):
+    """A list that grows by (kind, u) for each membership probe."""
+    calls = []
+    real = regularizers.is_subgradient
+
+    def recording(reg, u, p, *args, **kwargs):
+        calls.append((reg.kind, u))
+        return real(reg, u, p, *args, **kwargs)
+
+    monkeypatch.setattr(regularizers, "is_subgradient", recording)
+    return calls
+
+
+def _probed_at(calls, point):
+    return [kind for kind, u in calls if np.may_share_memory(u, point)]
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "l1", "tv"])
+def test_solution_is_probed_once_for_both_estimates(kind, monkeypatch):
+    # acceptance 4's shape: one solve per noise level, both estimates on it; the
+    # instance was certified when drawn, and each solution's p_tilde is probed once
+    cfg = SolverConfig(tol=1e-10)
+    op = make_random_dense(14, 10, seed=4003)
+    reg = {"quadratic": quadratic(), "l1": l1(), "tv": tv_aniso(10)}[kind]
+    inst = construct_source_instance(op, reg, seed=3)
+    calls = _record_probes(monkeypatch)
+    e = substream(3, "probes").standard_normal(op.out_dim)
+    sols = []
+    for sigma in (0.0, 0.01, 0.1):
+        v = inst.v_star + sigma * e
+        sols.append(sol := solve_variational(op, v, 0.2, reg, cfg))
+        assert check_error_estimate(op, reg, inst, v, 0.2, cfg, solution=sol).holds
+        assert check_effective_estimate(op, reg, inst, v, 0.2, cfg, solution=sol).holds
+        assert check_error_estimate(op, reg, inst, v, 0.2, cfg, solution=sol).holds
+    assert len(calls) == 3
+    assert [_probed_at(calls, sol.u_alpha) for sol in sols] == [[reg.kind]] * 3
+
+
+def test_solution_is_probed_again_for_another_regularizer(monkeypatch):
+    op = make_random_dense(24, 16, seed=1)
+    inst = construct_source_instance(op, l1(), seed=0)
+    sol = solve_variational(op, inst.v_star, 0.1, l1())
+    calls = _record_probes(monkeypatch)
+    assert check_error_estimate(op, l1(), inst, inst.v_star, 0.1, solution=sol).holds
+    assert check_effective_estimate(op, l1(), inst, inst.v_star, 0.1, solution=sol).holds
+    assert _probed_at(calls, sol.u_alpha) == ["l1"]
+    # an l1 subgradient is no quadratic one; a failed probe records nothing
+    for _ in range(2):
+        with pytest.raises(SubgradientError, match=r"^p_tilde is not a subgradient"):
+            estimates._distances_to_instance(quadratic(), inst, sol)
+    assert _probed_at(calls, sol.u_alpha) == ["l1", "quadratic", "quadratic"]
+
+
+def test_bad_hand_built_solution_fails_on_first_use(monkeypatch):
+    op = make_random_dense(24, 16, seed=1)
+    inst = construct_source_instance(op, l1(), seed=0)
+    sol = solve_variational(op, inst.v_star, 0.1, l1())
+    fields = (sol.alpha, sol.data_residual, sol.J_value, sol.optimality_defect, sol.iterations)
+    bad = solvers.RegularizedSolution(sol.u_alpha, regularizers.Subgradient(-sol.p_alpha.p), *fields)
+    for certify in (
+        lambda: check_error_estimate(op, l1(), inst, inst.v_star, 0.1, solution=bad),
+        lambda: check_effective_estimate(op, l1(), inst, inst.v_star, 0.1, solution=bad),
+    ):
+        with pytest.raises(SubgradientError, match=r"^p_tilde is not a subgradient"):
+            certify()
+    # a hand-built copy of a good solution is probed once, on first use
+    good = solvers.RegularizedSolution(sol.u_alpha, sol.p_alpha, *fields)
+    calls = _record_probes(monkeypatch)
+    for _ in range(3):
+        assert check_effective_estimate(op, l1(), inst, inst.v_star, 0.1, solution=good).holds
+    assert _probed_at(calls, good.u_alpha) == ["l1"]
+
+
+def test_regularized_solution_is_immutable():
+    op = make_random_dense(14, 10, seed=5)
+    sol = solve_variational(op, op.apply(np.arange(10.0)), 0.1, tv_aniso(10))
+    given = [a.copy() for a in (sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual)]
+    kept = [a.copy() for a in given]
+    u, p, q = given
+    fields = (sol.alpha, sol.data_residual, sol.J_value, sol.optimality_defect, sol.iterations)
+    made = solvers.RegularizedSolution(u, regularizers.Subgradient(p, q), *fields)
+    arrays = (made.u_alpha, made.p_alpha.p, made.p_alpha.dual)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        made.u_alpha = u
+    # the caller's arrays stay writable and unchanged, and writing into them
+    # does not reach the solution
+    for a, b in zip(given, kept):
+        assert a.flags.writeable
+        np.testing.assert_array_equal(a, b)
+        a += 1.0
+    for a, b in zip(arrays, kept):
+        np.testing.assert_array_equal(a, b)
+    # a block solution's per-column fields are read-only too, its iterations still integers
+    block = solvers.solve_columns(op, np.repeat(op.apply(np.arange(10.0))[:, None], 2, axis=1),
+                                  np.array([0.1, 0.2]), l1())
+    for a in (block.u_alpha, block.p_alpha.p, block.alpha, block.data_residual, block.J_value,
+              block.optimality_defect, block.iterations):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    assert block.iterations.dtype.kind == "i"
+
+
 def test_higher_order_quadratic_matches_closed_form():
     rng = substream(6, "high")
     op = make_random_dense(12, 8, seed=13)
@@ -552,9 +657,11 @@ def test_distances_to_instance_name_the_first_failing_column():
     inst = construct_source_instance(op, reg, seed=0)
     sol = solvers.solve_columns(op, np.repeat(inst.v_star[:, None], 6, axis=1), np.full(6, 0.1), reg)
     assert estimates._distances_to_instance(reg, inst, sol).shape == (6,)
-    sol.p_alpha.p[:, [3, 5]] += 0.5
+    p = sol.p_alpha.p.copy()
+    p[:, [3, 5]] += 0.5
+    bad = dataclasses.replace(sol, p_alpha=regularizers.Subgradient(p))
     with pytest.raises(SubgradientError, match="p_tilde of column 3 is not a subgradient"):
-        estimates._distances_to_instance(reg, inst, sol)
+        estimates._distances_to_instance(reg, inst, bad)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "l1", "tv_aniso"])
