@@ -14,6 +14,7 @@ import zlib
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 __all__ = [
     "DimensionMismatchError",
@@ -76,7 +77,7 @@ class LinearForwardMap:
     is marked read-only, a sparse one stored as CSR.  The adjoint is stored
     beside it: ``matrix.T`` for a dense array, the CSR transpose for a sparse
     one.  The raw kernels ``_apply``/``_adjoint`` are the products with these
-    two and take vectors or (n, k) blocks without validation.
+    two (:func:`_product`) and take vectors or (n, k) blocks without validation.
 
     Operators are immutable: ``_norm_cache`` memoizes
     :func:`operator_norm_estimate` per ``(iters, seed)``, and ``_population``
@@ -99,9 +100,7 @@ class LinearForwardMap:
             at = a.T
         self.matrix = a
         self.out_dim, self.in_dim = a.shape
-        # bound once: a hot loop calls the products without a Python frame of its own
-        self._apply = a.__matmul__
-        self._adjoint = at.__matmul__
+        self._apply, self._adjoint = _product(a), _product(at)
         self._norm_cache: dict[tuple[int, int], float] = {}
         self._population: LinearForwardMap | None = None
 
@@ -125,6 +124,27 @@ def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
+def _product(m):
+    """A fresh ``m @ x`` for a vector or (n, k) block ``x``, bound once for hot loops: a dense ``m``'s ``__matmul__``,
+    or for a CSR ``m`` a direct call of the scipy kernel ``@`` ends in, on the same contiguous float operand (the
+    same bits, without ``@``'s dispatch).  The kernel reads ``x`` unchecked, so its length is checked here."""
+    if not sp.issparse(m):
+        return m.__matmul__
+    (rows, cols), indptr, indices, data = m.shape, m.indptr, m.indices, m.data
+
+    def product(x):
+        x = np.ascontiguousarray(x, dtype=float)
+        if len(x) != cols:
+            raise DimensionMismatchError(f"operand of length {len(x)} for a {rows}x{cols} matrix")
+        out = np.zeros((rows,) + x.shape[1:])
+        if x.size == cols:  # a vector or a single column, which scipy's @ sends to csr_matvec
+            csr_matvec(rows, cols, indptr, indices, data, x, out)
+        else:
+            csr_matvecs(rows, cols, x.shape[1], indptr, indices, data, x, out)
+        return out
+    return product
+
+
 def _freeze(owner, names, dtype=float) -> None:
     """Set each array field ``names`` of the frozen dataclass ``owner`` (a scalar or None is kept) to a
     read-only ``dtype`` copy, so that neither it nor writes to the caller's arrays can change them."""
@@ -145,6 +165,8 @@ def adjoint_consistency_check(op: LinearForwardMap, trials: int = 32, seed: int 
     A correct adjoint gives values at roundoff level; a wrong adjoint shows up
     as an O(1) defect.
     """
+    _check_count(trials, 1, "trials")
+    _check_count(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -163,6 +185,8 @@ def operator_norm_estimate(op: LinearForwardMap, iters: int = 200, seed: int = 0
     the steps; the iteration stops earlier once converged.  The result is
     computed once per operator and ``(iters, seed)``.
     """
+    _check_count(iters, 1, "iters")
+    _check_count(seed, 0, "seed")
     key = (int(iters), int(seed))
     sigma = op._norm_cache.get(key)
     if sigma is None:

@@ -239,7 +239,6 @@ def _tv_instance(op, reg, rng):
     n = int(reg.shape)
     if op.in_dim != n:
         raise ValueError("operator and regularizer dimensions differ")
-    D = reg.D
     Dt = reg.Dt.toarray()
     w = op.adjoint(rng.standard_normal(op.out_dim))
     q_free, *_ = np.linalg.lstsq(Dt, w, rcond=None)
@@ -248,13 +247,10 @@ def _tv_instance(op, reg, rng):
         raise _RetryDraw
     # rescale so the box constraint |q| <= 1 actually binds, then refit
     target = w * (1.5 / peak)
-
-    def grad_fn(q):
-        return D @ (Dt @ q - target)
-
     lip = 1.02 * reg.edge_map_norm() ** 2
     # the kernel starts from the box clip of its start point: two ufuncs, without np.clip's dispatch
-    q_hat, _, _ = accelerated_projected_gradient(grad_fn, lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
+    q_hat, _, _ = accelerated_projected_gradient(lambda q: reg._d(Dt @ q - target),
+                                                 lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
                                                  lip, q_free * (1.5 / peak), 1e-12, max_iters=100_000)
     active = np.abs(q_hat) >= SATURATION_THRESHOLD
     if not np.any(active):

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count,
-                         _read_only_csr, accelerated_projected_gradient, as_vector, inner, norm)
+                         _product, _read_only_csr, accelerated_projected_gradient, as_vector, inner, norm)
 
 __all__ = [
     "Regularizer",
@@ -97,6 +97,9 @@ class Regularizer:
     shape: object = None
     D: sp.csr_matrix | None = field(default=None, init=False, repr=False)
     Dt: sp.csr_matrix | None = field(default=None, init=False, repr=False)
+    # the products with D and Dt, bound once (core._product); out of repr, which keys certificate records
+    _d: object = field(default=None, init=False, repr=False, compare=False)
+    _dt: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("quadratic", "l1", "tv_aniso"):
@@ -104,6 +107,7 @@ class Regularizer:
         if self.kind == "tv_aniso":
             self.D = _read_only_csr(difference_matrix(self.shape))
             self.Dt = _read_only_csr(self.D.T.tocsr())
+            self._d, self._dt = _product(self.D), _product(self.Dt)
 
     def value(self, u) -> float:
         u = as_vector(u, name="u")
@@ -116,7 +120,7 @@ class Regularizer:
             return 0.5 * float(np.dot(u, u))
         if self.kind == "l1":
             return float(np.abs(u).sum())
-        return float(np.abs(self.D @ u).sum())
+        return float(np.abs(self._d(u)).sum())
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
         """Values for each row of a 2-d array of candidates."""
@@ -125,7 +129,7 @@ class Regularizer:
             return 0.5 * np.einsum("ij,ij->i", U, U)
         if self.kind == "l1":
             return np.abs(U).sum(axis=1)
-        return np.abs(self.D @ U.T).sum(axis=0)
+        return np.abs(self._d(U.T)).sum(axis=0)
 
     def prox(self, tau: float, x) -> np.ndarray:
         """Proximal map argmin_u 0.5*||u - x||^2 + tau*J(u)."""
@@ -194,7 +198,7 @@ def _tv_dual_fit(reg: Regularizer, p: np.ndarray, du: np.ndarray, support_atol: 
     accelerated projected gradient, within its default budget, to a gradient
     mapping of 1e-14*(1 + ||p||), with a 2% margin on the Lipschitz constant ||D||^2.
     """
-    d, dt, lip = reg.D, reg.Dt, 1.02 * reg.edge_map_norm() ** 2
+    d, dt, lip = reg._d, reg._dt, 1.02 * reg.edge_map_norm() ** 2
     fixed = np.abs(du) > support_atol
     signs = np.sign(du)
 
@@ -203,9 +207,9 @@ def _tv_dual_fit(reg: Regularizer, p: np.ndarray, du: np.ndarray, support_atol: 
         q[fixed] = signs[fixed]
         return q
 
-    q, _, _ = accelerated_projected_gradient(lambda q: d @ (dt @ q - p), project, lip,
-                                             np.zeros(d.shape[0]), 1e-14 * (1.0 + norm(p)))
-    return norm(dt @ q - p)
+    q, _, _ = accelerated_projected_gradient(lambda q: d(dt(q) - p), project, lip,
+                                             np.zeros(du.size), 1e-14 * (1.0 + norm(p)))
+    return norm(dt(q) - p)
 
 
 def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
@@ -235,11 +239,11 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
         qs = [None] * len(us) if dual is None else _columns(dual, reg.D.shape[:1] + u.shape[1:], "dual witness")
         violation = np.empty(len(us))
         for j, (uj, pj, q) in enumerate(zip(us, ps, qs)):  # the witness q, or else a fitted one
-            du = reg.D @ uj
+            du = reg._d(uj)
             support_atol = SUPPORT_ATOL * max(1.0, float(np.abs(du).max()))
             fixed = np.abs(du) > support_atol
             violation[j] = _tv_dual_fit(reg, pj, du, support_atol) if q is None else max(
-                norm(reg.Dt @ q - pj), max(float(np.abs(q).max()) - 1.0, 0.0),
+                norm(reg._dt(q) - pj), max(float(np.abs(q).max()) - 1.0, 0.0),
                 float(np.abs(q[fixed] - np.sign(du[fixed])).max()) if fixed.any() else 0.0)
 
     # randomized check of the subgradient inequality at w = u + radius*g

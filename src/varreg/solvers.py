@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots,
-                         _freeze, accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
+from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots, _freeze,
+                         _product, accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient, quadratic
 
 __all__ = [
@@ -278,9 +278,11 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     tau_j = step_safety / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
     Chambolle, ICCV 2011) need no norm estimate; they are folded into the
     stored products sigma*K and 2*tau*K^T by scaling the rows of K and K^T,
-    and the box clip of q is two in-place ufuncs.  Each step is moved a factor
-    ``_RELAX`` along its direction (Condat, JOTA 2013; Chambolle & Pock, Math.
-    Prog. 2016), which keeps the fixed point and the step condition.  The
+    and the box clip of q is two in-place ufuncs.  On a CSR K they, like the
+    products with D and D^T, call scipy's CSR kernel directly
+    (``core._product``).  Each step is moved a factor ``_RELAX`` along its
+    direction (Condat, JOTA 2013; Chambolle & Pock, Math. Prog. 2016), which
+    keeps the fixed point and the step condition.  The
     certified pair is the unrelaxed one, (u_hat, clipped q): a relaxed q can
     leave the box |q| <= alpha.  It is certified by a primal-dual gap combining
     the optimality defect of p = D^T q / alpha with the complementarity slack
@@ -299,13 +301,12 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
         raise ValueError("regularizer shape does not match operator")
     fwd, adj = op._apply, op._adjoint
     target = _rhs(op, v, cfg.tol)[1]
-    d_mat, dt_mat, f_mat = reg.D, reg.Dt, op.matrix
-    k_mat = sp.vstack([f_mat, d_mat]).tocsr() if sp.issparse(f_mat) else np.vstack([f_mat, d_mat.toarray()])
+    k_mat = sp.vstack([op.matrix, reg.D]).tocsr() if sp.issparse(op.matrix) else np.vstack([op.matrix, reg.D.toarray()])
     abs_k = abs(k_mat)
     tau = cfg.step_safety / np.asarray(abs_k.sum(axis=0)).ravel()
     # rows of F that see no pixel (rays missing the grid) get any finite step
     sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
-    k_sig, kt_tau2 = _row_scaled(k_mat, sig), _row_scaled(k_mat.T, 2.0 * tau)
+    k_sig, kt_tau2 = _product(_row_scaled(k_mat, sig)), _product(_row_scaled(k_mat.T, 2.0 * tau))
 
     m, cols = op.out_dim, v.shape[1:]  # cols: () for a vector, (k,) for a block
     column = (-1,) + (1,) * len(cols)  # a per-row scalar, broadcast over a block's columns
@@ -319,8 +320,8 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
     for iterations in range(1, cfg.max_iters + 1):
         # u_hat = u - d/2 with d = 2*tau*K^T z; the dual step sees u_hat's
         # extrapolation 2*u_hat - u = u - d
-        d = kt_tau2 @ z
-        w = k_sig @ np.subtract(u, d, out=u_ext)
+        d = kt_tau2(z)
+        w = k_sig(np.subtract(u, d, out=u_ext))
         w += z
         y, q = w[:m], w[m:]  # views: the data dual and the edge dual
         y -= sig_v
@@ -330,8 +331,8 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
         if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
             u_hat = u - 0.5 * d
             residual = fwd(u_hat) - v
-            du = d_mat @ u_hat
-            p = (dt_mat @ q) / alpha
+            du = reg._d(u_hat)
+            p = reg._dt(q) / alpha
             g = adj(residual) + alpha * p
             defect = np.sqrt(_column_dots(g, g))
             tv_val = np.abs(du).sum(axis=0)

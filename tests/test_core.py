@@ -16,6 +16,8 @@ from varreg import (
     operator_norm_estimate,
     substream,
 )
+from varreg.core import _product
+from varreg.operators import RadonGeometry, make_radon, make_random_dense
 
 
 def test_inner_examples():
@@ -117,6 +119,126 @@ def test_adjoint_consistency_correct_and_broken():
     broken = make_dense(b)
     broken._adjoint = broken._apply
     assert adjoint_consistency_check(broken, trials=32, seed=5) > 1e-2
+
+
+def _broken_adjoint_map():
+    broken = make_dense(substream(2, "adj").standard_normal((4, 4)))
+    broken._adjoint = lambda v: 0 * broken.matrix.T @ v
+    return broken
+
+
+@pytest.mark.parametrize("trials", [0, -2, True, 2.5, np.int64(0)], ids=repr)
+def test_adjoint_consistency_check_rejects_bad_trials(trials):
+    # zero trials would certify over an empty set; True and 2.5 are not counts
+    with pytest.raises(ValueError, match="trials"):
+        adjoint_consistency_check(_broken_adjoint_map(), trials=trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, None])
+def test_adjoint_consistency_check_rejects_bad_seed(seed):
+    with pytest.raises(ValueError, match="seed"):
+        adjoint_consistency_check(_broken_adjoint_map(), seed=seed)
+
+
+def test_adjoint_consistency_check_one_trial_flags_broken_adjoint():
+    assert adjoint_consistency_check(_broken_adjoint_map(), trials=1) > 1e-2
+    assert adjoint_consistency_check(_broken_adjoint_map(), trials=np.int64(1)) > 1e-2
+
+
+@pytest.mark.parametrize("name, value", [("iters", 0), ("iters", -3), ("iters", True), ("iters", 2.7),
+                                         ("seed", 1.5), ("seed", -1), ("seed", True)])
+def test_operator_norm_estimate_rejects_bad_counts(name, value):
+    # checked before the cache lookup: nothing is computed or cached under a bad key
+    op = make_random_dense(6, 4, seed=0)
+    with pytest.raises(ValueError, match=name):
+        operator_norm_estimate(op, **{name: value})
+    assert op._norm_cache == {}
+
+
+def test_operator_norm_estimate_accepts_numpy_counts():
+    op = make_random_dense(6, 4, seed=0)
+    assert operator_norm_estimate(op, iters=np.int64(200), seed=np.int64(0)) == operator_norm_estimate(op)
+    assert abs(operator_norm_estimate(op) - 1.1370) <= 1e-4
+
+
+def _csr_cases():
+    """CSR matrices a product kernel must handle: random, a Radon map with empty rows (rays
+    missing the grid) and its transpose, and one with int64 index arrays."""
+    rng = np.random.default_rng(0)
+    random = sp.random(9, 7, density=0.4, format="csr", random_state=rng)
+    radon = make_radon(RadonGeometry.regular(8, 6, 6)).matrix
+    assert (np.diff(radon.indptr) == 0).any()
+    wide = sp.csr_matrix(random, copy=True)
+    wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+    assert wide.indptr.dtype == wide.indices.dtype == np.int64
+    return {"random": random, "radon-empty-rows": radon, "radon-adjoint": radon.T.tocsr(), "int64-index": wide}
+
+
+def _operands(n, rng):
+    block = rng.standard_normal((n, 5))
+    return {
+        "vector": rng.standard_normal(n),
+        "block-C": block,
+        "block-F": np.asfortranarray(block),
+        "column-view": block.T[2],  # strided
+        "one-column": block[:, :1].copy(),
+        "empty-block": np.zeros((n, 0)),
+        "integer": np.arange(n) - n // 2,
+        "integer-block": np.arange(3 * n).reshape(n, 3),
+    }
+
+
+@pytest.mark.parametrize("case", ["random", "radon-empty-rows", "radon-adjoint", "int64-index"])
+def test_product_matches_matmul_bit_for_bit(case):
+    m = _csr_cases()[case]
+    product = _product(m)
+    for name, x in _operands(m.shape[1], np.random.default_rng(1)).items():
+        y = product(x)
+        ref = m @ x
+        assert y.dtype == ref.dtype == np.float64, name
+        assert y.shape == ref.shape and np.array_equal(y, ref), name
+    dense = m.toarray()
+    x = np.random.default_rng(2).standard_normal((m.shape[1], 3))
+    assert _product(dense)(x).tobytes() == (dense @ x).tobytes()
+
+
+def test_product_returns_fresh_writable_arrays():
+    # callers update results in place (the primal-dual loop's w += z), so no output buffer is reused
+    m = _csr_cases()["random"]
+    product = _product(m)
+    x = np.ones(m.shape[1])
+    a, b = product(x), product(x)
+    assert a.flags.writeable and a.flags.c_contiguous and not np.shares_memory(a, b)
+    a += 1.0
+    assert np.array_equal(b, m @ x) and np.array_equal(product(x), m @ x)
+    assert not np.shares_memory(product(np.ones((m.shape[1], 2))), product(np.ones((m.shape[1], 2))))
+    op = LinearForwardMap(m)
+    assert op._apply(np.ones(op.in_dim)).flags.writeable and op._adjoint(np.ones(op.out_dim)).flags.writeable
+
+
+def test_product_rejects_a_wrong_length_operand():
+    # the kernel reads its operand without a bounds check, so the length is checked here
+    product = _product(_csr_cases()["random"])
+    for x in (np.ones(6), np.ones(8), np.ones((6, 2))):
+        with pytest.raises(DimensionMismatchError):
+            product(x)
+
+
+def test_scipy_csr_kernels_exist_with_the_argument_order_used():
+    # _product calls scipy's private CSR kernels; a scipy release that moves or
+    # reorders them fails here by name, not deep inside a solve
+    try:
+        from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+    except ImportError as err:  # pragma: no cover - only on an incompatible scipy
+        pytest.fail(f"scipy.sparse._sparsetools.csr_matvec/csr_matvecs not importable: {err}")
+    m = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 3.0, -1.0]]))
+    x, block = np.array([1.0, 2.0, 3.0]), np.arange(6.0).reshape(3, 2)
+    y = np.zeros(3)
+    csr_matvec(3, 3, m.indptr, m.indices, m.data, x, y)
+    assert np.array_equal(y, m @ x), "scipy.sparse._sparsetools.csr_matvec"
+    yb = np.zeros((3, 2))
+    csr_matvecs(3, 3, 2, m.indptr, m.indices, m.data, block, yb)
+    assert np.array_equal(yb, m @ block), "scipy.sparse._sparsetools.csr_matvecs"
 
 
 def test_operator_norm_examples():

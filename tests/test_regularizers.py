@@ -571,3 +571,17 @@ def test_tv_edge_map_is_built_once_read_only():
     assert (reg.Dt != reg.D.T).nnz == 0
     with pytest.raises(TypeError):
         Regularizer(kind="tv_aniso", shape=(3, 4), D=reg.D)
+
+
+def test_tv_edge_map_products_are_bound_once_outside_repr():
+    # repr(reg) keys the certificate records, so the bound products stay out of it
+    reg = tv_aniso((3, 4))
+    assert repr(reg) == "Regularizer(kind='tv_aniso', shape=(3, 4))"
+    rng = np.random.default_rng(0)
+    u, q = rng.standard_normal(12), rng.standard_normal(reg.D.shape[0])
+    assert np.array_equal(reg._d(u), reg.D @ u) and np.array_equal(reg._dt(q), reg.Dt @ q)
+    U = rng.standard_normal((5, 12))
+    np.testing.assert_array_equal(reg.value_batch(U), np.abs(reg.D @ U.T).sum(axis=0))
+    assert l1()._d is None and l1()._dt is None
+    with pytest.raises(TypeError):
+        Regularizer(kind="tv_aniso", shape=(3, 4), _d=reg._d)

@@ -797,3 +797,37 @@ def test_strided_data_solves_as_its_contiguous_copy(solve, reg):
         assert not V[:, j].flags.c_contiguous
         strided, copied = solve(op, V[:, j], reg), solve(op, V[:, j].copy(), reg)
         np.testing.assert_array_equal(strided.u_alpha, copied.u_alpha)
+
+
+def _count_sparse_matmul(monkeypatch):
+    """Count calls to scipy's sparse ``@`` from here on."""
+    calls = []
+    matmul = sp._base._spbase.__matmul__
+
+    def counted(self, other):
+        calls.append(self.shape)
+        return matmul(self, other)
+
+    monkeypatch.setattr(sp._base._spbase, "__matmul__", counted)
+    return calls
+
+
+def test_primal_dual_loop_makes_no_sparse_matmul_dispatch(monkeypatch):
+    # the loop's CSR products (K, K^T, D, D^T) call scipy's kernel directly, so scipy's
+    # sparse @ is met in set-up only, not once per iteration
+    op, reg, v = radon_phantom_problem(16)
+    calls = _count_sparse_matmul(monkeypatch)
+    sol = solve_primal_dual(op, v, 0.1, reg)
+    assert sol.iterations == 925
+    assert len(calls) <= 4, calls  # none today: 1925 at the loop that used @
+
+
+def test_fista_on_sampled_radon_makes_no_sparse_matmul_dispatch(monkeypatch):
+    from varreg import RadonGeometry, draw_design, make_radon, make_sampled
+    radon = make_radon(RadonGeometry.regular(16, 12, 12))
+    calls = _count_sparse_matmul(monkeypatch)
+    op = make_sampled(radon, draw_design(radon.out_dim, 100, 0.0, seed=1))
+    v = op.apply(np.linspace(-1.0, 1.0, op.in_dim))
+    sol = solve_fista(op, v, 1e-3, l1())
+    assert sol.iterations > 10
+    assert len(calls) <= 4, calls
