@@ -26,6 +26,7 @@ from varreg.regularizers import (
     Subgradient,
     _check_membership,
     _clamp,
+    _slack,
     bregman_distance,
     is_subgradient,
 )
@@ -301,16 +302,20 @@ def _check_instance(op, reg, instance):
 
 
 def _distances_to_instance(reg, instance, sol):
-    """The clamped symmetric Bregman distance <p - p*, u - u*> of a solution to the instance
-    (whose p* ``_check_instance`` has certified), or a block solution's (k,) distances.  The
-    solution's p_tilde in dJ(u_alpha) is probed at ``symmetric_bregman``'s 1e-6, a block's columns
-    in one call, once per solution and ``repr(reg)``: the solution is immutable and records it."""
+    """The symmetric Bregman distance <p - p*, u - u*> of a solution to the instance (whose p*
+    ``_check_instance`` has certified), clamped as ``symmetric_bregman`` clamps it, or a block
+    solution's (k,) distances.  The solution's p_tilde in dJ(u_alpha) is probed at 1e-6, as
+    there, a block's columns in one call, once per solution and ``repr(reg)``, which it records."""
     if repr(reg) not in sol._certified:
         _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
         sol._certified.add(repr(reg))
     u, p = sol.u_alpha.T.copy(), sol.p_alpha.p.T.copy()  # columns as C-contiguous rows, rounding as vectors do
-    dists = [_clamp(float(np.dot(dp, du)), "symmetric Bregman distance")
-             for dp, du in zip(np.atleast_2d(p) - instance.p_star.p, np.atleast_2d(u) - instance.u_star)]
+    u_star, p_star = instance.u_star, instance.p_star.p
+    raw = [float(np.dot(dp, du)) for dp, du in zip(np.atleast_2d(p) - p_star, np.atleast_2d(u) - u_star)]
+    eps = np.zeros(len(raw))
+    if min(raw) < 0.0:  # the clamp's slack eps~ + eps*, which only a negative distance needs
+        eps += _slack(reg, sol.J_value, sol.u_alpha, sol.p_alpha.p) + _slack(reg, reg._value(u_star), u_star, p_star)
+    dists = [_clamp(d, "symmetric Bregman distance", e) for d, e in zip(raw, eps)]
     return dists[0] if u.ndim == 1 else np.array(dists)
 
 

@@ -7,10 +7,10 @@ Three functionals are supported:
 * ``tv_aniso``    J(u) = sum_e |(D u)_e| with D the forward-difference edge map
                   (replicate boundary, so constants have zero cost)
 
-Subgradient membership is certified in closed form for quadratic and l1.  For
-TV the test is p = D^T q with q_e in the subdifferential of |.| at (Du)_e; a
-known edge-dual witness q is verified directly, otherwise a small projected
-gradient feasibility problem is solved.
+Subgradient membership is certified in closed form: quadratic's subdifferential is
+the point u; l1 and TV are 1-homogeneous, so p is in d_eps J(u) iff p is in dJ(0) and
+eps >= J(u) - <p, u>, and the test measures p's distance to dJ(0) and eps/(1 + J(u))
+(for TV by a known edge-dual witness q with p = D^T q, or else a small box fit).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count,
+from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots,
                          _product, _read_only_csr, accelerated_projected_gradient, as_vector, inner, norm)
 
 __all__ = [
@@ -44,8 +44,8 @@ __all__ = [
 # rather than roundoff and are raised instead of clamped.
 NEGATIVE_TOLERANCE = 1e-8
 
-# Membership counts an entry of u (l1) or Du (tv) as nonzero above this, relative.
-SUPPORT_ATOL = 1e-7
+# The probe forgives each gap this much of J(u) + J(w), its roundoff (l1's sign(u) reaches 0.88*eps of it).
+_PROBE_ROUNDOFF = 4.0 * np.finfo(float).eps
 
 # The randomized membership check evaluates its probe in chunks of about this many
 # entries (64 KiB of float64): temporaries stay in cache and below malloc's mmap threshold.
@@ -190,37 +190,32 @@ def _resolve(p, dual=None):
     return np.asarray(p, dtype=float), dual
 
 
-def _tv_dual_fit(reg: Regularizer, p: np.ndarray, du: np.ndarray, support_atol: float) -> float:
-    """Residual min_q ||D^T q - p|| over the TV dual constraints at Du.
-
-    Entries of q are pinned to sign((Du)_e) on edges where |Du| exceeds the
-    support threshold and boxed in [-1,1] elsewhere; solved by the shared
-    accelerated projected gradient, within its default budget, to a gradient
-    mapping of 1e-14*(1 + ||p||), with a 2% margin on the Lipschitz constant ||D||^2.
-    """
+def _tv_dual_fit(reg: Regularizer, p: np.ndarray) -> float:
+    """Distance from p to dJ(0) = {D^T q : |q| <= 1}: min ||D^T q - p|| over the box, by the shared accelerated
+    projected gradient (default budget, gradient mapping 1e-14*(1 + ||p||), 2% margin on ||D||^2)."""
     d, dt, lip = reg._d, reg._dt, 1.02 * reg.edge_map_norm() ** 2
-    fixed = np.abs(du) > support_atol
-    signs = np.sign(du)
-
-    def project(q):
-        q = np.maximum(np.minimum(q, 1.0), -1.0)  # the box clip, without np.clip's dispatch
-        q[fixed] = signs[fixed]
-        return q
-
-    q, _, _ = accelerated_projected_gradient(lambda q: d(dt(q) - p), project, lip,
-                                             np.zeros(du.size), 1e-14 * (1.0 + norm(p)))
+    q, _, _ = accelerated_projected_gradient(lambda q: d(dt(q) - p), lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
+                                             lip, np.zeros(reg.D.shape[0]), 1e-14 * (1.0 + norm(p)))
     return norm(dt(q) - p)
+
+
+def _slack(reg: Regularizer, j_u, u: np.ndarray, p: np.ndarray):
+    """eps = max(J(u) - <p, u>, 0) (j_u = J(u)) per vector or column, 0 for quadratic: p in dJ(0) is in d_eps J(u)."""
+    return 0.0 if reg.kind == "quadratic" else np.maximum(j_u - _column_dots(u, p), 0.0)
 
 
 def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
                    samples: int = 100, seed: int = 0) -> MembershipResult:
     """Certify p in the subdifferential of J at u, within ``tol``.
 
-    Combines the closed-form characterization of the subdifferential with a
-    randomized check of the defining inequality J(w) >= J(u) + <p, w-u> over
-    ``samples`` seeded points.  Returns the decision and the largest observed
-    violation, or for (n, k) blocks ``u``, ``p`` (``dual`` None or (edges, k))
-    (k,) arrays of them, each column's as its own vector call gives them.
+    Combines the closed-form characterization of the subdifferential with a randomized check
+    of the defining inequality J(w) >= J(u) + <p, w-u> over ``samples`` seeded points, each
+    gap less 4*eps*(J(u) + J(w)) of roundoff.  Quadratic's measure is |p - u|_inf; l1's and
+    TV's, continuous in u and p, is max(dist(p, dJ(0)), eps/(1 + J(u))), eps = J(u) - <p, u>:
+    dist is max|p| - 1 (l1), or max(||D^T q - p||, max|q| - 1) by the witness ``dual`` q, else
+    ``_tv_dual_fit``'s residual (TV).  Returns the decision and the largest observed violation,
+    or for (n, k) blocks ``u``, ``p`` (``dual`` None or (edges, k)) (k,) arrays of them, each
+    column's as its own vector call gives them.
     """
     _check_count(samples, 1, "samples")
     p, dual = _resolve(p, dual)
@@ -228,27 +223,21 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
     if u.ndim > 2 or 0 in u.shape:
         raise ValueError(f"u must be a non-empty vector or (n, k) block, got shape {u.shape}")
     us, ps = _columns(u, u.shape, "u"), _columns(p, u.shape, "p")
-    peak = np.abs(us).max(axis=1)
+    reg._check_dim(us[0])
+    j_u = np.array([reg._value(uj) for uj in us])
     if reg.kind == "quadratic":
         violation = np.abs(ps - us).max(axis=1)
     elif reg.kind == "l1":
-        on = np.abs(us) > SUPPORT_ATOL * np.maximum(1.0, peak)[:, None]
-        violation = np.where(on, np.abs(ps - np.sign(us)), np.abs(ps) - 1.0).max(axis=1)
-    else:
-        reg._check_dim(us[0])
+        violation = np.abs(ps).max(axis=1) - 1.0
+    else:  # by the witness q, or else a fitted one
         qs = [None] * len(us) if dual is None else _columns(dual, reg.D.shape[:1] + u.shape[1:], "dual witness")
-        violation = np.empty(len(us))
-        for j, (uj, pj, q) in enumerate(zip(us, ps, qs)):  # the witness q, or else a fitted one
-            du = reg._d(uj)
-            support_atol = SUPPORT_ATOL * max(1.0, float(np.abs(du).max()))
-            fixed = np.abs(du) > support_atol
-            violation[j] = _tv_dual_fit(reg, pj, du, support_atol) if q is None else max(
-                norm(reg._dt(q) - pj), max(float(np.abs(q).max()) - 1.0, 0.0),
-                float(np.abs(q[fixed] - np.sign(du[fixed])).max()) if fixed.any() else 0.0)
+        violation = np.array([_tv_dual_fit(reg, pj) if q is None else
+                              max(norm(reg._dt(q) - pj), float(np.abs(q).max()) - 1.0) for pj, q in zip(ps, qs)])
+    violation = np.maximum(violation, _slack(reg, j_u, us.T, ps.T) / (1.0 + j_u))  # 0 for quadratic
 
     # randomized check of the subgradient inequality at w = u + radius*g
     probe = _probe_directions(seed, samples, u.shape[0])
-    radius, j_u = 1.0 + peak, np.array([reg._value(uj) for uj in us])
+    radius = 1.0 + np.abs(us).max(axis=1)
     for cols, row_slices in _probe_blocks(len(us), samples, u.shape[0]):
         if cols.stop - cols.start == 1:  # one column: a vector call's scalar and 1-d operands, which cost less
             r, uc, pc, jc = radius[cols.start], us[cols.start], ps[cols.start], j_u[cols.start]
@@ -261,8 +250,8 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
             values = reg.value_batch(w.reshape(-1, w.shape[-1]))
             w -= uc  # the same rounded w - u as forming it out of place
             gaps = np.matmul(w, pc)
-            gaps += jc
-            gaps -= values.reshape(gaps.shape)
+            gaps += jc * (1.0 - _PROBE_ROUNDOFF)  # less the roundoff allowance on J(u) and J(w)
+            gaps -= values.reshape(gaps.shape) * (1.0 + _PROBE_ROUNDOFF)
             np.fmax(best, gaps.reshape(len(best), -1).max(axis=1), out=best)  # skips a NaN (overflow)
     violation = np.maximum(violation, 0.0) if u.ndim == 2 else max(float(violation[0]), 0.0)
     return MembershipResult(ok=violation <= tol, max_violation=violation)
@@ -319,10 +308,10 @@ def _check_membership(reg, u, p, dual, membership_tol, what):
                                f"{np.atleast_1d(res.max_violation)[bad[0]]:.3e} > tol {membership_tol:.1e})")
 
 
-def _clamp(value: float, what: str) -> float:
+def _clamp(value: float, what: str, slack: float) -> float:
     if value >= 0.0:
         return value
-    if value >= -NEGATIVE_TOLERANCE:  # roundoff
+    if value >= -(slack + NEGATIVE_TOLERANCE):  # eps-subgradients' distances reach -(sum of eps), less roundoff
         return 0.0
     raise ArithmeticError(f"{what} is negative beyond roundoff: {value:.3e}")
 
@@ -331,23 +320,25 @@ def bregman_distance(reg: Regularizer, u_tilde, u, p, *, membership_tol: float =
                      check: bool = True) -> float:
     """One-sided Bregman distance d_J^p(u_tilde, u) = J(u_tilde) - J(u) - <p, u_tilde - u>.
 
-    Requires p in the subdifferential of J at u; tiny negative roundoff is
-    clamped to zero, anything below -1e-8 raises since it indicates an invalid
-    subgradient rather than floating point noise.
+    Requires p in the subdifferential of J at u; a negative value within p's slack
+    eps (``_slack``) and 1e-8 of roundoff is clamped to zero, anything below raises
+    since it indicates an invalid subgradient rather than floating point noise.
     """
     u_tilde = as_vector(u_tilde, name="u_tilde")
     u = as_vector(u, u_tilde.size, "u")
     p, dual = _resolve(p)
     if check:
         _check_membership(reg, u, p, dual, membership_tol, "p")
-    return _clamp(reg.value(u_tilde) - reg.value(u) - inner(p, u_tilde - u), "Bregman distance")
+    j_u = reg.value(u)
+    return _clamp(reg.value(u_tilde) - j_u - inner(p, u_tilde - u), "Bregman distance", _slack(reg, j_u, u, p))
 
 
 def symmetric_bregman(reg: Regularizer, u_tilde, u, p_tilde, p, *, membership_tol: float = 1e-6,
                       check: bool = True) -> float:
     """Symmetric Bregman distance <p_tilde - p, u_tilde - u>.
 
-    Equals the sum of the two one-sided distances when both memberships hold.
+    Equals the sum of the two one-sided distances when both memberships hold;
+    clamped as they are, with the sum of the two slacks.
     """
     u_tilde = as_vector(u_tilde, name="u_tilde")
     u = as_vector(u, u_tilde.size, "u")
@@ -356,4 +347,5 @@ def symmetric_bregman(reg: Regularizer, u_tilde, u, p_tilde, p, *, membership_to
     if check:
         _check_membership(reg, u_tilde, p_tilde, dual_tilde, membership_tol, "p_tilde")
         _check_membership(reg, u, p, dual, membership_tol, "p")
-    return _clamp(inner(p_tilde - p, u_tilde - u), "symmetric Bregman distance")
+    return _clamp(inner(p_tilde - p, u_tilde - u), "symmetric Bregman distance",
+                  _slack(reg, reg.value(u_tilde), u_tilde, p_tilde) + _slack(reg, reg.value(u), u, p))

@@ -227,7 +227,8 @@ def _fista(op, v, alpha, reg, cfg, x0) -> RegularizedSolution:
                                                       cfg.max_iters)
     x_pre = x - tau * grad(x)
     u = prox(x_pre)
-    p = (x_pre - u) / thresh
+    # the exact member (x_pre - u)/thresh of dJ(u), with l1's sign(u), which a thresh below ulp(x_pre) loses
+    p = u.copy() if reg.kind == "quadratic" else np.divide(x_pre, thresh, out=np.sign(u), where=u == 0.0)
     residual = fwd(u) - v
     g = adj(residual) + alpha * p
     return _certified("FISTA", target, u, p, alpha, residual, reg, np.sqrt(_column_dots(g, g)), iterations)
@@ -284,9 +285,11 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     direction (Condat, JOTA 2013; Chambolle & Pock, Math. Prog. 2016), which
     keeps the fixed point and the step condition.  The
     certified pair is the unrelaxed one, (u_hat, clipped q): a relaxed q can
-    leave the box |q| <= alpha.  It is certified by a primal-dual gap combining
-    the optimality defect of p = D^T q / alpha with the complementarity slack
-    alpha*||Du||_1 - <q, Du>.
+    leave the box |q| <= alpha.  Every 25 iterations the solver checks it and
+    stops once the optimality defect of p = D^T q / alpha is within
+    tol*(1 + ||F*v||) and the slack alpha*||Du||_1 - <q, Du> within
+    0.5*tol*alpha*(1 + ||Du||_1): the slack is alpha*eps for p in d_eps J(u),
+    so ``is_subgradient``'s eps/(1 + J(u)) is within tol/2.
     """
     if reg.kind != "tv_aniso":
         raise ValueError(f"solve_primal_dual requires tv_aniso, not {reg.kind!r}")
@@ -336,9 +339,8 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
             g = adj(residual) + alpha * p
             defect = np.sqrt(_column_dots(g, g))
             tv_val = np.abs(du).sum(axis=0)
-            compl = alpha * tv_val - _column_dots(q, du)
-            obj = 0.5 * _column_dots(residual, residual) + alpha * tv_val
-            done = (defect <= target) & (compl <= cfg.tol * (1.0 + obj))
+            compl = alpha * tv_val - _column_dots(q, du)  # alpha*eps of p in d_eps J(u_hat)
+            done = (defect <= target) & (compl <= 0.5 * cfg.tol * alpha * (1.0 + tv_val))
             if not cols:  # a vector ends at its first stop: plain tests, no masks
                 if done or not defect < math.inf or iterations == cfg.max_iters:
                     out = u_hat, p, residual, q, defect, done, iterations

@@ -29,7 +29,7 @@ from varreg import (
     substream,
     tv_aniso,
 )
-from varreg import estimates, regularizers, solvers
+from varreg import cli, estimates, regularizers, solvers
 from varreg.estimates import OFF_SUPPORT_MARGIN, SourceInstance
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
@@ -726,3 +726,46 @@ def test_convergence_study_checks_its_alphas_before_solving(monkeypatch, alphas)
     with pytest.raises(ValueError, match="alpha"):
         convergence_study(op, quadratic(), inst, [0.1, 0.05], alphas)
     assert solved == []
+
+
+# -- the CLI's default TV problem ------------------------------------------------
+
+def _cli_default_problem(kind, seed):
+    """The CLI's default operator, regularizer ``kind``, solver settings and source instance at ``seed``."""
+    conf = cli.load_config(None, [f"regularizer.kind={kind}"])
+    op = cli.build_operator(conf, seed)
+    reg = cli.build_regularizer(conf, op)
+    return conf, op, reg, cli.solver_config(conf, seed), construct_source_instance(op, reg, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_tv_bias_variance_study_certifies_at_cli_defaults(seed):
+    # seed 0 has a symmetric distance of -1.4e-8, inside its eps-slack, and seed 13 a
+    # p_tilde whose edge dual is not the sign of a jump of about 1e-7
+    conf, op, reg, cfg, instance = _cli_default_problem("tv_aniso", seed)
+    sec = conf["bias_variance"]
+    alphas = np.geomspace(sec.getfloat("alpha_min"), sec.getfloat("alpha_max"), sec.getint("n_alphas"))
+    result = bias_variance_study(op, reg, instance, sec.getfloat("sigma"), alphas, sec.getint("replicates"),
+                                 seed=seed, config=cfg)
+    assert all(r.holds for r in result.rows)
+
+
+def test_tv_convergence_study_certifies_at_cli_defaults():
+    # seed 70 has a symmetric distance of -4.3e-8, inside its eps-slack
+    seed = 70
+    conf, op, reg, cfg, instance = _cli_default_problem("tv_aniso", seed)
+    sec = conf["convergence"]
+    deltas = sec.getfloat("delta0") * sec.getfloat("decay") ** np.arange(sec.getint("steps"))
+    rows = convergence_study(op, reg, instance, deltas, sec.getfloat("alpha_over_delta") * deltas,
+                             seed=seed, config=cfg)
+    assert all(r.holds for r in rows)
+
+
+def test_l1_convergence_study_at_a_subnormal_alpha():
+    # alpha ~ 1e-311 puts FISTA's threshold far below ulp(x_pre), where (x_pre - u)/thresh
+    # loses sign(u) on the support (a violation of 1.0); the certifying p keeps it
+    conf, op, reg, cfg, instance = _cli_default_problem("l1", 0)
+    deltas = 1e-3 * 0.5 ** np.arange(3)  # small enough that delta^2/alpha stays finite
+    rows = convergence_study(op, reg, instance, deltas, 1e-308 * deltas, config=cfg)
+    assert rows[0].alpha == 1e-311
+    assert all(r.holds for r in rows)

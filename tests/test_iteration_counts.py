@@ -62,13 +62,13 @@ def _primal_dual_radon():
     (_fista, 56),
     (_debias, 47),
     (_primal_dual_dense, 175),
-    (_primal_dual_radon, 925),
+    (_primal_dual_radon, 1000),
 ], ids=["cg", "fista", "debias", "primal-dual-dense-1d", "primal-dual-radon-16"])
 def test_iteration_count_is_pinned(solve, expected):
     assert solve().iterations == expected
 
 
-@pytest.mark.parametrize("alpha, expected", [(0.03, 2250), (0.1, 1075)])
+@pytest.mark.parametrize("alpha, expected", [(0.03, 2250), (0.1, 1150)])
 def test_primal_dual_radon_24_count_is_pinned(alpha, expected):
     # the tv-radon benchmark's alpha-grid solves
     op, reg, v = radon_phantom_problem(24)
@@ -90,4 +90,4 @@ def test_bregman_radon_16_inner_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(bregman_module, "solve_variational", counted)
     trace = bregman_iterate(op, v, 0.1, reg, 30, SolverConfig(tol=1e-8), noise_level=noise_level)
     assert trace.stopped_by_discrepancy
-    assert counts == [1125, 1150, 1650, 1625, 1450, 1275, 1475]
+    assert counts == [1200, 1225, 1775, 1750, 1575, 1400, 1625]

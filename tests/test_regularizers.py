@@ -14,6 +14,7 @@ from varreg import (
     is_subgradient,
     l1,
     quadratic,
+    solve_primal_dual,
     subgradient_from_optimality,
     substream,
     symmetric_bregman,
@@ -29,7 +30,7 @@ from varreg.regularizers import (
     difference_matrix,
 )
 
-from conftest import make_regularizer, subgradient_pair
+from conftest import make_regularizer, radon_phantom_problem, subgradient_pair
 
 KINDS = ("quadratic", "l1", "tv")
 
@@ -118,6 +119,31 @@ def test_is_subgradient_tv_with_and_without_witness():
     assert not is_subgradient(reg, u, np.ones(9)).ok
 
 
+def test_tv_membership_is_continuous_across_a_tiny_jump():
+    # a valid witness pair whose flat edge 3 (q_3 = 0.3, not sign(Du_3) = 1) grows a jump t of
+    # 0.5e-7 and then 2e-7 (relative to max|Du| = 1): the violation is eps/(1 + J(u)) =
+    # 0.7*t/(3 + t) both times, continuous in t, and never |q_3 - sign(Du_3)| = 0.7
+    reg = tv_aniso(9)
+    u = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+    q = np.array([0.2, -0.5, 1.0, 0.3, 0.7, -0.1, 1.0, 0.4])
+    p = reg.D.T @ q
+    for dual in (q, None):
+        small, large = (is_subgradient(reg, u + t * (np.arange(9) > 3), p, dual=dual).max_violation
+                        for t in (0.5e-7, 2e-7))
+        assert small == pytest.approx(0.7 * 0.5e-7 / 3.0, rel=1e-6, abs=1e-14)
+        assert large == pytest.approx(0.7 * 2e-7 / 3.0, rel=1e-6, abs=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e11, 1e14])
+def test_exact_l1_subgradient_passes_at_large_scale(scale):
+    # the probe's gaps carry roundoff of about eps*(J(u) + J(w)), which it forgives
+    u = scale * np.random.default_rng(0).standard_normal(16)
+    assert is_subgradient(l1(), u, np.sign(u)).ok
+    bad = np.sign(u)
+    bad[0] *= -1.0  # eps = 2|u_0|, far outside
+    assert not is_subgradient(l1(), u, bad).ok
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(shape=st.one_of(st.integers(2, 30), st.tuples(st.integers(1, 6), st.integers(2, 6))),
        push=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
@@ -151,35 +177,29 @@ def test_is_subgradient_rejects_nonpositive_samples(samples):
         is_subgradient(quadratic(), [1.0, 2.0], [1.0, 2.0], samples=samples)
 
 
-def _reference_is_subgradient(reg, u, p, tol=1e-8, *, dual=None, samples=100, seed=0,
-                              support_atol=1e-7):
+def _reference_is_subgradient(reg, u, p, tol=1e-8, *, dual=None, samples=100, seed=0):
     """is_subgradient with the probe drawn afresh and evaluated as one product."""
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(u))))
+    j_u = reg.value(u)
     if reg.kind == "quadratic":
         violation = float(np.max(np.abs(p - u)))
-    elif reg.kind == "l1":
-        on = np.abs(u) > support_atol * scale
-        v_on = np.max(np.abs(p[on] - np.sign(u[on]))) if np.any(on) else 0.0
-        v_off = np.max(np.abs(p[~on]) - 1.0) if np.any(~on) else 0.0
-        violation = float(max(v_on, max(v_off, 0.0)))
     else:
-        du = reg.D @ u
-        edge_scale = max(1.0, float(np.max(np.abs(du))) if du.size else 1.0)
-        if dual is not None:
+        # distance from p to dJ(0), and the slack eps = J(u) - <p, u> relative to 1 + J(u)
+        if reg.kind == "l1":
+            dist = float(np.max(np.abs(p))) - 1.0
+        elif dual is not None:
             q = np.asarray(dual, dtype=float)
-            fixed = np.abs(du) > support_atol * edge_scale
-            v_res = np.linalg.norm(reg.D.T @ q - p)
-            v_box = max(float(np.max(np.abs(q))) - 1.0, 0.0)
-            v_sign = float(np.max(np.abs(q[fixed] - np.sign(du[fixed])))) if np.any(fixed) else 0.0
-            violation = max(v_res, v_box, v_sign)
+            dist = max(np.linalg.norm(reg.D.T @ q - p), float(np.max(np.abs(q))) - 1.0)
         else:
-            violation = _tv_dual_fit(reg, p, du, support_atol * edge_scale)
+            dist = _tv_dual_fit(reg, p)
+        eps = max(j_u - float(np.einsum("ij,ij->j", u[:, None], p[:, None])[0]), 0.0)  # as core._column_dots
+        violation = max(dist, eps / (1.0 + j_u))
     rng = np.random.default_rng(seed)
     radius = 1.0 + float(np.max(np.abs(u)))
     w = u[None, :] + radius * rng.standard_normal((samples, u.size))
-    gaps = reg.value(u) + (w - u[None, :]) @ p - reg.value_batch(w)
+    allowance = 4.0 * np.finfo(float).eps  # each gap's roundoff allowance, relative to J(u) + J(w)
+    gaps = j_u * (1.0 - allowance) + (w - u[None, :]) @ p - reg.value_batch(w) * (1.0 + allowance)
     violation = max(violation, float(np.max(gaps)), 0.0)
     return MembershipResult(ok=bool(violation <= tol), max_violation=violation)
 
@@ -283,8 +303,8 @@ def test_tv_dual_fit_matches_replaced_loop(case, dim, noise, data_seed):
     reg, u, p, _ = _membership_case(case, dim, np.random.default_rng(data_seed), noise)
     got = is_subgradient(reg, u, p)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regularizers, "_tv_dual_fit", lambda reg, p, du, atol: _reference_tv_dual_fit(
-            reg.D, p, du, atol, reg.edge_map_norm() ** 2))
+        mp.setattr(regularizers, "_tv_dual_fit", lambda reg, p: _reference_tv_dual_fit(
+            reg.D, p, np.zeros(reg.D.shape[0]), np.inf, reg.edge_map_norm() ** 2))
         ref = is_subgradient(reg, u, p)
     assert got.ok == ref.ok
     if noise == 0.0:
@@ -468,6 +488,24 @@ def test_negative_clamp_band():
         bregman_distance(quadratic(), [t], [0.0], [below], check=False)
     with pytest.raises(ArithmeticError):
         symmetric_bregman(quadratic(), [1.0], [0.0], [0.0], [1.0], check=False)
+
+
+def test_symmetric_clamp_band_grows_with_the_certified_slack():
+    # the PD solution's p_tilde lies in the eps-subdifferential with eps = 1.4e-7 > 1e-8;
+    # against u = 0 with p = D^T sign(Du_tilde), exact there and at u_tilde, the distance
+    # is -eps, inside the band -(eps + 0 + 1e-8): clamped, not raised
+    op, reg, v = radon_phantom_problem(16)
+    sol = solve_primal_dual(op, v, 0.1, reg)
+    eps = sol.J_value - float(np.dot(sol.p_alpha.p, sol.u_alpha))
+    assert eps > 1e-8
+    q = np.sign(reg.D @ sol.u_alpha)
+    zero, exact = np.zeros_like(sol.u_alpha), Subgradient(reg.D.T @ q, q)
+    assert float(np.dot(sol.p_alpha.p - exact.p, sol.u_alpha)) < -NEGATIVE_TOLERANCE
+    assert symmetric_bregman(reg, sol.u_alpha, zero, sol.p_alpha, exact) == 0.0
+    assert bregman_distance(reg, zero, sol.u_alpha, sol.p_alpha) >= 0.0
+    # beyond it still raises: 1.5 * exact.p is outside dJ(0), its edge dual past the box
+    with pytest.raises(ArithmeticError, match="negative beyond roundoff"):
+        symmetric_bregman(reg, sol.u_alpha, zero, sol.p_alpha, 1.5 * exact.p, check=False)
 
 
 def test_symmetric_bregman_example():
