@@ -88,7 +88,7 @@ def bregman_iterate(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     inner_cfg = replace(cfg, tol=cfg.tol / 10.0)
 
     v_shift = v.copy()
-    p_rec = np.zeros(op.in_dim)
+    s_rec = np.zeros(op.in_dim)  # alpha * p_rec, and the agreement test times alpha: nothing divides by alpha
     steps: list[BregmanStep] = []
     stopped = False
     for k in range(1, n_iters + 1):
@@ -99,10 +99,11 @@ def bregman_iterate(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
         u = sol.u_alpha
         fu = op._apply(u)
         misfit = v - fu
-        p_rec = p_rec + op._adjoint(misfit) / alpha
-        p_opt = op._adjoint(v_shift - fu) / alpha
-        agreement = norm(p_rec - p_opt)
-        if agreement > 10.0 * cfg.tol * (1.0 + norm(p_opt)):
+        s_rec = s_rec + op._adjoint(misfit)
+        s_opt = op._adjoint(v_shift - fu)
+        scaled = norm(s_rec - s_opt)
+        agreement = scaled / float(alpha)  # ||p_rec - p_opt||, inf if it overflows
+        if scaled > 10.0 * cfg.tol * (alpha + norm(s_opt)):  # ||p_rec - p_opt|| <= 10*tol*(1 + ||p_opt||)
             raise SolverError(
                 f"Bregman dual bookkeeping diverged at step {k}: defect {agreement:.3e}", agreement
             )

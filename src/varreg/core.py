@@ -9,6 +9,7 @@ Euclidean one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import zlib
 
@@ -146,13 +147,19 @@ def _product(m):
 
 
 def _freeze(owner, names, dtype=float) -> None:
-    """Set each array field ``names`` of the frozen dataclass ``owner`` (a scalar or None is kept) to a
-    read-only ``dtype`` copy, so that neither it nor writes to the caller's arrays can change them."""
+    """Set each array field ``names`` of the frozen dataclass ``owner`` (a scalar or None is kept) to a read-only
+    ``dtype`` copy, and a dataclass field (a Subgradient) to a copy with its fields frozen so, so that neither
+    it nor writes to the caller's arrays can change them."""
     for name in names:
-        if not isinstance(a := getattr(owner, name), (float, int, np.generic, type(None))):
+        if isinstance(a := getattr(owner, name), (float, int, np.generic, type(None))):
+            continue
+        if dataclasses.is_dataclass(a):
+            a = type(a)(**vars(a))
+            _freeze(a, vars(a))
+        else:
             a = np.array(a, dtype=dtype)
             a.setflags(write=False)
-            object.__setattr__(owner, name, a)
+        object.__setattr__(owner, name, a)
 
 
 def identity_map(dim: int) -> LinearForwardMap:

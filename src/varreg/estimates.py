@@ -24,11 +24,11 @@ from varreg.core import (LinearForwardMap, _check_alpha, _check_count, _freeze, 
 from varreg.regularizers import (
     Regularizer,
     Subgradient,
+    SubgradientError,
     _check_membership,
     _clamp,
     _slack,
     bregman_distance,
-    is_subgradient,
 )
 from varreg.solvers import (SolverConfig, _cg, _check_finite, accelerated_projected_gradient, solve_columns,
                              solve_variational)
@@ -69,9 +69,7 @@ class SourceInstance:
     _certified: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p_star", Subgradient(self.p_star.p, self.p_star.dual))
-        _freeze(self, ("u_star", "z_star", "v_star"))
-        _freeze(self.p_star, ("p", "dual"))
+        _freeze(self, ("u_star", "p_star", "z_star", "v_star"))
 
     @property
     def source_norm(self) -> float:
@@ -178,13 +176,11 @@ def construct_source_instance(op: LinearForwardMap, reg: Regularizer, seed: int,
     for attempt in range(max_attempts):
         try:
             u_star, p_arr, z_star, dual = build(op, reg, substream(seed, "instance", attempt))
-        except _RetryDraw:
+            instance = SourceInstance(u_star=u_star, p_star=Subgradient(p_arr, dual), z_star=z_star,
+                                      v_star=op.apply(u_star))
+            _certify(reg, instance)
+        except (_RetryDraw, SubgradientError):
             continue
-        p_star = Subgradient(p=p_arr, dual=dual)
-        if not is_subgradient(reg, u_star, p_star, tol=1e-8).ok:
-            continue
-        instance = SourceInstance(u_star=u_star, p_star=p_star, z_star=z_star, v_star=op.apply(u_star))
-        instance._certified.add(repr(reg))  # the probe above is the one _check_instance makes
         return instance
     raise RuntimeError(f"no verifiable source instance for kind={reg.kind!r} after {max_attempts} attempts")
 
@@ -287,28 +283,33 @@ def range_condition_defect(op: LinearForwardMap, instance: SourceInstance, alpha
 
 # -- certified estimates -------------------------------------------------------
 
+def _certify(reg, obj):
+    """Certify the membership ``obj`` carries, once per object and ``repr(reg)`` (its kind and shape, which
+    fix J): a SourceInstance's p* in dJ(u*) at 1e-8, or a RegularizedSolution's p_tilde in dJ(u_alpha) at
+    1e-6 (a block's columns in one call).  A pass is recorded on ``obj``; a failure raises SubgradientError."""
+    if repr(reg) in obj._certified:
+        return
+    if isinstance(obj, SourceInstance):
+        _check_membership(reg, obj.u_star, obj.p_star.p, obj.p_star.dual, 1e-8, "p*")
+    else:
+        _check_membership(reg, obj.u_alpha, obj.p_alpha.p, obj.p_alpha.dual, 1e-6, "p_tilde")
+    obj._certified.add(repr(reg))
+
+
 def _check_instance(op, reg, instance):
-    """Certify the source condition p* = F* z* in dJ(u*) on ``op``, the operator
-    being certified: ||F* z* - p*|| <= 1e-10 (else ValueError) on every call, then p* in
-    dJ(u*) at 1e-8, the tolerance ``construct_source_instance`` accepts at, probed once per
-    instance and ``repr(reg)`` (its kind and shape, which fix J): it depends on nothing else."""
+    """Certify the source condition p* = F* z* in dJ(u*) on ``op``, the operator being certified:
+    ||F* z* - p*|| <= 1e-10 (else ValueError) on every call, then ``_certify`` the instance."""
     defect = norm(op.adjoint(instance.z_star) - instance.p_star.p)
     if not defect <= 1e-10:
         raise ValueError(f"source certificate too loose for this operator "
                          f"(defect ||F* z* - p*|| = {defect:.3e} > 1e-10)")
-    if repr(reg) not in instance._certified:
-        _check_membership(reg, instance.u_star, instance.p_star.p, instance.p_star.dual, 1e-8, "p*")
-        instance._certified.add(repr(reg))
+    _certify(reg, instance)
 
 
 def _distances_to_instance(reg, instance, sol):
-    """The symmetric Bregman distance <p - p*, u - u*> of a solution to the instance (whose p*
-    ``_check_instance`` has certified), clamped as ``symmetric_bregman`` clamps it, or a block
-    solution's (k,) distances.  The solution's p_tilde in dJ(u_alpha) is probed at 1e-6, as
-    there, a block's columns in one call, once per solution and ``repr(reg)``, which it records."""
-    if repr(reg) not in sol._certified:
-        _check_membership(reg, sol.u_alpha, sol.p_alpha.p, sol.p_alpha.dual, 1e-6, "p_tilde")
-        sol._certified.add(repr(reg))
+    """The symmetric Bregman distance <p - p*, u - u*> of a solution, which it certifies, to an instance the
+    caller has certified, clamped as ``symmetric_bregman`` clamps it, or a block solution's (k,) distances."""
+    _certify(reg, sol)
     u, p = sol.u_alpha.T.copy(), sol.p_alpha.p.T.copy()  # columns as C-contiguous rows, rounding as vectors do
     u_star, p_star = instance.u_star, instance.p_star.p
     raw = [float(np.dot(dp, du)) for dp, du in zip(np.atleast_2d(p) - p_star, np.atleast_2d(u) - u_star)]

@@ -192,7 +192,6 @@ class SampledDesign:
     sample_rows: np.ndarray
     weights: np.ndarray
     noise: np.ndarray
-    seed: int = 0
     noise_sigma: float = 0.0
 
     def __post_init__(self):
@@ -220,14 +219,14 @@ def draw_design(base_out_dim: int, n_samples: int, noise_sigma: float, seed: int
     rows = rng.integers(0, base_out_dim, size=n_samples)
     noise = noise_sigma * rng.standard_normal(n_samples)
     weights = np.full(n_samples, 1.0 / n_samples)
-    return SampledDesign(rows, weights, noise, seed=seed, noise_sigma=float(noise_sigma))
+    return SampledDesign(sample_rows=rows, weights=weights, noise=noise, noise_sigma=float(noise_sigma))
 
 
 def full_design(base_out_dim: int) -> SampledDesign:
     """Deterministic design that observes every base row once, uniformly."""
     rows = np.arange(base_out_dim, dtype=np.int64)
     weights = np.full(base_out_dim, 1.0 / base_out_dim)
-    return SampledDesign(rows, weights, np.zeros(base_out_dim), seed=0, noise_sigma=0.0)
+    return SampledDesign(sample_rows=rows, weights=weights, noise=np.zeros(base_out_dim), noise_sigma=0.0)
 
 
 def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMap:

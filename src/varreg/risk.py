@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm
-from varreg.estimates import (EstimateReport, SourceInstance, _check_instance, _distances_to_instance,
+from varreg.estimates import (EstimateReport, SourceInstance, _certify, _check_instance, _distances_to_instance,
                               _headroom, _report)
 from varreg.operators import SampledDesign, make_sampled, population_map
-from varreg.regularizers import Regularizer, Subgradient, _check_membership
+from varreg.regularizers import Regularizer, Subgradient
 from varreg.solvers import SolverConfig, solve_variational
 
 __all__ = [
@@ -144,18 +144,21 @@ def error_decomposition(pair: RiskPair, theta, f_star_risk_pop: float | None = N
 
 
 def _empirical_terms(pair, reg, instance, alpha, cfg, solution):
-    """The terms of both certificates at the empirical solution u_a, from one
-    residual pass rp = F_pop u_a - v_pop, re = Fe u_a - ve: d_sym to the
-    instance, ||rp||^2, the operator gap G, ||Fe u* - ve||^2, R(u_a), Rhat(u_a).
-    The caller has matched theta* and certified the instance on the population map."""
+    """Both certificates' left-hand side 0.25*||F_pop(u_a - u*)||^2 + alpha*d_sym at the empirical solution u_a,
+    their six shared components and (R(u_a), Rhat(u_a)), from one residual pass rp = F_pop u_a - v_pop,
+    re = Fe u_a - ve.  The caller has matched theta* and certified the instance on the population map."""
     sol = solve_variational(pair.empirical_map, pair.v_emp, alpha, reg, cfg) if solution is None else solution
     d_sym = _distances_to_instance(reg, instance, sol)
     rp = pair.population_map.apply(sol.u_alpha) - pair.v_pop
     re = pair.empirical_map.apply(sol.u_alpha) - pair.v_emp
     noise_res = pair.empirical_map.apply(instance.u_star) - pair.v_emp
-    risk = 0.5 * float(np.dot(rp, rp)) + 0.5 * pair.noise_sigma ** 2
-    return (d_sym, norm(rp) ** 2, float(np.dot(rp, rp) - np.dot(re, re)),
-            float(np.dot(noise_res, noise_res)), risk, 0.5 * float(np.dot(re, re)))
+    pop_gap = norm(rp) ** 2
+    components = {"pop_gap_quarter": 0.25 * pop_gap, "alpha_d_sym": alpha * d_sym, "d_sym": d_sym,
+                  "alpha_sq_source_sq": alpha ** 2 * instance.source_norm ** 2,
+                  "noise_energy": float(np.dot(noise_res, noise_res)),
+                  "half_operator_gap": 0.5 * float(np.dot(rp, rp) - np.dot(re, re))}
+    risks = 0.5 * float(np.dot(rp, rp)) + 0.5 * pair.noise_sigma ** 2, 0.5 * float(np.dot(re, re))
+    return 0.25 * pop_gap + alpha * d_sym, components, risks
 
 
 def _match_theta_star(pair, theta_star):
@@ -177,24 +180,13 @@ def check_operator_error_estimate(pair: RiskPair, reg: Regularizer, instance: So
     _check_alpha(alpha)
     _match_theta_star(pair, instance.u_star)
     _check_instance(pair.population_map, reg, instance)
-    d_sym, pop_gap, gap, noise_energy, _, _ = _empirical_terms(pair, reg, instance, alpha, cfg, solution)
-    z_sq = instance.source_norm ** 2
-    lhs = 0.25 * pop_gap + alpha * d_sym
-    rhs = alpha ** 2 * z_sq + noise_energy + 0.5 * gap
-    components = {
-        "pop_gap_quarter": 0.25 * pop_gap,
-        "alpha_d_sym": alpha * d_sym,
-        "d_sym": d_sym,
-        "alpha_sq_source_sq": alpha ** 2 * z_sq,
-        "noise_energy": noise_energy,
-        "half_operator_gap": 0.5 * gap,
-    }
+    lhs, components, _ = _empirical_terms(pair, reg, instance, alpha, cfg, solution)
+    rhs = components["alpha_sq_source_sq"] + components["noise_energy"] + components["half_operator_gap"]
     report = _report(lhs, rhs, cfg.tol, components)
-    if noise_energy <= 1e-24:
-        cor_rhs = alpha * z_sq + gap / (2.0 * alpha)
-        cor_holds = d_sym <= cor_rhs + _headroom(cfg.tol, cor_rhs)
-        report.components["corollary_rhs"] = cor_rhs
-        report.components["corollary_holds"] = bool(cor_holds)
+    if components["noise_energy"] <= 1e-24:
+        cor_rhs = alpha * instance.source_norm ** 2 + components["half_operator_gap"] / alpha
+        cor_holds = components["d_sym"] <= cor_rhs + _headroom(cfg.tol, cor_rhs)
+        report.components.update(corollary_rhs=cor_rhs, corollary_holds=bool(cor_holds))
         report.holds = bool(report.holds and cor_holds)
     return report
 
@@ -218,24 +210,10 @@ def check_risk_theorem(pair: RiskPair, reg: Regularizer, theta_star, z_star,
     theta_star = as_vector(theta_star, pair.population_map.in_dim, "theta_star")
     z_star = as_vector(z_star, pair.population_map.out_dim, "z_star")
     _match_theta_star(pair, theta_star)
-    p_star = pair.population_map.adjoint(z_star)
-    _check_membership(reg, theta_star, p_star, None, 1e-8, "p*")
-    instance = SourceInstance(u_star=theta_star, p_star=Subgradient(p=p_star),
+    instance = SourceInstance(u_star=theta_star, p_star=Subgradient(p=pair.population_map.adjoint(z_star)),
                               z_star=z_star, v_star=pair.v_pop)
-    d_sym, pop_gap, gap, noise_energy, risk, risk_hat = _empirical_terms(
-        pair, reg, instance, alpha, cfg, solution)
-    risk_gap = risk - risk_hat
-    z_sq = instance.source_norm ** 2
-    lhs = 0.25 * pop_gap + alpha * d_sym
-    rhs = risk_gap + alpha ** 2 * z_sq + noise_energy
-    return _report(lhs, rhs, cfg.tol, {
-        "pop_gap_quarter": 0.25 * pop_gap,
-        "alpha_d_sym": alpha * d_sym,
-        "d_sym": d_sym,
-        "risk_gap": risk_gap,
-        "half_operator_gap": 0.5 * gap,
-        "alpha_sq_source_sq": alpha ** 2 * z_sq,
-        "noise_energy": noise_energy,
-        "population_risk": risk,
-        "empirical_risk": risk_hat,
-    })
+    _certify(reg, instance)
+    lhs, components, (risk, risk_hat) = _empirical_terms(pair, reg, instance, alpha, cfg, solution)
+    rhs = risk - risk_hat + components["alpha_sq_source_sq"] + components["noise_energy"]
+    return _report(lhs, rhs, cfg.tol, {**components, "risk_gap": risk - risk_hat,
+                                       "population_risk": risk, "empirical_risk": risk_hat})

@@ -66,7 +66,7 @@ class RegularizedSolution:
     ``solve_columns`` gives one solution for k columns: (n, k) ``u_alpha`` and ``p_alpha.p``,
     an (edges, k) TV dual, and (k,) arrays of the scalars each column's vector solve gives.
     Immutable: it holds read-only copies of the arrays it is given, and the regularizers (by kind
-    and shape) its p_alpha in dJ(u_alpha) has passed ``estimates._distances_to_instance``'s probe for.
+    and shape) its p_alpha in dJ(u_alpha) has passed ``estimates._certify``'s probe for.
     """
 
     u_alpha: np.ndarray
@@ -79,10 +79,8 @@ class RegularizedSolution:
     _certified: set = field(default_factory=set, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p_alpha", Subgradient(self.p_alpha.p, self.p_alpha.dual))
-        _freeze(self, ("u_alpha", "alpha", "data_residual", "J_value", "optimality_defect"))
+        _freeze(self, ("u_alpha", "p_alpha", "alpha", "data_residual", "J_value", "optimality_defect"))
         _freeze(self, ("iterations",), int)
-        _freeze(self.p_alpha, ("p", "dual"))
 
 
 def _check_finite(defect: float, solver: str) -> None:

@@ -284,6 +284,18 @@ def test_bregman_discrepancy_toggle(tmp_path):
     assert all(b <= a + 1e-10 for a, b in zip(res, res[1:]))
 
 
+@pytest.mark.parametrize("kind", ["l1", "quadratic", "tv_aniso"])
+def test_bregman_at_tiny_alpha_has_no_overflow(tmp_path, capsys, kind):
+    # the dual bookkeeping is carried as alpha*p, so no step divides by alpha = 1e-300
+    # (the suite turns RuntimeWarning into an error); by default the discrepancy rule stops it
+    settings = ["--set", "bregman.alpha=1e-300", "--set", f"regularizer.kind={kind}"]
+    assert run(["bregman", "--output", str(tmp_path / "a")] + settings) == 0
+    # without the rule, p_rec and p_opt differ by roundoff/alpha, which the check refuses
+    settings += ["--set", "bregman.use_discrepancy=false"]
+    assert run(["bregman", "--output", str(tmp_path / "b")] + settings) == 1
+    assert "Bregman dual bookkeeping diverged" in capsys.readouterr().err
+
+
 def test_debias_outputs(tmp_path):
     conf = _write(tmp_path, "[debias]\nalpha = 0.05\nsigma = 0.0\n")
     out = tmp_path / "out"

@@ -88,6 +88,34 @@ def test_construct_source_instance_exhausts_on_zero_map():
         construct_source_instance(zero, quadratic(), seed=0, max_attempts=3)
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "l1", "tv"])
+def test_construct_source_instance_retries_a_failed_probe(kind, monkeypatch):
+    # a draw whose p* fails the membership probe is dropped for the next attempt, whose
+    # instance comes back already certified: no estimate probes p* again
+    cfg = SolverConfig(tol=1e-10)
+    op = make_random_dense(14, 10, seed=4003)
+    reg = {"quadratic": quadratic(), "l1": l1(), "tv": tv_aniso(10)}[kind]
+    probed, failing = [], [1]
+    real = regularizers.is_subgradient
+
+    def probe(reg, u, p, *args, **kwargs):
+        probed.append(u)
+        res = real(reg, u, p, *args, **kwargs)
+        return res._replace(ok=False) if len(probed) in failing else res
+
+    monkeypatch.setattr(regularizers, "is_subgradient", probe)
+    inst = construct_source_instance(op, reg, seed=3)
+    assert len(probed) == 2
+    assert np.may_share_memory(probed[1], inst.u_star) and not np.array_equal(probed[0], inst.u_star)
+    assert check_error_estimate(op, reg, inst, inst.v_star, 0.2, cfg).holds
+    assert sum(np.may_share_memory(u, inst.u_star) for u in probed) == 1
+    # every draw fails its probe: no instance after max_attempts
+    probed[:], failing[:] = [], range(1, 100)
+    with pytest.raises(RuntimeError, match="after 4 attempts"):
+        construct_source_instance(op, reg, seed=3, max_attempts=4)
+    assert 1 <= len(probed) <= 4
+
+
 def test_tv_instance_requires_1d():
     reg = tv_aniso((3, 4))
     op = make_random_dense(14, 12, seed=2)
