@@ -81,8 +81,10 @@ class LinearForwardMap:
     two (:func:`_product`) and take vectors or (n, k) blocks without validation.
 
     Operators are immutable: ``_norm_cache`` memoizes
-    :func:`operator_norm_estimate` per ``(iters, seed)``, and ``_population``
-    holds the full-design map of :func:`varreg.operators.population_map`.
+    :func:`operator_norm_estimate` per ``(iters, seed)``, ``_population``
+    holds the full-design map of :func:`varreg.operators.population_map`, and
+    ``_sources`` the source instances :func:`varreg.risk.check_risk_theorem`
+    forms on a population map, with their certificates.
     """
 
     def __init__(self, matrix):
@@ -104,6 +106,7 @@ class LinearForwardMap:
         self._apply, self._adjoint = _product(a), _product(at)
         self._norm_cache: dict[tuple[int, int], float] = {}
         self._population: LinearForwardMap | None = None
+        self._sources: dict = {}
 
     def apply(self, u) -> np.ndarray:
         return self._apply(as_vector(u, self.in_dim, "model vector"))

@@ -320,6 +320,15 @@ def _distances_to_instance(reg, instance, sol):
     return dists[0] if u.ndim == 1 else np.array(dists)
 
 
+def _solution_at(op, v, alpha, reg, cfg, solution):
+    """The caller's ``solution``, which must be a vector one at ``alpha`` (else ValueError naming it; whether it
+    solves ``v`` would take a product and is not checked), or else a solve of ``v``."""
+    if solution is not None and (solution.u_alpha.shape != (op.in_dim,) or solution.alpha != alpha):
+        raise ValueError(f"solution has u_alpha of shape {solution.u_alpha.shape} at alpha {solution.alpha}, "
+                         f"expected shape ({op.in_dim},) at alpha {alpha}")
+    return solve_variational(op, v, alpha, reg, cfg) if solution is None else solution
+
+
 def _estimate_terms(op, reg, instance, data, alpha, config, solution):
     """Shared by the two source-condition estimates: the settings, the solution,
     its distance d_sym to the instance, ||v - v*||^2 and ||z*||^2."""
@@ -327,7 +336,7 @@ def _estimate_terms(op, reg, instance, data, alpha, config, solution):
     _check_alpha(alpha)
     v = as_vector(data, op.out_dim, "data")
     _check_instance(op, reg, instance)
-    sol = solution if solution is not None else solve_variational(op, v, alpha, reg, cfg)
+    sol = _solution_at(op, v, alpha, reg, cfg, solution)
     d_sym = _distances_to_instance(reg, instance, sol)
     return cfg, sol, d_sym, norm(v - instance.v_star) ** 2, instance.source_norm ** 2
 
@@ -335,7 +344,8 @@ def _estimate_terms(op, reg, instance, data, alpha, config, solution):
 def check_error_estimate(op: LinearForwardMap, reg: Regularizer, instance: SourceInstance,
                          data, alpha: float, config: SolverConfig | None = None,
                          solution=None) -> EstimateReport:
-    """0.5*||F(u_alpha - u*)||^2 + alpha*d_sym <= ||v - v*||^2 + alpha^2*||z*||^2."""
+    """0.5*||F(u_alpha - u*)||^2 + alpha*d_sym <= ||v - v*||^2 + alpha^2*||z*||^2.  A given ``solution``
+    must be a vector solved at ``alpha`` (else ValueError); that it solves ``data`` is not checked."""
     cfg, sol, d_sym, noise_sq, z_sq = _estimate_terms(op, reg, instance, data, alpha, config, solution)
     output_gap = norm(op.apply(sol.u_alpha) - instance.v_star) ** 2
     lhs = 0.5 * output_gap + alpha * d_sym
@@ -352,7 +362,8 @@ def check_error_estimate(op: LinearForwardMap, reg: Regularizer, instance: Sourc
 def check_effective_estimate(op: LinearForwardMap, reg: Regularizer, instance: SourceInstance,
                              data, alpha: float, config: SolverConfig | None = None,
                              solution=None) -> EstimateReport:
-    """d_sym(u_alpha, u*) <= ||v - v*||^2 / alpha + alpha * ||z*||^2."""
+    """d_sym(u_alpha, u*) <= ||v - v*||^2 / alpha + alpha * ||z*||^2; ``solution`` as in
+    :func:`check_error_estimate`."""
     cfg, sol, d_sym, noise_sq, z_sq = _estimate_terms(op, reg, instance, data, alpha, config, solution)
     rhs = noise_sq / alpha + alpha * z_sq
     return _report(d_sym, rhs, cfg.tol, {
@@ -373,6 +384,7 @@ def check_higher_order_estimate(op: LinearForwardMap, reg: Regularizer, u_star, 
     For quadratic J the first term is 0.5*alpha^2*||eta*||^2 exactly; for l1 it
     vanishes whenever supp(eta*) is inside supp(u*) and alpha stays below
     min_support |u*| / max |eta*| (the shift then preserves signs).
+    ``solution`` as in :func:`check_error_estimate`.
     """
     cfg = config or SolverConfig()
     _check_alpha(alpha)
@@ -382,7 +394,7 @@ def check_higher_order_estimate(op: LinearForwardMap, reg: Regularizer, u_star, 
     p_arr = op.adjoint(op.apply(eta_star))
     _check_membership(reg, u_star, p_arr, None, 1e-8, "F* F eta* at u*")
     p_star = Subgradient(p=p_arr)
-    sol = solution if solution is not None else solve_variational(op, v, alpha, reg, cfg)
+    sol = _solution_at(op, v, alpha, reg, cfg, solution)
     lhs = bregman_distance(reg, sol.u_alpha, u_star, p_star, check=False)
     shifted = u_star - alpha * eta_star
     first_term = bregman_distance(reg, shifted, u_star, p_star, check=False)

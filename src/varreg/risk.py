@@ -19,16 +19,17 @@ R - Rhat, which dominates it by sigma^2/2, so both sides stay certified.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from varreg.core import LinearForwardMap, _check_alpha, as_vector, norm
 from varreg.estimates import (EstimateReport, SourceInstance, _certify, _check_instance, _distances_to_instance,
-                              _headroom, _report)
+                              _headroom, _report, _solution_at)
 from varreg.operators import SampledDesign, make_sampled, population_map
 from varreg.regularizers import Regularizer, Subgradient
-from varreg.solvers import SolverConfig, solve_variational
+from varreg.solvers import SolverConfig
 
 __all__ = [
     "RiskPair",
@@ -147,7 +148,7 @@ def _empirical_terms(pair, reg, instance, alpha, cfg, solution):
     """Both certificates' left-hand side 0.25*||F_pop(u_a - u*)||^2 + alpha*d_sym at the empirical solution u_a,
     their six shared components and (R(u_a), Rhat(u_a)), from one residual pass rp = F_pop u_a - v_pop,
     re = Fe u_a - ve.  The caller has matched theta* and certified the instance on the population map."""
-    sol = solve_variational(pair.empirical_map, pair.v_emp, alpha, reg, cfg) if solution is None else solution
+    sol = _solution_at(pair.empirical_map, pair.v_emp, alpha, reg, cfg, solution)
     d_sym = _distances_to_instance(reg, instance, sol)
     rp = pair.population_map.apply(sol.u_alpha) - pair.v_pop
     re = pair.empirical_map.apply(sol.u_alpha) - pair.v_emp
@@ -174,7 +175,8 @@ def check_operator_error_estimate(pair: RiskPair, reg: Regularizer, instance: So
 
     With exact data (zero noise energy) the corollary
     d_sym <= alpha*||z*||^2 + G/(2*alpha) must hold as well, and the verdict
-    requires both.
+    requires both.  A given ``solution`` must be a vector solved at ``alpha``
+    (else ValueError); that it solves the pair's empirical data is not checked.
     """
     cfg = config or SolverConfig()
     _check_alpha(alpha)
@@ -191,6 +193,23 @@ def check_operator_error_estimate(pair: RiskPair, reg: Regularizer, instance: So
     return report
 
 
+_SOURCES_CAP = 32  # source instances kept per population map; sampled-radon cycles through 6
+
+
+def _population_instance(pair, theta_star, z_star):
+    """The instance (theta*, F_pop* z*, z*), formed once per content of (theta*, z*) with ``_certify``'s record:
+    the population map's ``_sources`` finds it by a crc32 of both, confirms it by value and keeps the newest
+    ``_SOURCES_CAP``."""
+    memo, key = pair.population_map._sources, zlib.crc32(z_star, zlib.crc32(theta_star))
+    inst = memo.get(key)
+    if inst is None or not (np.array_equal(inst.u_star, theta_star) and np.array_equal(inst.z_star, z_star)):
+        if len(memo) >= _SOURCES_CAP:
+            del memo[next(iter(memo))]
+        inst = memo[key] = SourceInstance(theta_star, Subgradient(pair.population_map.adjoint(z_star)), z_star,
+                                          pair.v_pop)
+    return inst
+
+
 def check_risk_theorem(pair: RiskPair, reg: Regularizer, theta_star, z_star,
                        alpha: float, config: SolverConfig | None = None,
                        solution=None) -> EstimateReport:
@@ -200,18 +219,19 @@ def check_risk_theorem(pair: RiskPair, reg: Regularizer, theta_star, z_star,
             <= (R(theta_a) - Rhat(theta_a)) + alpha^2*||z*||^2 + ||Fe theta* - ve||^2.
 
     p* = F_pop* z* is formed here, so the source condition is p* in dJ(theta*),
-    certified at 1e-8 before anything is solved.  R - Rhat equals half the
-    operator gap plus sigma^2/2, so this right-hand side dominates the
-    operator-gap bound and inherits its certificate; the term breakdown
-    records both gap conventions.
+    certified at 1e-8 before anything is solved, once per (theta*, z*) and
+    regularizer on the population map (``_population_instance``).  R - Rhat
+    equals half the operator gap plus sigma^2/2, so this right-hand side
+    dominates the operator-gap bound and inherits its certificate; the term
+    breakdown records both gap conventions.  ``solution`` as in
+    :func:`check_operator_error_estimate`.
     """
     cfg = config or SolverConfig()
     _check_alpha(alpha)
     theta_star = as_vector(theta_star, pair.population_map.in_dim, "theta_star")
     z_star = as_vector(z_star, pair.population_map.out_dim, "z_star")
     _match_theta_star(pair, theta_star)
-    instance = SourceInstance(u_star=theta_star, p_star=Subgradient(p=pair.population_map.adjoint(z_star)),
-                              z_star=z_star, v_star=pair.v_pop)
+    instance = _population_instance(pair, theta_star, z_star)
     _certify(reg, instance)
     lhs, components, (risk, risk_hat) = _empirical_terms(pair, reg, instance, alpha, cfg, solution)
     rhs = risk - risk_hat + components["alpha_sq_source_sq"] + components["noise_energy"]

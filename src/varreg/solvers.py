@@ -8,7 +8,7 @@ downstream error estimates consume exactly that pair (u_alpha, p_alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +66,8 @@ class RegularizedSolution:
     ``solve_columns`` gives one solution for k columns: (n, k) ``u_alpha`` and ``p_alpha.p``,
     an (edges, k) TV dual, and (k,) arrays of the scalars each column's vector solve gives.
     Immutable: it holds read-only copies of the arrays it is given, and the regularizers (by kind
-    and shape) its p_alpha in dJ(u_alpha) has passed ``estimates._certify``'s probe for.
+    and shape) its p_alpha in dJ(u_alpha) has passed ``estimates._certify``'s probe for.  A solver's exit
+    passes ``_owned=True``: the arrays it has just built, all but a block's alphas, are frozen uncopied.
     """
 
     u_alpha: np.ndarray
@@ -77,10 +78,18 @@ class RegularizedSolution:
     optimality_defect: float | np.ndarray  # ||F*(F u - v) + alpha*p||
     iterations: int | np.ndarray
     _certified: set = field(default_factory=set, init=False, compare=False, repr=False)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        _freeze(self, ("u_alpha", "p_alpha", "alpha", "data_residual", "J_value", "optimality_defect"))
-        _freeze(self, ("iterations",), int)
+    def __post_init__(self, _owned):
+        _freeze(self, ("alpha",))
+        if _owned:
+            for a in (self.u_alpha, self.p_alpha.p, self.p_alpha.dual, self.data_residual, self.J_value,
+                      self.optimality_defect, self.iterations):
+                if type(a) is np.ndarray:
+                    a.setflags(write=False)
+        else:
+            _freeze(self, ("u_alpha", "p_alpha", "data_residual", "J_value", "optimality_defect"))
+            _freeze(self, ("iterations",), int)
 
 
 def _check_finite(defect: float, solver: str) -> None:
@@ -122,9 +131,9 @@ def _certified(solver: str, target, u: np.ndarray, p: np.ndarray, alpha, residua
     residual = 0.5 * _column_dots(residual, residual)
     if u.ndim == 1:
         return RegularizedSolution(u, Subgradient(p, dual), alpha, float(residual), reg._value(u),
-                                   float(defect), int(iterations))
+                                   float(defect), int(iterations), _owned=True)
     J = np.array([reg._value(col) for col in u.T.copy()])  # column by column, rounding as a vector's J does
-    return RegularizedSolution(u, Subgradient(p, dual), alpha, residual, J, defect, iterations)
+    return RegularizedSolution(u, Subgradient(p, dual), alpha, residual, J, defect, iterations, _owned=True)
 
 
 def _cg(matvec, b: np.ndarray, x: np.ndarray, target: float, max_iters: int, name: str):

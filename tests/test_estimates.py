@@ -493,6 +493,42 @@ def test_regularized_solution_is_immutable():
     assert block.iterations.dtype.kind == "i"
 
 
+@pytest.mark.parametrize("alpha, solved_at", [(0.1, 0.3), (0.3, 0.1), (0.05, 1.0)])
+def test_estimates_reject_a_solution_not_at_alpha(alpha, solved_at):
+    # a solution at another alpha, or a block's, is not u_alpha: each estimate names it
+    op = make_random_dense(24, 16, seed=1)
+    inst = construct_source_instance(op, quadratic(), seed=0)
+    eta = substream(1, "eta").standard_normal(16)
+    u_star = op.adjoint(op.apply(eta))
+    v = inst.v_star + 0.01 * substream(2, "noise").standard_normal(24)
+    wrong = solve_variational(op, v, solved_at, quadratic())
+    block = solvers.solve_columns(op, np.repeat(v[:, None], 2, axis=1), np.array([alpha, alpha]), quadratic())
+    for bad in (wrong, block):
+        for check in (
+            lambda: check_error_estimate(op, quadratic(), inst, v, alpha, solution=bad),
+            lambda: check_effective_estimate(op, quadratic(), inst, v, alpha, solution=bad),
+            lambda: check_higher_order_estimate(op, quadratic(), u_star, eta, v, alpha, solution=bad),
+        ):
+            with pytest.raises(ValueError, match="^solution has u_alpha of shape"):
+                check()
+    right = solve_variational(op, v, alpha, quadratic())
+    assert check_error_estimate(op, quadratic(), inst, v, alpha, solution=right).holds
+
+
+def test_solver_exit_freezes_its_own_arrays_uncopied():
+    # the arrays a solver's exit has just built are set read-only as they are; a block's alphas are
+    # the caller's, so the solution holds a read-only copy and the caller's stay writable
+    u, p = np.arange(10.0), np.arange(10.0)
+    sol = solvers._certified("CG", 1.0, u, p, 0.1, np.ones(14), quadratic(), 0.0, 3)
+    assert sol.u_alpha is u and sol.p_alpha.p is p and not u.flags.writeable and not p.flags.writeable
+    op = make_random_dense(14, 10, seed=5)
+    alphas = np.array([0.1, 0.2])
+    block = solvers.solve_columns(op, np.repeat(op.apply(np.arange(10.0))[:, None], 2, axis=1), alphas, l1())
+    assert alphas.flags.writeable and not block.alpha.flags.writeable
+    alphas[0] = 0.5
+    assert block.alpha[0] == 0.1
+
+
 def test_higher_order_quadratic_matches_closed_form():
     rng = substream(6, "high")
     op = make_random_dense(12, 8, seed=13)

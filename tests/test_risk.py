@@ -25,6 +25,7 @@ from varreg import (
     operator_generalization_gap,
     population_risk,
     quadratic,
+    solve_columns,
     solve_variational,
     substream,
     symmetric_bregman,
@@ -244,6 +245,20 @@ def test_risk_theorem_dominates_operator_bound():
     assert b.rhs - a.rhs == pytest.approx(0.5 * pair.noise_sigma**2, abs=1e-12)
 
 
+def test_risk_certificates_reject_a_solution_not_at_alpha():
+    base = make_random_dense(30, 8, seed=13)
+    inst = construct_source_instance(risk.population_map(base), l1(), seed=7)
+    pair = _pair(base, inst.u_star, n=20, sigma=0.1, seed=5)
+    wrong = solve_variational(pair.empirical_map, pair.v_emp, 0.3, l1(), CFG)
+    block = solve_columns(pair.empirical_map, np.repeat(pair.v_emp[:, None], 2, axis=1), np.array([0.1, 0.1]),
+                          l1(), CFG)
+    for bad in (wrong, block):
+        with pytest.raises(ValueError, match="^solution has u_alpha of shape"):
+            check_operator_error_estimate(pair, l1(), inst, 0.1, CFG, solution=bad)
+        with pytest.raises(ValueError, match="^solution has u_alpha of shape"):
+            check_risk_theorem(pair, l1(), inst.u_star, inst.z_star, 0.1, CFG, solution=bad)
+
+
 def test_risk_theorem_rejects_invalid_source():
     base = make_random_dense(20, 6, seed=12)
     rng = substream(6, "gate")
@@ -278,13 +293,13 @@ def test_risk_theorem_certifies_source_once(monkeypatch, kind):
 
 @pytest.mark.parametrize("kind", ["quadratic", "l1"])
 def test_risk_theorem_makes_one_product_each_way_on_population_map(monkeypatch, kind):
-    # p* = F_pop* z* is formed once and F_pop u_a once; v* is the pair's v_pop
+    # the first call on (theta*, z*) forms p* = F_pop* z* once and F_pop u_a once; a repeat call
+    # finds p* on the population map and forms F_pop u_a only; v* is the pair's v_pop
     reg = quadratic() if kind == "quadratic" else l1()
     base = make_random_dense(30, 8, seed=13)
     inst = construct_source_instance(risk.population_map(base), reg, seed=7)
     pair = _pair(base, inst.u_star, n=20, sigma=0.1, seed=5)
     sol = solve_variational(pair.empirical_map, pair.v_emp, 0.1, reg, CFG)
-    solved = check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.1, CFG)
     calls = {"_apply": 0, "_adjoint": 0}
     for name in calls:
         real = getattr(pair.population_map, name)
@@ -294,9 +309,129 @@ def test_risk_theorem_makes_one_product_each_way_on_population_map(monkeypatch, 
             return real(x)
 
         monkeypatch.setattr(pair.population_map, name, counting)
-    report = check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.1, CFG, solution=sol)
+    solved = check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.1, CFG)
     assert calls == {"_apply": 1, "_adjoint": 1}
+    report = check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.1, CFG, solution=sol)
+    assert calls == {"_apply": 2, "_adjoint": 1}
     assert (report.lhs, report.rhs) == (solved.lhs, solved.rhs)
+
+
+def _probes(monkeypatch):
+    """A list that grows by (kind, u) for each membership probe."""
+    calls = []
+    real = regularizers.is_subgradient
+
+    def recording(reg, u, p, *args, **kwargs):
+        calls.append((reg.kind, np.array(u, dtype=float)))
+        return real(reg, u, p, *args, **kwargs)
+
+    monkeypatch.setattr(regularizers, "is_subgradient", recording)
+    return calls
+
+
+def _probed_at(calls, point):
+    return [kind for kind, u in calls if np.array_equal(u, point)]
+
+
+def test_risk_theorem_probes_each_source_once_over_fresh_designs(monkeypatch):
+    # sampled-radon's shape: 3 instances per kind, each certified on a fresh design again and again
+    base = make_radon(RadonGeometry.regular(8, 6, 7))
+    pop = risk.population_map(base)
+    cfg = SolverConfig(tol=1e-10)
+    regs = {"quadratic": quadratic(), "l1": l1()}
+    instances = {kind: [construct_source_instance(pop, reg, seed=j) for j in range(3)] for kind, reg in regs.items()}
+    calls = _probes(monkeypatch)
+    for k in range(24):
+        kind = ("quadratic", "l1")[k % 2]
+        inst, reg = instances[kind][(k // 2) % 3], regs[kind]
+        pair = _pair(base, inst.u_star, n=30, sigma=0.01 if kind == "l1" else 0.0, seed=k)
+        sol = solve_variational(pair.empirical_map, pair.v_emp, 0.05, reg, cfg)
+        before = len(calls)
+        assert check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.05, cfg, solution=sol).holds
+        assert _probed_at(calls[before:], sol.u_alpha) == [kind]  # p_tilde, and p* on first use only
+    for kind, insts in instances.items():
+        assert [_probed_at(calls, inst.u_star) for inst in insts] == [[kind]] * 3
+    assert len(calls) == 24 + 6
+    assert len(pop._sources) == 6
+
+
+def test_risk_theorem_probes_a_failing_source_on_every_call(monkeypatch):
+    base = make_random_dense(20, 6, seed=12)
+    theta = substream(6, "gate").standard_normal(6)
+    pair = build_risk_pair(base, theta, draw_design(20, 10, 0.0, seed=2))
+    bad_z = substream(7, "gate").standard_normal(20)
+    calls = _probes(monkeypatch)
+    for n in range(1, 4):
+        with pytest.raises(SubgradientError, match="^p\\* is not a subgradient"):
+            check_risk_theorem(pair, l1(), theta, bad_z, 0.1, CFG)
+        assert _probed_at(calls, theta) == ["l1"] * n
+
+
+def test_risk_theorem_probes_source_again_for_another_regularizer(monkeypatch):
+    base = make_random_dense(30, 8, seed=13)
+    inst = construct_source_instance(risk.population_map(base), l1(), seed=7)
+    pair = _pair(base, inst.u_star, n=20, sigma=0.1, seed=5)
+    sol = solve_variational(pair.empirical_map, pair.v_emp, 0.1, l1(), CFG)
+    calls = _probes(monkeypatch)
+    assert check_risk_theorem(pair, l1(), inst.u_star, inst.z_star, 0.1, CFG, solution=sol).holds
+    # an l1 source is no quadratic one: the same (theta*, z*) is probed for quadratic, and fails, each time
+    for _ in range(2):
+        with pytest.raises(SubgradientError, match="^p\\* is not a subgradient"):
+            check_risk_theorem(pair, quadratic(), inst.u_star, inst.z_star, 0.1, CFG)
+    assert check_risk_theorem(pair, l1(), inst.u_star, inst.z_star, 0.1, CFG, solution=sol).holds
+    assert _probed_at(calls, inst.u_star) == ["l1", "quadratic", "quadratic"]
+
+
+def test_risk_theorem_probes_source_again_after_caller_writes(monkeypatch):
+    # the memo keeps copies keyed by content: writing into the caller's theta*/z* is a new source
+    base = make_random_dense(30, 8, seed=13)
+    pop = risk.population_map(base)
+    inst = construct_source_instance(pop, quadratic(), seed=7)
+    theta, z = inst.u_star.copy(), inst.z_star.copy()
+    pair = _pair(base, theta, n=20, sigma=0.1, seed=5)
+    sol = solve_variational(pair.empirical_map, pair.v_emp, 0.1, quadratic(), CFG)
+    null = np.linalg.svd(pop.matrix)[0][:, -1]  # F_pop* null = 0, so z + null keeps p*
+    calls = _probes(monkeypatch)
+    first = check_risk_theorem(pair, quadratic(), theta, z, 0.1, CFG, solution=sol)
+    z += null
+    second = check_risk_theorem(pair, quadratic(), theta, z, 0.1, CFG, solution=sol)
+    theta[0] += 1e-13  # still theta* to _match_theta_star's 1e-12
+    check_risk_theorem(pair, quadratic(), theta, z, 0.1, CFG, solution=sol)
+    check_risk_theorem(pair, quadratic(), theta, z, 0.1, CFG, solution=sol)
+    assert len([u for _, u in calls if not np.array_equal(u, sol.u_alpha)]) == 3
+    assert second.components["alpha_sq_source_sq"] != first.components["alpha_sq_source_sq"]
+    assert len(pop._sources) == 3
+
+
+def test_risk_theorem_source_memo_stays_within_its_cap(monkeypatch):
+    base = make_random_dense(30, 8, seed=13)
+    pop = risk.population_map(base)
+    inst = construct_source_instance(pop, quadratic(), seed=7)
+    pair = _pair(base, inst.u_star, n=20, sigma=0.1, seed=5)
+    sol = solve_variational(pair.empirical_map, pair.v_emp, 0.1, quadratic(), CFG)
+    null = np.linalg.svd(pop.matrix)[0][:, -1]
+    zs = [inst.z_star + t * null for t in range(40)]
+    calls = _probes(monkeypatch)
+    for z in zs:
+        check_risk_theorem(pair, quadratic(), inst.u_star, z, 0.1, CFG, solution=sol)
+        assert len(pop._sources) <= risk._SOURCES_CAP == 32
+    assert len(_probed_at(calls, inst.u_star)) == 40
+    # the newest are kept, the oldest dropped
+    check_risk_theorem(pair, quadratic(), inst.u_star, zs[-1], 0.1, CFG, solution=sol)
+    assert len(_probed_at(calls, inst.u_star)) == 40
+    check_risk_theorem(pair, quadratic(), inst.u_star, zs[0], 0.1, CFG, solution=sol)
+    assert len(_probed_at(calls, inst.u_star)) == 41
+
+
+def test_population_map_of_a_fresh_operator_holds_no_sources():
+    # two setups of one workload build two operators, so their probe counts agree
+    geometry = RadonGeometry.regular(8, 6, 7)
+    used = make_radon(geometry)
+    inst = construct_source_instance(risk.population_map(used), quadratic(), seed=0)
+    pair = _pair(used, inst.u_star, n=30, sigma=0.0, seed=1)
+    assert check_risk_theorem(pair, quadratic(), inst.u_star, inst.z_star, 0.05, CFG).holds
+    assert len(risk.population_map(used)._sources) == 1
+    assert risk.population_map(make_radon(geometry))._sources == {}
 
 
 def _counted(monkeypatch, op):
