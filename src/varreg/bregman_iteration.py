@@ -19,16 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from varreg.core import LinearForwardMap, _check_count, _power_iteration, as_vector, norm
+from varreg.core import (LinearForwardMap, _check_count, accelerated_projected_gradient, as_vector, norm,
+                         operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient, bregman_distance
-from varreg.solvers import (
-    RegularizedSolution,
-    SolverConfig,
-    SolverError,
-    accelerated_projected_gradient,
-    solve_fista,
-    solve_variational,
-)
+from varreg.solvers import RegularizedSolution, SolverConfig, SolverError, solve_fista, solve_variational
 
 __all__ = [
     "BregmanStep",
@@ -143,9 +137,11 @@ def debias_two_step(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     """l1 debiasing: solve the l1 problem, then refit least squares on the
     recovered support under the recovered sign constraints.
 
-    The sign constraint keeps the refit inside the face of the l1 ball picked
-    out by p_alpha, so d_J^{p_alpha}(u_db, u_alpha) vanishes identically: every
-    term |x_i| - sign(u_alpha_i) * x_i is zero on the constraint set.
+    The refit is FISTA on the map restricted to the support's columns; an
+    empty support leaves nothing to refit.  The sign constraint keeps the
+    refit inside the face of the l1 ball picked out by p_alpha, so
+    d_J^{p_alpha}(u_db, u_alpha) vanishes identically: every term
+    |x_i| - sign(u_alpha_i) * x_i is zero on the constraint set.
     """
     cfg = config or SolverConfig()
     if reg.kind != "l1":
@@ -153,51 +149,18 @@ def debias_two_step(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     v = as_vector(data, op.out_dim, "data")
     sol = solve_fista(op, v, alpha, reg, cfg)
     support = sol.u_alpha != 0.0
-    if not np.any(support):
-        return DebiasResult(
-            u_debiased=np.zeros(op.in_dim),
-            step_one=sol,
-            support=support,
-            empty_support=True,
-            data_residual=0.5 * norm(v) ** 2,
-            bregman_to_step_one=0.0,
-            iterations=0,
-        )
-
-    signs = np.sign(sol.u_alpha[support])
-    idx = np.flatnonzero(support)
-    fwd, adj = op._apply, op._adjoint
-
-    def embed(x):
-        full = np.zeros(op.in_dim)
-        full[idx] = x
-        return full
-
-    def grad_fn(x):
-        return adj(fwd(embed(x)) - v)[idx]
-
-    def project(x):
-        return signs * np.maximum(signs * x, 0.0)
-
-    # Lipschitz constant of the restricted normal operator
-    sigma = _power_iteration(lambda x: fwd(embed(x)), lambda y: adj(y)[idx], idx.size, 100, cfg.seed)
-    lip = 1.02 * sigma ** 2 if sigma > 0.0 else 1.0
-
-    b_restricted = adj(v)[idx]
-    target = cfg.tol * (1.0 + norm(b_restricted))
-    x0 = sol.u_alpha[idx]
-    x_fit, mapping, iterations = accelerated_projected_gradient(
-        grad_fn, project, lip, x0, target, max_iters=cfg.max_iters
-    )
-    u_db = embed(x_fit)
-    residual = op.apply(u_db) - v
-    to_first = bregman_distance(reg, u_db, sol.u_alpha, sol.p_alpha, check=False)
-    return DebiasResult(
-        u_debiased=u_db,
-        step_one=sol,
-        support=support,
-        empty_support=False,
-        data_residual=0.5 * float(np.dot(residual, residual)),
-        bregman_to_step_one=to_first,
-        iterations=iterations,
-    )
+    u_db, iterations = np.zeros(op.in_dim), 0
+    if support.any():
+        sub = LinearForwardMap(op.matrix[:, support])
+        signs = np.sign(sol.u_alpha[support])
+        sigma = operator_norm_estimate(sub, iters=100, seed=cfg.seed)
+        # the gradient of 0.5*||F_S x - v||^2, and the projection onto the recovered signs
+        u_db[support], _, iterations = accelerated_projected_gradient(
+            lambda x: sub._adjoint(sub._apply(x) - v), lambda x: signs * np.maximum(signs * x, 0.0),
+            1.02 * sigma ** 2 if sigma > 0.0 else 1.0, sol.u_alpha[support],
+            cfg.tol * (1.0 + norm(sub._adjoint(v))), max_iters=cfg.max_iters)
+    residual = op._apply(u_db) - v
+    return DebiasResult(u_debiased=u_db, step_one=sol, support=support, empty_support=not support.any(),
+                        data_residual=0.5 * float(np.dot(residual, residual)),
+                        bregman_to_step_one=bregman_distance(reg, u_db, sol.u_alpha, sol.p_alpha, check=False),
+                        iterations=iterations)

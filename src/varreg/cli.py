@@ -259,8 +259,16 @@ def _source_instance(op, reg, seed: int):
     return construct_source_instance(op, reg, seed)
 
 
+def _sigma(sec, rows: int) -> float:
+    """``[section] sigma``, rejected unless the noise it scales on ``rows`` rows has a finite energy rows*sigma^2."""
+    sigma = _bounded(sec, "sigma")
+    if not rows * sigma * sigma < np.inf:
+        raise ConfigError(f"[{sec.name}] sigma must keep {rows}*sigma^2 finite, got {sigma!r}")
+    return sigma
+
+
 def _noise(sec, seed: int, size: int) -> np.ndarray:
-    return _bounded(sec, "sigma") * substream(seed, "noise").standard_normal(size)
+    return _sigma(sec, size) * substream(seed, "noise").standard_normal(size)
 
 
 def _cmd_solve(conf, seed, out_dir):
@@ -364,7 +372,7 @@ def _cmd_bias_variance(conf, seed, out_dir):
     alphas = np.geomspace(_bounded(sec, "alpha_min", strict=True),
                           _bounded(sec, "alpha_max", strict=True), n_alphas)
     instance = _source_instance(op, reg, seed)
-    result = bias_variance_study(op, reg, instance, _bounded(sec, "sigma"), alphas,
+    result = bias_variance_study(op, reg, instance, _sigma(sec, op.out_dim), alphas,
                                  replicates, seed=seed, config=cfg)
     all_hold = all(r.holds for r in result.rows)
     print(f"bias-variance: argmin_alpha={_fmt(result.argmin_alpha)} "
@@ -382,7 +390,8 @@ def _pair_study(conf, seed, section: str, checker):
     drawn source instances, each with its own sampled design."""
     op, reg, cfg = _problem(conf, seed)
     sec = conf[section]
-    n_instances = _bounded(sec, "instances", 1)
+    n_instances, n_samples = _bounded(sec, "instances", 1), _bounded(sec, "n_samples", 1)
+    sigma = _sigma(sec, n_samples)
     alpha = _bounded(conf["solve"], "alpha", strict=True)
     # source certificates must live on the quadrature-weighted population map,
     # not on the raw base operator
@@ -390,8 +399,7 @@ def _pair_study(conf, seed, section: str, checker):
     rows = []
     for i in range(n_instances):
         instance = _source_instance(population, reg, _derived_seed(seed, "instance", i))
-        design = draw_design(op.out_dim, _bounded(sec, "n_samples", 1), _bounded(sec, "sigma"),
-                             _derived_seed(seed, "design", i))
+        design = draw_design(op.out_dim, n_samples, sigma, _derived_seed(seed, "design", i))
         pair = build_risk_pair(op, instance.u_star, design)
         report = checker(pair, reg, instance, alpha, cfg)
         rows.append((i, report.lhs, report.rhs, report.slack, report.holds))

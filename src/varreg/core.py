@@ -52,6 +52,12 @@ def _check_count(n, least: int, name: str) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
 
 
+def _check_noise_sigma(sigma: float, rows: int) -> None:
+    """Reject a noise level unless it is >= 0 and the energy rows*sigma^2 of noise on ``rows`` rows is finite."""
+    if not (0.0 <= sigma and rows * float(sigma) * float(sigma) < math.inf):
+        raise ValueError(f"noise_sigma must be finite and nonnegative with {rows}*noise_sigma^2 finite, got {sigma!r}")
+
+
 def _check_alpha(alpha: float) -> None:
     """Reject a regularization parameter that is not a finite positive number."""
     if not 0.0 < alpha < np.inf:
@@ -74,11 +80,13 @@ def norm(a) -> float:
 class LinearForwardMap:
     """A linear operator stored as its matrix, together with its adjoint.
 
-    ``matrix`` is a non-empty, finite dense array or scipy.sparse matrix; it
-    is marked read-only, a sparse one stored as CSR.  The adjoint is stored
-    beside it: ``matrix.T`` for a dense array, the CSR transpose for a sparse
-    one.  The raw kernels ``_apply``/``_adjoint`` are the products with these
-    two (:func:`_product`) and take vectors or (n, k) blocks without validation.
+    ``matrix`` is a non-empty, finite dense array or scipy.sparse matrix
+    whose squared entries have a finite sum, so that no product with F*F
+    overflows; it is marked read-only, a sparse one stored as CSR.  The
+    adjoint is stored beside it: ``matrix.T`` for a dense array, the CSR
+    transpose for a sparse one.  The raw kernels ``_apply``/``_adjoint`` are
+    the products with these two (:func:`_product`) and take vectors or (n, k)
+    blocks without validation.
 
     Operators are immutable: ``_norm_cache`` memoizes
     :func:`operator_norm_estimate` per ``(iters, seed)``, ``_population``
@@ -93,8 +101,10 @@ class LinearForwardMap:
         # a sparse matrix's size is its nnz, so emptiness is read off the shape
         if a.ndim != 2 or 0 in a.shape:
             raise ValueError("matrix must be 2-d and non-empty")
-        if not np.all(np.isfinite(a.data if sparse else a)):
-            raise ValueError("matrix contains non-finite entries")
+        with np.errstate(over="ignore"):  # a sum of squares that overflows is refused, not warned on
+            squares = float(np.dot(entries := (a.data if sparse else a).ravel(), entries))
+        if not math.isfinite(squares):
+            raise ValueError("matrix contains non-finite entries, or the sum of their squares overflows")
         if sparse:
             a = _read_only_csr(a)
             at = _read_only_csr(a.T.tocsr())

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from varreg.core import (LinearForwardMap, _check_alpha, _check_count, _freeze, as_vector, norm,
+from varreg.core import (LinearForwardMap, _check_alpha, _check_count, _check_noise_sigma, _freeze, as_vector, norm,
                          operator_norm_estimate, substream)
 from varreg.regularizers import (
     Regularizer,
@@ -503,8 +503,7 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     """
     cfg = config or SolverConfig()
     _check_count(replicates, 2, "replicates")  # for a standard error
-    if not 0.0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
+    _check_noise_sigma(noise_sigma, op.out_dim)
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or not alphas.size:
         raise ValueError(f"the alpha grid must be 1-d and non-empty, got shape {alphas.shape}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from varreg.core import LinearForwardMap, _check_count, as_vector
+from varreg.core import LinearForwardMap, _check_count, _check_noise_sigma, as_vector
 
 __all__ = [
     "RadonGeometry",
@@ -204,6 +204,7 @@ class SampledDesign:
             raise ValueError("weights must be nonnegative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
+        _check_noise_sigma(self.noise_sigma, self.size)
 
     @property
     def size(self) -> int:
@@ -213,8 +214,7 @@ class SampledDesign:
 def draw_design(base_out_dim: int, n_samples: int, noise_sigma: float, seed: int) -> SampledDesign:
     """Draw i.i.d. uniform row indices and Gaussian noise, deterministically."""
     _check_count(n_samples, 1, "n_samples")
-    if not 0.0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
+    _check_noise_sigma(noise_sigma, n_samples)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     rows = rng.integers(0, base_out_dim, size=n_samples)
     noise = noise_sigma * rng.standard_normal(n_samples)

@@ -8,7 +8,7 @@ downstream error estimates consume exactly that pair (u_alpha, p_alpha).
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -65,9 +65,9 @@ class RegularizedSolution:
 
     ``solve_columns`` gives one solution for k columns: (n, k) ``u_alpha`` and ``p_alpha.p``,
     an (edges, k) TV dual, and (k,) arrays of the scalars each column's vector solve gives.
-    Immutable: it holds read-only copies of the arrays it is given, and the regularizers (by kind
-    and shape) its p_alpha in dJ(u_alpha) has passed ``estimates._certify``'s probe for.  A solver's exit
-    passes ``_owned=True``: the arrays it has just built, all but a block's alphas, are frozen uncopied.
+    Immutable: it holds read-only copies of the arrays it is given, a solver's exit building it as any
+    caller does, and the regularizers (by kind and shape) its p_alpha in dJ(u_alpha) has passed
+    ``estimates._certify``'s probe for.
     """
 
     u_alpha: np.ndarray
@@ -78,18 +78,10 @@ class RegularizedSolution:
     optimality_defect: float | np.ndarray  # ||F*(F u - v) + alpha*p||
     iterations: int | np.ndarray
     _certified: set = field(default_factory=set, init=False, compare=False, repr=False)
-    _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
-        _freeze(self, ("alpha",))
-        if _owned:
-            for a in (self.u_alpha, self.p_alpha.p, self.p_alpha.dual, self.data_residual, self.J_value,
-                      self.optimality_defect, self.iterations):
-                if type(a) is np.ndarray:
-                    a.setflags(write=False)
-        else:
-            _freeze(self, ("u_alpha", "p_alpha", "data_residual", "J_value", "optimality_defect"))
-            _freeze(self, ("iterations",), int)
+    def __post_init__(self):
+        _freeze(self, ("u_alpha", "p_alpha", "alpha", "data_residual", "J_value", "optimality_defect"))
+        _freeze(self, ("iterations",), int)
 
 
 def _check_finite(defect: float, solver: str) -> None:
@@ -108,12 +100,16 @@ def _solve(core, op: LinearForwardMap, data, alpha: float, reg, config: SolverCo
 
 
 def _rhs(op: LinearForwardMap, v: np.ndarray, tol: float):
-    """F*v and the defect target tol*(1 + ||F*v||), a block's column by column as its vector solves round them."""
-    if v.ndim == 1:
-        b = op._adjoint(v)
-        return b, tol * (1.0 + norm(b))
-    bs = [op._adjoint(col) for col in v.T.copy()]
-    return np.column_stack(bs), tol * (1.0 + np.array([norm(b) for b in bs]))
+    """F*v and the defect target tol*(1 + ||F*v||), a block's column by column as its vector solves round them.
+    Data whose target is not finite (||F*v|| overflows) is as unusable as non-finite data, since any defect
+    would meet it: ValueError naming it, and a block's column."""
+    with np.errstate(over="ignore"):  # an overflowing ||F*v|| is refused below, not warned on
+        bs = [op._adjoint(col) for col in (v.T.copy() if v.ndim == 2 else [v])]
+        target = tol * (1.0 + np.array([norm(b) for b in bs]))
+    if not np.isfinite(target).all():
+        column = f" column {np.flatnonzero(~np.isfinite(target))[0]}" if v.ndim == 2 else ""
+        raise ValueError(f"data{column} is too large: its defect target tol*(1 + ||F*v||) is not finite")
+    return (bs[0], float(target[0])) if v.ndim == 1 else (np.column_stack(bs), target)
 
 
 def _certified(solver: str, target, u: np.ndarray, p: np.ndarray, alpha, residual: np.ndarray,
@@ -131,16 +127,19 @@ def _certified(solver: str, target, u: np.ndarray, p: np.ndarray, alpha, residua
     residual = 0.5 * _column_dots(residual, residual)
     if u.ndim == 1:
         return RegularizedSolution(u, Subgradient(p, dual), alpha, float(residual), reg._value(u),
-                                   float(defect), int(iterations), _owned=True)
+                                   float(defect), int(iterations))
     J = np.array([reg._value(col) for col in u.T.copy()])  # column by column, rounding as a vector's J does
-    return RegularizedSolution(u, Subgradient(p, dual), alpha, residual, J, defect, iterations, _owned=True)
+    return RegularizedSolution(u, Subgradient(p, dual), alpha, residual, J, defect, iterations)
 
 
 def _cg(matvec, b: np.ndarray, x: np.ndarray, target: float, max_iters: int, name: str):
     """CG on matvec(x) = b from ``x`` (updated in place) to a residual of ``target``.
 
     Stops early after ``max_iters`` steps or on nonpositive curvature, and
-    raises SolverError once the residual is not finite.  Returns
+    raises SolverError once the residual is not finite.  The true residual is
+    recomputed once the recursive one is within ``target``, or within
+    eps*||b||, below which the floats cannot follow it; one no smaller than
+    the last recomputed ends the run, ``target`` being out of reach.  Returns
     (x, residual, iterations).
     """
     r = b - matvec(x)
@@ -148,6 +147,7 @@ def _cg(matvec, b: np.ndarray, x: np.ndarray, target: float, max_iters: int, nam
     rs = float(np.dot(r, r))
     iterations = 0
     residual = np.sqrt(rs)
+    floor, refreshed = max(target, np.finfo(float).eps * math.sqrt(np.dot(b, b))), math.inf
     while not residual <= target:
         _check_finite(residual, name)
         if iterations >= max_iters:
@@ -163,10 +163,13 @@ def _cg(matvec, b: np.ndarray, x: np.ndarray, target: float, max_iters: int, nam
         d = r + (rs_new / rs) * d
         rs = rs_new
         iterations += 1
-        if np.sqrt(rs) <= target:
+        if np.sqrt(rs) <= floor:
             # guard against drift in the recursive residual
             r = b - matvec(x)
             rs = float(np.dot(r, r))
+            if rs >= refreshed:
+                return x, np.sqrt(rs), iterations
+            refreshed = rs
             d = r.copy()
         residual = np.sqrt(rs)
     return x, residual, iterations

@@ -10,6 +10,7 @@ from varreg import (
     identity_map,
     is_subgradient,
     l1,
+    make_convolution,
     make_dense,
     make_random_dense,
     quadratic,
@@ -18,6 +19,8 @@ from varreg import (
     tv_aniso,
 )
 from varreg import bregman_iteration
+from varreg.core import _power_iteration, accelerated_projected_gradient, norm
+from varreg.regularizers import bregman_distance
 
 
 def test_scalar_recursion_closed_form():
@@ -212,6 +215,56 @@ def test_debias_empty_support():
     np.testing.assert_array_equal(res.u_debiased, np.zeros(3))
     assert res.data_residual == 0.0
     assert res.iterations == 0
+
+
+def _reference_debias(op, v, alpha, cfg):
+    """The refit as it was before it ran on the support's own columns: FISTA on the full map through an
+    embed/gather pair, its Lipschitz constant from a power iteration on the restricted normal operator.
+    Returns (u_debiased, support, empty_support, data_residual, bregman_to_step_one, iterations)."""
+    reg = l1()
+    sol = bregman_iteration.solve_fista(op, v, alpha, reg, cfg)
+    support = sol.u_alpha != 0.0
+    if not np.any(support):
+        return np.zeros(op.in_dim), support, True, 0.5 * norm(v) ** 2, 0.0, 0
+    signs = np.sign(sol.u_alpha[support])
+    idx = np.flatnonzero(support)
+    fwd, adj = op._apply, op._adjoint
+
+    def embed(x):
+        full = np.zeros(op.in_dim)
+        full[idx] = x
+        return full
+
+    sigma = _power_iteration(lambda x: fwd(embed(x)), lambda y: adj(y)[idx], idx.size, 100, cfg.seed)
+    x_fit, _, iterations = accelerated_projected_gradient(
+        lambda x: adj(fwd(embed(x)) - v)[idx], lambda x: signs * np.maximum(signs * x, 0.0),
+        1.02 * sigma ** 2 if sigma > 0.0 else 1.0, sol.u_alpha[idx], cfg.tol * (1.0 + norm(adj(v)[idx])),
+        max_iters=cfg.max_iters)
+    u_db = embed(x_fit)
+    residual = op.apply(u_db) - v
+    return (u_db, support, False, 0.5 * float(np.dot(residual, residual)),
+            bregman_distance(reg, u_db, sol.u_alpha, sol.p_alpha, check=False), iterations)
+
+
+def test_debias_matches_the_embed_gather_refit():
+    # the refit on the support's columns against the one it replaced, on dense and sparse maps;
+    # alpha = 5 empties every support
+    cfg, empty = SolverConfig(tol=1e-10), 0
+    for seed in range(5):
+        rng = substream(seed, "debias-reference")
+        for op in (make_random_dense(20, 12, seed=seed), make_convolution([0.25, 0.5, 0.25], 16)):
+            u_star = rng.standard_normal(op.in_dim) * (rng.random(op.in_dim) < 0.4)
+            v = op.apply(u_star) + 0.05 * rng.standard_normal(op.out_dim)
+            for alpha in (0.01, 0.1, 0.5, 5.0):
+                res = debias_two_step(op, v, alpha, l1(), cfg)
+                u_db, support, is_empty, residual, to_first, iterations = _reference_debias(op, v, alpha, cfg)
+                assert res.iterations == iterations and res.empty_support == is_empty
+                np.testing.assert_array_equal(res.support, support)
+                assert norm(res.u_debiased - u_db) <= 1e-14 * norm(u_db)
+                assert abs(res.data_residual - residual) <= 1e-14 * residual
+                assert abs(res.bregman_to_step_one - to_first) <= 1e-14 * (1.0 + norm(u_db))
+                empty += is_empty
+    assert 0 < empty < 40
 
 
 def test_debias_requires_l1():

@@ -9,7 +9,7 @@ import pytest
 
 import varreg
 from varreg import SubgradientError, is_subgradient, l1, load_image_csv
-from varreg.cli import COMMANDS, load_config, run
+from varreg.cli import COMMANDS, DEFAULTS, load_config, run
 from varreg.estimates import EstimateReport
 
 SOLVE_INI = """\
@@ -387,6 +387,39 @@ def test_radon_demo_artifacts(tmp_path):
     assert header == "key,value"
     assert rows[0][0] == "rel_error"
     assert float(rows[0][1]) < 1.0
+
+
+# the command that reads each section's keys, and the settings under which a key is read at all
+_READER = {"experiment": "solve", "operator": "solve", "regularizer": "solve", "solver": "solve", "solve": "solve",
+           "bregman": "bregman", "debias": "debias", "convergence": "convergence",
+           "bias_variance": "bias-variance", "operator_error": "operator-error", "risk_theorem": "risk-theorem",
+           "radon_demo": "radon-demo"}
+_READ_UNDER = {**{("operator", k): ["operator.kind=radon"] for k in ("grid_n", "n_angles", "n_offsets")},
+               **{("operator", k): ["operator.kind=convolution"] for k in ("kernel", "n")},
+               ("regularizer", "shape"): ["regularizer.kind=tv_aniso"]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_every_key_and_bad_value_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    # every DEFAULTS key at seven bad or edge values, each under a command that reads it ([solver] tol under
+    # radon-demo, whose CG cannot reach tol = 1e-300): exit 0, 1 or 2, an exit 2 naming its key or section,
+    # nothing raised and no RuntimeWarning (the suite turns one into an error)
+    monkeypatch.chdir(tmp_path)  # an [experiment] output of "abc" is made here
+    monkeypatch.setenv("VARREG_OUTDIR", str(tmp_path))
+    faults = []
+    for section, keys in DEFAULTS.items():
+        for key in keys:
+            command = "radon-demo" if (section, key) == ("solver", "tol") else _READER[section]
+            for value in ("0", "-1", "1e-300", "1e300", "abc", "", "2.5"):
+                settings = [f"{section}.{key}={value}", *_READ_UNDER.get((section, key), [])]
+                try:
+                    code = run([command, *(arg for s in settings for arg in ("--set", s))])
+                except Exception as err:  # any escape, a RuntimeWarning made an error included, breaks the contract
+                    code = repr(err)
+                err = capsys.readouterr().err
+                if code not in (0, 1, 2) or (code == 2 and section not in err and key not in err):
+                    faults.append((command, section, key, value, code, err))
+    assert not faults
 
 
 def test_load_config_defaults_complete():

@@ -82,6 +82,13 @@ def test_forward_map_takes_any_finite_matrix():
             LinearForwardMap(matrix)
 
 
+def test_forward_map_refuses_entries_whose_squares_overflow():
+    # entries of 1e300 are finite, but F*F is not: no solver could take a step on them
+    big = np.full((3, 2), 1e300)
+    for matrix in (big, sp.csr_matrix(big)):
+        with pytest.raises(ValueError, match="sum of their squares overflows"):
+            LinearForwardMap(matrix)
+
 def test_identity_map_roundtrip():
     op = identity_map(4)
     x = np.array([1.0, -2.0, 0.5, 3.0])

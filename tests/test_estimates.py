@@ -515,12 +515,13 @@ def test_estimates_reject_a_solution_not_at_alpha(alpha, solved_at):
     assert check_error_estimate(op, quadratic(), inst, v, alpha, solution=right).holds
 
 
-def test_solver_exit_freezes_its_own_arrays_uncopied():
-    # the arrays a solver's exit has just built are set read-only as they are; a block's alphas are
-    # the caller's, so the solution holds a read-only copy and the caller's stay writable
+def test_solver_exit_freezes_copies_of_its_arrays():
+    # a solver's exit builds its solution as any caller does: the solution holds read-only copies,
+    # a block's alphas included, and the arrays it was given stay writable
     u, p = np.arange(10.0), np.arange(10.0)
     sol = solvers._certified("CG", 1.0, u, p, 0.1, np.ones(14), quadratic(), 0.0, 3)
-    assert sol.u_alpha is u and sol.p_alpha.p is p and not u.flags.writeable and not p.flags.writeable
+    assert sol.u_alpha is not u and not sol.u_alpha.flags.writeable and u.flags.writeable
+    assert sol.p_alpha.p is not p and not sol.p_alpha.p.flags.writeable and p.flags.writeable
     op = make_random_dense(14, 10, seed=5)
     alphas = np.array([0.1, 0.2])
     block = solvers.solve_columns(op, np.repeat(op.apply(np.arange(10.0))[:, None], 2, axis=1), alphas, l1())
@@ -783,6 +784,12 @@ def test_bias_variance_study_checks_its_inputs_before_solving(monkeypatch, sigma
         bias_variance_study(op, quadratic(), inst, sigma, alphas, 2)
     assert solved == []
 
+
+def test_bias_variance_study_refuses_a_noise_energy_that_overflows(monkeypatch):
+    solved, op, inst = _no_solves(monkeypatch)
+    with pytest.raises(ValueError, match="noise_sigma"):
+        bias_variance_study(op, quadratic(), inst, 1e300, [0.1, 0.2], 2)
+    assert solved == []
 
 @pytest.mark.parametrize("alphas", BAD_GRIDS.values(), ids=list(BAD_GRIDS))
 def test_convergence_study_checks_its_alphas_before_solving(monkeypatch, alphas):

@@ -451,6 +451,15 @@ def test_draw_design_validation():
     np.testing.assert_array_equal(design.sample_rows, draw_design(10, 3, 0.1, seed=0).sample_rows)
 
 
+def test_noise_sigma_whose_energy_overflows_is_refused():
+    # n*sigma^2, the expected energy of the noise on n rows, must be finite, so that sigma^2 is
+    design = draw_design(10, 4, noise_sigma=0.1, seed=0)
+    for sigma in (1e300, 1e154):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+            draw_design(10, 4, noise_sigma=sigma, seed=0)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and nonnegative"):
+            operators.SampledDesign(design.sample_rows, design.weights, design.noise, noise_sigma=sigma)
+
 def test_image_csv_roundtrip(tmp_path):
     rng = substream(5, "img")
     img = rng.standard_normal((9, 9))

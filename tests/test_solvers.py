@@ -41,6 +41,29 @@ def perturbed_start(dim: int, seed: int, scale: float = 0.1) -> np.ndarray:
     return scale * substream(seed, "init").standard_normal(dim)
 
 
+@pytest.mark.parametrize("reg", [quadratic(), l1(), tv_aniso(16)], ids=["cg", "fista", "primal-dual"])
+def test_data_whose_target_overflows_is_refused(reg):
+    # ||F*v|| overflows for finite data at 1e300, so the target tol*(1 + ||F*v||) would accept any defect, inf
+    # included; every solver refuses it before iterating, a block naming its column, and without a warning
+    op, big = make_random_dense(24, 16), np.full(24, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="data is too large"):
+            solve_variational(op, big, 0.5, reg)
+        with pytest.raises(ValueError, match="data column 1 is too large"):
+            solve_columns(op, np.column_stack([np.ones(24), big]), [0.5, 0.5], reg)
+
+
+def test_cg_ends_an_unreachable_target_at_its_true_residual():
+    # the recursive residual of CG falls far below roundoff and then drifts; a target of 1e-300 ends the run
+    # with SolverError at the recomputed residual, not at a drifted one, and without a warning
+    op = make_random_dense(24, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="CG stalled") as err:
+            solve_tikhonov_exact(op, op.apply(np.ones(16)), 0.1, SolverConfig(tol=1e-300))
+    assert 1e-20 < err.value.defect < 1e-12
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
