@@ -54,7 +54,7 @@ DEFAULTS = {
         "n": "32",
     },
     "regularizer": {"kind": "l1", "shape": ""},
-    "solver": {"tol": "1e-8", "max_iters": "50000", "step_safety": "0.9"},
+    "solver": {"tol": "1e-8", "max_iters": "50000"},
     "solve": {"alpha": "0.5", "sigma": "0.05", "data": ""},
     "bregman": {
         "alpha": "1.0",
@@ -127,17 +127,15 @@ def _finite_or_text(token: str) -> bool:
         return True
 
 
-def _bounded(sec, key: str, low=0.0, strict: bool = False, high=None):
-    """``[section] key`` as the type of ``low``, rejected unless >= ``low`` (> if
-    ``strict``) and, when ``high`` is given, <= ``high``."""
+def _bounded(sec, key: str, low=0.0, strict: bool = False):
+    """``[section] key`` as the type of ``low``, rejected unless >= ``low`` (> if ``strict``)."""
     try:
         value = sec.getint(key) if isinstance(low, int) else sec.getfloat(key)
     except ValueError:
         kind = "an integer" if isinstance(low, int) else "a number"
         raise ConfigError(f"[{sec.name}] {key} must be {kind}, got {sec.get(key)!r}") from None
-    if not (value > low if strict else value >= low) or (high is not None and value > high):
-        need = f"{'>' if strict else '>='} {low}" + ("" if high is None else f" and <= {high}")
-        raise ConfigError(f"[{sec.name}] {key} must be {need}, got {value!r}")
+    if not (value > low if strict else value >= low):
+        raise ConfigError(f"[{sec.name}] {key} must be {'>' if strict else '>='} {low}, got {value!r}")
     return value
 
 
@@ -204,7 +202,6 @@ def solver_config(conf, seed: int) -> SolverConfig:
     return SolverConfig(
         max_iters=_bounded(sec, "max_iters", 1),
         tol=_bounded(sec, "tol", strict=True),
-        step_safety=_bounded(sec, "step_safety", strict=True, high=1.0),
         seed=seed,
     )
 
@@ -329,7 +326,8 @@ def _cmd_debias(conf, seed, out_dir):
     result = debias_two_step(op, v, alpha, reg, cfg)
     res_l1 = norm(op.apply(result.step_one.u_alpha) - v)
     res_db = norm(op.apply(result.u_debiased) - v)
-    ok = result.bregman_to_step_one <= 1e-8 and res_db <= res_l1 + 1e-10
+    J_sum = result.step_one.J_value + reg.value(result.u_debiased)  # roundoff allowances scale with their terms
+    ok = result.bregman_to_step_one <= 1e-8 * (1.0 + J_sum) and res_db <= res_l1 + 1e-10 * (1.0 + res_l1)
     print(f"debias: support={int(result.support.sum())} residual {_fmt(res_l1)} -> {_fmt(res_db)} "
           f"bregman_to_step_one={_fmt(result.bregman_to_step_one)} [{'ok' if ok else 'FAIL'}]")
     rows = [
@@ -371,9 +369,13 @@ def _cmd_bias_variance(conf, seed, out_dir):
     replicates = _bounded(sec, "replicates", 2)  # for a standard error
     alphas = np.geomspace(_bounded(sec, "alpha_min", strict=True),
                           _bounded(sec, "alpha_max", strict=True), n_alphas)
-    instance = _source_instance(op, reg, seed)
-    result = bias_variance_study(op, reg, instance, _sigma(sec, op.out_dim), alphas,
-                                 replicates, seed=seed, config=cfg)
+    instance, sigma = _source_instance(op, reg, seed), _sigma(sec, op.out_dim)
+    try:
+        result = bias_variance_study(op, reg, instance, sigma, alphas, replicates, seed=seed, config=cfg)
+    except SubgradientError:  # a ValueError, but a failed certificate
+        raise
+    except ValueError as err:  # the other arguments are checked: a sigma whose bound or noise energy overflows
+        raise ConfigError(f"[bias_variance] sigma: {err}") from None
     all_hold = all(r.holds for r in result.rows)
     print(f"bias-variance: argmin_alpha={_fmt(result.argmin_alpha)} "
           f"noise_energy mean={_fmt(result.noise_energy_mean)} "

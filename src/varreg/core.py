@@ -80,9 +80,10 @@ def norm(a) -> float:
 class LinearForwardMap:
     """A linear operator stored as its matrix, together with its adjoint.
 
-    ``matrix`` is a non-empty, finite dense array or scipy.sparse matrix
-    whose squared entries have a finite sum, so that no product with F*F
-    overflows; it is marked read-only, a sparse one stored as CSR.  The
+    ``matrix`` is a non-empty, finite dense array or scipy.sparse matrix whose
+    squared entries have a sum with a finite square, ||F||_F^4, which bounds
+    ||F*F x||^2 for a unit x (every defect target squares such a product); it
+    is marked read-only, a sparse one stored as CSR.  The
     adjoint is stored beside it: ``matrix.T`` for a dense array, the CSR
     transpose for a sparse one.  The raw kernels ``_apply``/``_adjoint`` are
     the products with these two (:func:`_product`) and take vectors or (n, k)
@@ -103,8 +104,8 @@ class LinearForwardMap:
             raise ValueError("matrix must be 2-d and non-empty")
         with np.errstate(over="ignore"):  # a sum of squares that overflows is refused, not warned on
             squares = float(np.dot(entries := (a.data if sparse else a).ravel(), entries))
-        if not math.isfinite(squares):
-            raise ValueError("matrix contains non-finite entries, or the sum of their squares overflows")
+        if not math.isfinite(squares * squares):
+            raise ValueError("matrix contains non-finite entries, or the sum of their squares overflows when squared")
         if sparse:
             a = _read_only_csr(a)
             at = _read_only_csr(a.T.tocsr())

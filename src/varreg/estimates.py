@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from varreg.core import (LinearForwardMap, _check_alpha, _check_count, _check_noise_sigma, _freeze, as_vector, norm,
                          operator_norm_estimate, substream)
@@ -203,27 +202,16 @@ def _l1_instance(op, reg, rng):
     peak = float(np.max(np.abs(p_raw)))
     if peak < 1e-12:
         raise _RetryDraw
-    z1 = z_raw / peak
-    p1 = p_raw / peak
-    support = np.abs(p1) >= SATURATION_THRESHOLD
-    signs = np.sign(p1[support])
-    idx = np.flatnonzero(support)
-    # smallest correction pinning the dual to exactly +-1 on the support:
-    # rows of B are F e_i, so (F* z)_S = B z
-    basis = np.zeros((op.in_dim, idx.size))
-    basis[idx, np.arange(idx.size)] = 1.0
-    B = op._apply(basis).T
-    gram = B @ B.T
-    try:
-        corr = B.T @ scipy.linalg.solve(gram, signs - B @ z1, assume_a="pos")
-    except scipy.linalg.LinAlgError:
-        raise _RetryDraw
+    z1, p1 = z_raw / peak, p_raw / peak
+    idx = np.flatnonzero(np.abs(p1) >= SATURATION_THRESHOLD)
+    signs = np.sign(p1[idx])
+    # smallest correction pinning the dual to exactly +-1 on the support: the least-norm
+    # source element of the support's own columns F_S, as (F* corr)_S = F_S* corr
+    corr = solve_source_element(LinearForwardMap(op.matrix[:, idx]), signs - p1[idx], _TIGHT).z
     z_star = z1 + corr
     p_star = op.adjoint(z_star)
-    if np.max(np.abs(p_star[idx] - signs)) > 1e-9:
-        raise _RetryDraw
-    off = np.delete(p_star, idx)
-    if off.size and np.max(np.abs(off)) > 1.0 - OFF_SUPPORT_MARGIN:
+    off = np.delete(p_star, idx)  # the pin is exact on the support, strict off it
+    if np.max(np.abs(p_star[idx] - signs)) > 1e-9 or (off.size and np.max(np.abs(off)) > 1.0 - OFF_SUPPORT_MARGIN):
         raise _RetryDraw
     u_star = np.zeros(op.in_dim)
     u_star[idx] = signs * rng.uniform(0.5, 1.5, idx.size)
@@ -236,9 +224,9 @@ def _tv_instance(op, reg, rng):
     n = int(reg.shape)
     if op.in_dim != n:
         raise ValueError("operator and regularizer dimensions differ")
-    Dt = reg.Dt.toarray()
     w = op.adjoint(rng.standard_normal(op.out_dim))
-    q_free, *_ = np.linalg.lstsq(Dt, w, rcond=None)
+    # the least-squares edge dual of D^T q = w: range(D^T) is the mean-free signals, on which -cumsum inverts D^T
+    q_free = -np.cumsum(w - w.mean())[:-1]
     peak = float(np.max(np.abs(q_free)))
     if peak < 1e-12:
         raise _RetryDraw
@@ -246,24 +234,21 @@ def _tv_instance(op, reg, rng):
     target = w * (1.5 / peak)
     lip = 1.02 * reg.edge_map_norm() ** 2
     # the kernel starts from the box clip of its start point: two ufuncs, without np.clip's dispatch
-    q_hat, _, _ = accelerated_projected_gradient(lambda q: reg._d(Dt @ q - target),
+    q_hat, _, _ = accelerated_projected_gradient(lambda q: reg._d(reg._dt(q) - target),
                                                  lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
                                                  lip, q_free * (1.5 / peak), 1e-12, max_iters=100_000)
     active = np.abs(q_hat) >= SATURATION_THRESHOLD
     if not np.any(active):
         raise _RetryDraw
-    q_t = q_hat.copy()
-    q_t[active] = np.sign(q_hat[active])
-    p_target = Dt @ q_t
+    q_t = np.where(active, np.sign(q_hat), q_hat)
+    p_target = reg._dt(q_t)
     elem = solve_source_element(op, p_target, _TIGHT)
     if elem.defect > 1e-10 * (1.0 + norm(p_target)):
         raise _RetryDraw
-    z_star = elem.z
-    p_star = op.adjoint(z_star)
     jumps = np.zeros(n - 1)
     jumps[active] = np.sign(q_t[active]) * rng.uniform(0.5, 1.5, int(active.sum()))
     u_star = np.concatenate(([0.0], np.cumsum(jumps))) + rng.uniform(-0.5, 0.5)
-    return u_star, p_star, z_star, q_t
+    return u_star, op.adjoint(elem.z), elem.z, q_t
 
 
 _INSTANCE_BUILDERS = {"quadratic": _quadratic_instance, "l1": _l1_instance, "tv_aniso": _tv_instance}
@@ -496,8 +481,9 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     Common random numbers across the alpha grid: replicate r reuses one noise
     draw for every alpha, so the curve is smooth and the argmin is meaningful.
     The whole replicate x alpha grid is solved in one ``solve_columns`` call.
-    The certified bound uses the expected noise energy m*sigma^2.
-    ``argmin_alpha`` is the largest alpha whose mean lies within
+    The certified bound uses the expected noise energy m*sigma^2; a noise_sigma
+    leaving a bound or the mean noise energy not finite is a ValueError, before
+    any solve.  ``argmin_alpha`` is the largest alpha whose mean lies within
     10*tol*(1 + |min|) of the smallest mean: the most-regularized minimizer,
     so means that tie at roundoff cannot flip it.
     """
@@ -512,17 +498,21 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     z_sq = instance.source_norm ** 2
     noise = np.stack([noise_sigma * substream(seed, "noise", r).standard_normal(m)
                       for r in range(replicates)])
-    energies = np.array([norm(row) ** 2 for row in noise])
+    expected_energy = m * noise_sigma ** 2
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned on
+        energy_mean = float(np.mean(np.array([norm(row) for row in noise]) ** 2))
+        bounds = expected_energy / alphas + alphas * z_sq
+    if not np.isfinite([energy_mean, *bounds]).all():
+        raise ValueError(f"noise_sigma {noise_sigma!r} leaves the mean noise energy {energy_mean!r} or a bound "
+                         f"m*noise_sigma^2/alpha + alpha*||z*||^2 not finite")
     # one column per (replicate, alpha), replicate-major
     data = np.repeat(instance.v_star[:, None] + noise.T, alphas.size, axis=1)
     sol = solve_columns(op, data, np.tile(alphas, replicates), reg, cfg)
     dists = _distances_to_instance(reg, instance, sol).reshape(replicates, alphas.size)
-    expected_energy = m * noise_sigma ** 2
     rows = []
-    for a, alpha in enumerate(alphas):
+    for a, (alpha, bound) in enumerate(zip(alphas, bounds)):
         mean = float(np.mean(dists[:, a]))
         stderr = float(np.std(dists[:, a], ddof=1) / np.sqrt(replicates))
-        bound = expected_energy / alpha + alpha * z_sq
         rows.append(BiasVarianceRow(
             alpha=float(alpha),
             mean_bregman=mean,
@@ -535,7 +525,7 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     minimizers = alphas[means <= low + _headroom(cfg.tol, low)]
     return BiasVarianceResult(
         rows=rows,
-        noise_energy_mean=float(np.mean(energies)),
+        noise_energy_mean=energy_mean,
         noise_energy_expected=float(expected_energy),
         argmin_alpha=float(minimizers.max()),
     )

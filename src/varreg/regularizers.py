@@ -320,17 +320,18 @@ def bregman_distance(reg: Regularizer, u_tilde, u, p, *, membership_tol: float =
                      check: bool = True) -> float:
     """One-sided Bregman distance d_J^p(u_tilde, u) = J(u_tilde) - J(u) - <p, u_tilde - u>.
 
-    Requires p in the subdifferential of J at u; a negative value within p's slack
-    eps (``_slack``) and 1e-8 of roundoff is clamped to zero, anything below raises
-    since it indicates an invalid subgradient rather than floating point noise.
+    Requires p in the subdifferential of J at u; a negative value within p's slack eps (``_slack``), the roundoff
+    4*eps_mach*(|J(u_tilde)| + |J(u)| + |<p, u_tilde - u>|) of its terms and 1e-8 is clamped to zero, anything
+    below raises since it indicates an invalid subgradient rather than floating point noise.
     """
     u_tilde = as_vector(u_tilde, name="u_tilde")
     u = as_vector(u, u_tilde.size, "u")
     p, dual = _resolve(p)
     if check:
         _check_membership(reg, u, p, dual, membership_tol, "p")
-    j_u = reg.value(u)
-    return _clamp(reg.value(u_tilde) - j_u - inner(p, u_tilde - u), "Bregman distance", _slack(reg, j_u, u, p))
+    j_tilde, j_u, dot = reg.value(u_tilde), reg.value(u), inner(p, u_tilde - u)
+    slack = _slack(reg, j_u, u, p) + _PROBE_ROUNDOFF * (abs(j_tilde) + abs(j_u) + abs(dot))
+    return _clamp(j_tilde - j_u - dot, "Bregman distance", slack)
 
 
 def symmetric_bregman(reg: Regularizer, u_tilde, u, p_tilde, p, *, membership_tol: float = 1e-6,

@@ -31,6 +31,8 @@ __all__ = [
 
 # over-relaxation factor of the primal-dual step, in (0, 2); 1 is plain Chambolle-Pock
 _RELAX = 1.7
+# fraction of the theoretical step-size limit at which FISTA and primal-dual step
+_STEP_SAFETY = 0.9
 # iterations between the primal-dual solver's certificate checks
 _CHECK_EVERY = 25
 
@@ -47,7 +49,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     max_iters: int = 50_000
     tol: float = 1e-8           # relative: defect target is tol*(1 + ||F*v||)
-    step_safety: float = 0.9    # fraction of the theoretical step-size limit
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +56,6 @@ class SolverConfig:
         _check_count(self.seed, 0, "seed")
         if not np.isfinite(self.tol) or self.tol <= 0.0:
             raise ValueError("tol must be finite and positive")
-        if not 0.0 < self.step_safety <= 1.0:
-            raise ValueError("step_safety must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _fista(op, v, alpha, reg, cfg, x0) -> RegularizedSolution:
     target = _rhs(op, v, cfg.tol)[1]
     sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
     lip = max((1.01 * sigma) ** 2, 1e-30)
-    tau = cfg.step_safety / lip
+    tau = _STEP_SAFETY / lip
     thresh = tau * alpha  # a scalar, or one per column of a block
 
     def grad(x):
@@ -286,7 +285,7 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>,
     with both dual blocks stacked against K = [F; D], stored the way F is
     (dense or CSR).  The diagonal steps
-    tau_j = step_safety / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
+    tau_j = _STEP_SAFETY / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
     Chambolle, ICCV 2011) need no norm estimate; they are folded into the
     stored products sigma*K and 2*tau*K^T by scaling the rows of K and K^T,
     and the box clip of q is two in-place ufuncs.  On a CSR K they, like the
@@ -316,7 +315,7 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
     target = _rhs(op, v, cfg.tol)[1]
     k_mat = sp.vstack([op.matrix, reg.D]).tocsr() if sp.issparse(op.matrix) else np.vstack([op.matrix, reg.D.toarray()])
     abs_k = abs(k_mat)
-    tau = cfg.step_safety / np.asarray(abs_k.sum(axis=0)).ravel()
+    tau = _STEP_SAFETY / np.asarray(abs_k.sum(axis=0)).ravel()
     # rows of F that see no pixel (rays missing the grid) get any finite step
     sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
     k_sig, kt_tau2 = _product(_row_scaled(k_mat, sig)), _product(_row_scaled(k_mat.T, 2.0 * tau))

@@ -306,6 +306,14 @@ def test_debias_outputs(tmp_path):
     assert any(r[3] == "1" for r in rows)
 
 
+@pytest.mark.parametrize("sigma", ["1e77", "1e153"])
+def test_debias_verdict_allows_roundoff_relative_to_its_terms(tmp_path, capsys, sigma):
+    # at these noise levels J ~ sigma: the refit's Bregman distance to step one and its residual gain are
+    # roundoff of terms that large, which an absolute 1e-8 and 1e-10 (or the clamp's 1e-8) would fail
+    assert run(["debias", "--output", str(tmp_path), "--set", f"debias.sigma={sigma}"]) == 0
+    assert "[ok]" in capsys.readouterr().out
+
+
 def test_debias_requires_l1(tmp_path, capsys):
     conf = _write(tmp_path, "[regularizer]\nkind = quadratic\n")
     assert run(["debias", "--config", conf, "--output", str(tmp_path)]) == 2
@@ -401,7 +409,7 @@ _READ_UNDER = {**{("operator", k): ["operator.kind=radon"] for k in ("grid_n", "
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_key_and_bad_value_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):
-    # every DEFAULTS key at seven bad or edge values, each under a command that reads it ([solver] tol under
+    # every DEFAULTS key at nine bad or edge values, each under a command that reads it ([solver] tol under
     # radon-demo, whose CG cannot reach tol = 1e-300): exit 0, 1 or 2, an exit 2 naming its key or section,
     # nothing raised and no RuntimeWarning (the suite turns one into an error)
     monkeypatch.chdir(tmp_path)  # an [experiment] output of "abc" is made here
@@ -410,7 +418,7 @@ def test_every_key_and_bad_value_keeps_the_exit_code_contract(tmp_path, capsys, 
     for section, keys in DEFAULTS.items():
         for key in keys:
             command = "radon-demo" if (section, key) == ("solver", "tol") else _READER[section]
-            for value in ("0", "-1", "1e-300", "1e300", "abc", "", "2.5"):
+            for value in ("0", "-1", "1e-300", "1e300", "1e153", "1e-153", "abc", "", "2.5"):
                 settings = [f"{section}.{key}={value}", *_READ_UNDER.get((section, key), [])]
                 try:
                     code = run([command, *(arg for s in settings for arg in ("--set", s))])

@@ -1,9 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from varreg import (
+    RadonGeometry,
     SolverConfig,
     SubgradientError,
     bias_variance_study,
@@ -19,7 +22,9 @@ from varreg import (
     identity_map,
     is_subgradient,
     l1,
+    make_convolution,
     make_dense,
+    make_radon,
     make_random_dense,
     population_map,
     quadratic,
@@ -30,6 +35,7 @@ from varreg import (
     tv_aniso,
 )
 from varreg import cli, estimates, regularizers, solvers
+from varreg.core import accelerated_projected_gradient
 from varreg.estimates import OFF_SUPPORT_MARGIN, SourceInstance
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
@@ -121,6 +127,102 @@ def test_tv_instance_requires_1d():
     op = make_random_dense(14, 12, seed=2)
     with pytest.raises(ValueError, match="1-d"):
         construct_source_instance(op, reg, seed=0)
+
+
+# -- reference builders: the dense l1 pin and the least-squares TV fit ------------
+
+def _dense_l1_instance(op, reg, rng, singular):
+    """The l1 builder with the support pinned by a Cholesky solve on the dense support Gram B B^T (rows of B
+    are F e_i); a singular Gram is a retry, counted in ``singular``."""
+    z_raw = rng.standard_normal(op.out_dim)
+    p_raw = op.adjoint(z_raw)
+    peak = float(np.max(np.abs(p_raw)))
+    if peak < 1e-12:
+        raise estimates._RetryDraw
+    z1, p1 = z_raw / peak, p_raw / peak
+    idx = np.flatnonzero(np.abs(p1) >= estimates.SATURATION_THRESHOLD)
+    signs = np.sign(p1[idx])
+    basis = np.zeros((op.in_dim, idx.size))
+    basis[idx, np.arange(idx.size)] = 1.0
+    B = op._apply(basis).T
+    try:
+        with warnings.catch_warnings():  # an ill-conditioned Gram warns; its loose pin is retried below
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            corr = B.T @ scipy.linalg.solve(B @ B.T, signs - B @ z1, assume_a="pos")
+    except scipy.linalg.LinAlgError:
+        singular.append(idx)
+        raise estimates._RetryDraw
+    z_star = z1 + corr
+    p_star = op.adjoint(z_star)
+    off = np.delete(p_star, idx)
+    if np.max(np.abs(p_star[idx] - signs)) > 1e-9 or (off.size and np.max(np.abs(off)) > 1.0 - OFF_SUPPORT_MARGIN):
+        raise estimates._RetryDraw
+    u_star = np.zeros(op.in_dim)
+    u_star[idx] = signs * rng.uniform(0.5, 1.5, idx.size)
+    return u_star, p_star, z_star, None
+
+
+def _lstsq_tv_instance(op, reg, rng):
+    """The TV builder with its free edge dual an SVD least-squares fit on the dense D^T."""
+    Dt = reg.Dt.toarray()
+    w = op.adjoint(rng.standard_normal(op.out_dim))
+    q_free = np.linalg.lstsq(Dt, w, rcond=None)[0]
+    peak = float(np.max(np.abs(q_free)))
+    if peak < 1e-12:
+        raise estimates._RetryDraw
+    target = w * (1.5 / peak)
+    q_hat, _, _ = accelerated_projected_gradient(lambda q: reg.D @ (Dt @ q - target), lambda q: np.clip(q, -1.0, 1.0),
+                                                 1.02 * reg.edge_map_norm() ** 2, q_free * (1.5 / peak), 1e-12,
+                                                 max_iters=100_000)
+    active = np.abs(q_hat) >= estimates.SATURATION_THRESHOLD
+    if not np.any(active):
+        raise estimates._RetryDraw
+    q_t = np.where(active, np.sign(q_hat), q_hat)
+    elem = solve_source_element(op, Dt @ q_t)
+    if elem.defect > 1e-10 * (1.0 + np.linalg.norm(Dt @ q_t)):
+        raise estimates._RetryDraw
+    jumps = np.zeros(reg.shape - 1)
+    jumps[active] = np.sign(q_t[active]) * rng.uniform(0.5, 1.5, int(active.sum()))
+    u_star = np.concatenate(([0.0], np.cumsum(jumps))) + rng.uniform(-0.5, 0.5)
+    return u_star, op.adjoint(elem.z), elem.z, q_t
+
+
+def _built_with(monkeypatch, op, reg, seed, builder):
+    """construct_source_instance(op, reg, seed) through ``builder``, and the number of draws it took."""
+    draws = []
+    monkeypatch.setitem(estimates._INSTANCE_BUILDERS, reg.kind, lambda *args: draws.append(1) or builder(*args))
+    return construct_source_instance(op, reg, seed), len(draws)
+
+
+def _reference_cases():
+    for i in range(20):  # the certify-dense benchmark's shapes
+        n = 6 + i % 11
+        yield make_random_dense(n + 4 + i % 7, n, seed=900 + i), n, i
+    for kernel in ([0.25, 0.5, 0.25], [1.0, -1.0], [0.2, 0.6, 0.2]):  # singular circulants: the first at even n, the second
+        for n in (8, 13, 16):
+            yield make_convolution(kernel, n), n, n
+    population = population_map(make_radon(RadonGeometry.regular(8, 8, 8)))
+    yield from ((population, None, seed) for seed in range(3))  # l1 only: TV draws no instance on a radon map
+
+
+def test_instances_match_the_dense_reference_builders(monkeypatch):
+    # the least-norm pin on the support's own columns and the closed-form TV dual give the same u* (and v*)
+    # from the same draw as the dense Cholesky pin and the SVD least-squares fit, and z*, p* and the dual
+    # to roundoff; a support Gram that is singular (two parallel columns) is a retry for both
+    singular, builders = [], dict(estimates._INSTANCE_BUILDERS)
+    reference = {"l1": lambda op, reg, rng: _dense_l1_instance(op, reg, rng, singular), "tv_aniso": _lstsq_tv_instance}
+    parallel = make_dense([[1.0, -0.995, 0.0, 0.3], [0.0, 0.0, 1.0, 0.2]])
+    cases = [*_reference_cases(), *((parallel, None, seed) for seed in range(8))]
+    for op, n, seed in cases:
+        for reg in (l1(),) if n is None else (l1(), tv_aniso(n)):
+            new, new_draws = _built_with(monkeypatch, op, reg, seed, builders[reg.kind])
+            old, old_draws = _built_with(monkeypatch, op, reg, seed, reference[reg.kind])
+            assert new_draws == old_draws
+            np.testing.assert_array_equal(new.u_star, old.u_star)
+            np.testing.assert_array_equal(new.v_star, old.v_star)
+            for a, b in ((new.z_star, old.z_star), (new.p_star.p, old.p_star.p), (new.p_star.dual, old.p_star.dual)):
+                assert (a is None and b is None) or np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+    assert singular  # the parallel columns' draws did reach a singular Gram
 
 
 # -- source elements and the distance function --------------------------------
@@ -789,6 +891,16 @@ def test_bias_variance_study_refuses_a_noise_energy_that_overflows(monkeypatch):
     solved, op, inst = _no_solves(monkeypatch)
     with pytest.raises(ValueError, match="noise_sigma"):
         bias_variance_study(op, quadratic(), inst, 1e300, [0.1, 0.2], 2)
+    assert solved == []
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bias_variance_study_refuses_a_bound_that_overflows(monkeypatch):
+    # 8*sigma^2 = 8e306 is finite, but m*sigma^2/alpha at alpha = 0.01 is not: a bound of inf would certify anything
+    solved, op, inst = _no_solves(monkeypatch)
+    monkeypatch.setattr(estimates, "solve_columns", lambda *args, **kwargs: solved.append(args))
+    with pytest.raises(ValueError, match="noise_sigma 1e\\+153 .* not finite"):
+        bias_variance_study(op, quadratic(), inst, 1e153, [0.01, 0.2], 2)
     assert solved == []
 
 @pytest.mark.parametrize("alphas", BAD_GRIDS.values(), ids=list(BAD_GRIDS))

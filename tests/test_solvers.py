@@ -31,7 +31,7 @@ from varreg import (
 )
 from varreg.regularizers import Regularizer
 from varreg.estimates import solve_source_element
-from varreg.solvers import accelerated_projected_gradient
+from varreg.solvers import _STEP_SAFETY, accelerated_projected_gradient
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
 
@@ -75,8 +75,6 @@ def test_solver_config_validation():
     for tol in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
-    with pytest.raises(ValueError):
-        SolverConfig(step_safety=1.5)
 
 
 def test_tikhonov_matches_normal_equations():
@@ -329,7 +327,7 @@ def _diag_product_primal_dual(op, v, alpha, reg, cfg):
     else:
         k_mat = np.vstack([f_mat, d_mat.toarray()])
     abs_k = abs(k_mat)
-    tau = cfg.step_safety / np.asarray(abs_k.sum(axis=0)).ravel()
+    tau = _STEP_SAFETY / np.asarray(abs_k.sum(axis=0)).ravel()
     sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
     k_sig = sp.diags(sig) @ k_mat
     kt_tau2 = sp.diags(2.0 * tau) @ k_mat.T
