@@ -65,7 +65,8 @@ def bregman_iterate(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
                     discrepancy_factor: float = 1.1) -> BregmanTrace:
     """Run ``n_iters`` Bregman iterations (or fewer under the discrepancy rule).
 
-    Inner problems are solved at a tenth of the outer tolerance.  When
+    Inner problems are solved at a tenth of the outer tolerance, each after the
+    first started from the last one's solution (``u0``: u^k, and TV's duals).  When
     ``noise_level`` is given, iteration stops at the first k with
     ||F u^k - v|| <= discrepancy_factor * noise_level.  ``reference`` adds the
     Bregman distance d_J^{p^k}(reference, u^k) to each step record.
@@ -84,10 +85,10 @@ def bregman_iterate(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     v_shift = v.copy()
     s_rec = np.zeros(op.in_dim)  # alpha * p_rec, and the agreement test times alpha: nothing divides by alpha
     steps: list[BregmanStep] = []
-    stopped = False
+    stopped, sol = False, None
     for k in range(1, n_iters + 1):
-        try:
-            sol = solve_variational(op, v_shift, alpha, reg, inner_cfg)
+        try:  # warm-started from the last step's certified pair
+            sol = solve_variational(op, v_shift, alpha, reg, inner_cfg, u0=sol)
         except SolverError as err:
             raise SolverError(f"inner solve failed at Bregman step {k}: {err}", err.defect) from err
         u = sol.u_alpha

@@ -10,6 +10,7 @@ Euclidean one.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import zlib
 
@@ -140,18 +141,23 @@ def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def _product(m):
-    """A fresh ``m @ x`` for a vector or (n, k) block ``x``, bound once for hot loops: a dense ``m``'s ``__matmul__``,
-    or for a CSR ``m`` a direct call of the scipy kernel ``@`` ends in, on the same contiguous float operand (the
-    same bits, without ``@``'s dispatch).  The kernel reads ``x`` unchecked, so its length is checked here."""
+    """``m @ x`` for a vector or (n, k) block ``x``, bound once for hot loops, into a fresh array or into ``out=``, a
+    C-contiguous float buffer a loop makes once: ``np.dot`` for a dense ``m`` (``@``'s bits on a C- or F-contiguous
+    ``x``), or for a CSR ``m`` a direct call of the scipy kernel ``@`` ends in, on the same contiguous float operand
+    (the same bits, without ``@``'s dispatch).  The kernel reads ``x`` and writes ``out`` unchecked: both checked."""
     if not sp.issparse(m):
-        return m.__matmul__
+        return functools.partial(np.dot, m)
     (rows, cols), indptr, indices, data = m.shape, m.indptr, m.indices, m.data
 
-    def product(x):
+    def product(x, out=None):
         x = np.ascontiguousarray(x, dtype=float)
-        if len(x) != cols:
-            raise DimensionMismatchError(f"operand of length {len(x)} for a {rows}x{cols} matrix")
-        out = np.zeros((rows,) + x.shape[1:])
+        shape = (rows,) + x.shape[1:]
+        if len(x) != cols or out is not None and out.shape != shape:
+            raise DimensionMismatchError(f"operand of length {len(x)}, or out not {shape}, for a {rows}x{cols} matrix")
+        if out is None:
+            out = np.zeros(shape)
+        else:
+            out.fill(0.0)  # the kernel adds into its output
         if x.size == cols:  # a vector or a single column, which scipy's @ sends to csr_matvec
             csr_matvec(rows, cols, indptr, indices, data, x, out)
         else:

@@ -90,12 +90,17 @@ def _check_finite(defect: float, solver: str) -> None:
 
 
 def _solve(core, op: LinearForwardMap, data, alpha: float, reg, config: SolverConfig | None, u0):
-    """A vector solve: ``core`` on the validated data from a start point (zero or ``u0``)."""
+    """A vector solve: ``core`` on the validated data from zero, ``u0``, or a solution ``u0`` (u_alpha, and TV's q)."""
     cfg = config or SolverConfig()
     _check_alpha(alpha)
     v = as_vector(data, op.out_dim, "data")
+    start = {}
+    if isinstance(u0, RegularizedSolution):
+        if core is _primal_dual and u0.p_alpha.dual is not None:
+            start["q0"] = as_vector(u0.alpha * u0.p_alpha.dual, reg.D.shape[0], "dual start")
+        u0 = u0.u_alpha
     u = np.zeros(op.in_dim) if u0 is None else as_vector(u0, op.in_dim, "u0").copy()
-    return core(op, v, alpha, reg, cfg, u)
+    return core(op, v, alpha, reg, cfg, u, **start)
 
 
 def _rhs(op: LinearForwardMap, v: np.ndarray, tol: float):
@@ -298,16 +303,19 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     stops once the optimality defect of p = D^T q / alpha is within
     tol*(1 + ||F*v||) and the slack alpha*||Du||_1 - <q, Du> within
     0.5*tol*alpha*(1 + ||Du||_1): the slack is alpha*eps for p in d_eps J(u),
-    so ``is_subgradient``'s eps/(1 + J(u)) is within tol/2.
+    so ``is_subgradient``'s eps/(1 + J(u)) is within tol/2.  The two stored
+    products write into buffers made once per solve.  A solution ``u0`` starts
+    the duals too: q = alpha*p.dual, and y = F u0 - v, the optimum's y for u0.
     """
     if reg.kind != "tv_aniso":
         raise ValueError(f"solve_primal_dual requires tv_aniso, not {reg.kind!r}")
     return _solve(_primal_dual, op, data, alpha, reg, config, u0)
 
 
-def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
+def _primal_dual(op, v, alpha, reg, cfg, u, q0=None) -> RegularizedSolution:
     """The primal-dual iteration on one data vector ``v``, or on the columns of a
-    block ``v`` with one ``alpha`` per column: each column's certified pair is
+    block ``v`` with one ``alpha`` per column, from ``u`` and the dual zero, or
+    (F u - v, ``q0``) given an edge dual ``q0``: each column's certified pair is
     recorded at the first check that certifies it."""
     if reg.D.shape[1] != op.in_dim:
         raise ValueError("regularizer shape does not match operator")
@@ -322,24 +330,28 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
 
     m, cols = op.out_dim, v.shape[1:]  # cols: () for a vector, (k,) for a block
     column = (-1,) + (1,) * len(cols)  # a per-row scalar, broadcast over a block's columns
-    u_ext = np.empty_like(u)
     z = np.zeros((k_mat.shape[0],) + cols)
+    if q0 is not None:
+        z[:m], z[m:] = fwd(u) - v, q0
+    u_ext, d, w = np.empty_like(u), np.empty_like(u), np.empty_like(z)
+    y, q = w[:m], w[m:]  # views: the data dual and the edge dual
     sig_v = sig[:m].reshape(column) * v
     damp = (1.0 / (1.0 + sig[:m])).reshape(column)
+    # 0-d arrays (or a block's per-column rows), which the in-place ufuncs take without converting a float
+    hi, lo, half_relax, relax = (np.asarray(c, dtype=float) for c in (alpha, -alpha, 0.5 * _RELAX, _RELAX))
     live = np.ones(cols, dtype=bool)
     # each column's certified (u_hat, p, residual, q, defect, done, iterations), recorded as it stops
     out = [*map(np.empty_like, (u, u, v, z[m:])), np.empty(cols), np.zeros(cols, bool), np.zeros(cols, int)]
     for iterations in range(1, cfg.max_iters + 1):
         # u_hat = u - d/2 with d = 2*tau*K^T z; the dual step sees u_hat's
         # extrapolation 2*u_hat - u = u - d
-        d = kt_tau2(z)
-        w = k_sig(np.subtract(u, d, out=u_ext))
+        kt_tau2(z, out=d)
+        k_sig(np.subtract(u, d, out=u_ext), out=w)
         w += z
-        y, q = w[:m], w[m:]  # views: the data dual and the edge dual
         y -= sig_v
         y *= damp
-        np.minimum(q, alpha, out=q)  # the box clip, without np.clip's dispatch
-        np.maximum(q, -alpha, out=q)
+        np.minimum(q, hi, out=q)  # the box clip, without np.clip's dispatch
+        np.maximum(q, lo, out=q)
         if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
             u_hat = u - 0.5 * d
             residual = fwd(u_hat) - v
@@ -360,10 +372,10 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
                 live &= ~stop
                 if not live.any():
                     break
-        d *= 0.5 * _RELAX
+        d *= half_relax
         u -= d
         w -= z
-        w *= _RELAX
+        w *= relax
         z += w
     u_hat, p, residual, q, defect, done, iterations = out
     return _certified("primal-dual", target, u_hat, p, alpha, residual, reg, defect, iterations,
@@ -372,7 +384,8 @@ def _primal_dual(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
 
 def solve_variational(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
                       config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
-    """Dispatch to the appropriate solver for the given regularizer."""
+    """Dispatch to the appropriate solver for the given regularizer.  ``u0`` is a start
+    point, or a solution to start from: its u_alpha, and for TV its duals as well."""
     if reg.kind == "quadratic":
         return solve_tikhonov_exact(op, data, alpha, config, u0=u0)
     if reg.kind == "l1":

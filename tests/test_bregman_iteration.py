@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import radon_phantom_problem
 from varreg import (
     SolverConfig,
     SolverError,
@@ -123,6 +124,35 @@ def test_each_step_forms_f_u_once(monkeypatch):
     assert steps == 4
     assert calls["_apply"] - inner["_apply"] == steps
     assert calls["_adjoint"] - inner["_adjoint"] == 2 * steps
+
+
+def _cold_starts(monkeypatch):
+    """Start every Bregman step's inner solve from zero, as without warm starts."""
+    monkeypatch.setattr(bregman_iteration, "solve_variational",
+                        lambda *args, u0=None, **kwargs: solve_variational(*args, **kwargs))
+
+
+def test_warm_started_tv_steps_certify_and_stop_with_cold_ones(monkeypatch):
+    # on the radon-demo phantom at 16^2, each step after the first starts from the
+    # last step's u and edge dual; each is certified against the data it was solved from
+    op, reg, v = radon_phantom_problem(16)
+    level = np.linalg.norm(0.01 * substream(0, "noise").standard_normal(op.out_dim))
+    cfg = SolverConfig(tol=1e-8)
+    inner_tol = cfg.tol / 10.0
+    warm = bregman_iterate(op, v, 0.1, reg, 30, cfg, noise_level=level)
+    data = v
+    for step in warm.steps:
+        defect = np.linalg.norm(op.adjoint(op.apply(step.u) - data) + 0.1 * step.p.p)
+        assert defect <= inner_tol * (1.0 + np.linalg.norm(op.adjoint(data))), step.k
+        assert is_subgradient(reg, step.u, step.p).ok, step.k
+        data = step.v_shifted
+    _cold_starts(monkeypatch)
+    cold = bregman_iterate(op, v, 0.1, reg, 30, cfg, noise_level=level)
+    assert warm.stopped_by_discrepancy and cold.stopped_by_discrepancy
+    assert len(warm.steps) == len(cold.steps) == 7
+    target = inner_tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    for a, b in zip(warm.steps, cold.steps):
+        assert abs(a.data_residual - b.data_residual) <= target, a.k
 
 
 def test_discrepancy_principle_stops_early():

@@ -284,6 +284,16 @@ def test_bregman_discrepancy_toggle(tmp_path):
     assert all(b <= a + 1e-10 for a, b in zip(res, res[1:]))
 
 
+def test_default_bregman_artifacts_are_those_of_cold_starts(tmp_path, monkeypatch):
+    # each l1 step warm-starts FISTA from the last u; that moves no digit the default artifacts print
+    assert run(["bregman", "--output", str(tmp_path / "warm")]) == 0
+    monkeypatch.setattr(varreg.bregman_iteration, "solve_variational",
+                        lambda *args, u0=None, **kwargs: varreg.solve_variational(*args, **kwargs))
+    assert run(["bregman", "--output", str(tmp_path / "cold")]) == 0
+    for name in ("bregman.csv", "bregman_summary.json"):
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
 @pytest.mark.parametrize("kind", ["l1", "quadratic", "tv_aniso"])
 def test_bregman_at_tiny_alpha_has_no_overflow(tmp_path, capsys, kind):
     # the dual bookkeeping is carried as alpha*p, so no step divides by alpha = 1e-300

@@ -210,7 +210,7 @@ def test_product_matches_matmul_bit_for_bit(case):
 
 
 def test_product_returns_fresh_writable_arrays():
-    # callers update results in place (the primal-dual loop's w += z), so no output buffer is reused
+    # callers update results in place, so a product without out= makes a fresh buffer each call
     m = _csr_cases()["random"]
     product = _product(m)
     x = np.ones(m.shape[1])
@@ -224,11 +224,35 @@ def test_product_returns_fresh_writable_arrays():
 
 
 def test_product_rejects_a_wrong_length_operand():
-    # the kernel reads its operand without a bounds check, so the length is checked here
+    # the kernel reads its operand and writes its output without a bounds check, so both are checked here
     product = _product(_csr_cases()["random"])
     for x in (np.ones(6), np.ones(8), np.ones((6, 2))):
         with pytest.raises(DimensionMismatchError):
             product(x)
+        with pytest.raises(DimensionMismatchError):
+            product(x, out=np.empty((9,) + x.shape[1:]))
+    for out in (np.empty(8), np.empty((9, 2)), np.empty((9, 1))):
+        with pytest.raises(DimensionMismatchError):
+            product(np.ones(7), out=out)
+
+
+@pytest.mark.parametrize("layout", ["dense-C", "dense-adjoint-view", "csr"])
+def test_product_into_out_matches_a_fresh_product_bit_for_bit(layout):
+    # the primal-dual loop writes its two products into buffers made once; the
+    # CSR kernel adds into its output, so a buffer holding the last product must
+    # give the same bits as a fresh one
+    m = _csr_cases()["radon-empty-rows"]
+    op = LinearForwardMap(m if layout == "csr" else m.toarray())
+    matrix = op.matrix.T if layout == "dense-adjoint-view" else op.matrix  # the view LinearForwardMap stores
+    assert layout != "dense-adjoint-view" or not matrix.flags.c_contiguous
+    product = _product(matrix)
+    rng = np.random.default_rng(3)
+    for shape in [(matrix.shape[1],), (matrix.shape[1], 4)]:
+        out = np.full((matrix.shape[0],) + shape[1:], np.nan)
+        for _ in range(3):
+            x = rng.standard_normal(shape)
+            assert product(x, out=out) is out
+            assert out.tobytes() == product(x).tobytes() == (matrix @ x).tobytes()
 
 
 def test_scipy_csr_kernels_exist_with_the_argument_order_used():

@@ -871,10 +871,14 @@ BAD_GRIDS = {"negative-alpha": [0.1, -1.0], "infinite-alpha": [0.1, np.inf], "na
 
 
 def _no_solves(monkeypatch):
-    solved = []
-    monkeypatch.setattr(solvers, "solve_variational", lambda *args, **kwargs: solved.append(args))
+    """A list that grows by one entry for each solve started, and the problem of the studies below. The spies
+    sit on the three solver cores, which every entry point reaches (a study through ``solve_columns``)."""
     op = make_random_dense(8, 6, seed=29)
-    return solved, op, construct_source_instance(op, quadratic(), seed=0)
+    inst = construct_source_instance(op, quadratic(), seed=0)
+    solved = []
+    for core in ("_tikhonov", "_fista", "_primal_dual"):
+        monkeypatch.setattr(solvers, core, lambda *args, **kwargs: solved.append(args))
+    return solved, op, inst
 
 
 @pytest.mark.parametrize("sigma, alphas", [(0.1, grid) for grid in BAD_GRIDS.values()] + [
@@ -898,7 +902,6 @@ def test_bias_variance_study_refuses_a_noise_energy_that_overflows(monkeypatch):
 def test_bias_variance_study_refuses_a_bound_that_overflows(monkeypatch):
     # 8*sigma^2 = 8e306 is finite, but m*sigma^2/alpha at alpha = 0.01 is not: a bound of inf would certify anything
     solved, op, inst = _no_solves(monkeypatch)
-    monkeypatch.setattr(estimates, "solve_columns", lambda *args, **kwargs: solved.append(args))
     with pytest.raises(ValueError, match="noise_sigma 1e\\+153 .* not finite"):
         bias_variance_study(op, quadratic(), inst, 1e153, [0.01, 0.2], 2)
     assert solved == []

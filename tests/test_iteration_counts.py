@@ -75,19 +75,34 @@ def test_primal_dual_radon_24_count_is_pinned(alpha, expected):
     assert solve_primal_dual(op, v, alpha, reg, SolverConfig()).iterations == expected
 
 
-def test_bregman_radon_16_inner_counts_are_pinned(monkeypatch):
-    # the tv-radon benchmark's Bregman run: inner solves at tol 1e-9, stopped
-    # by the discrepancy principle at the demo noise's norm
-    op, reg, v = radon_phantom_problem(16)
+def _bregman_radon_inner_counts(monkeypatch, grid_n):
+    """The inner iteration counts of the tv-radon benchmark's Bregman run on the
+    radon-demo phantom at ``grid_n``^2: inner solves at tol 1e-9, stopped by the
+    discrepancy principle at the demo noise's norm."""
+    op, reg, v = radon_phantom_problem(grid_n)
     noise_level = np.linalg.norm(0.01 * substream(0, "noise").standard_normal(op.out_dim))
     counts = []
 
-    def counted(*args):
-        sol = solve_variational(*args)
+    def counted(*args, **kwargs):
+        sol = solve_variational(*args, **kwargs)
         counts.append(sol.iterations)
         return sol
 
     monkeypatch.setattr(bregman_module, "solve_variational", counted)
     trace = bregman_iterate(op, v, 0.1, reg, 30, SolverConfig(tol=1e-8), noise_level=noise_level)
     assert trace.stopped_by_discrepancy
-    assert counts == [1200, 1225, 1775, 1750, 1575, 1400, 1625]
+    return counts
+
+
+def test_bregman_radon_16_inner_counts_are_pinned(monkeypatch):
+    # each step after the first starts from the last step's certified pair
+    # (u and the edge dual); from cold starts the counts were
+    # [1200, 1225, 1775, 1750, 1575, 1400, 1625], 10,550 in total
+    counts = _bregman_radon_inner_counts(monkeypatch, 16)
+    assert counts == [1200, 1100, 1625, 1450, 1525, 1475, 1525]
+
+
+def test_bregman_radon_24_inner_total_is_pinned(monkeypatch):
+    # 34,325 inner iterations over the same 15 steps from cold starts
+    counts = _bregman_radon_inner_counts(monkeypatch, 24)
+    assert (len(counts), sum(counts)) == (15, 26500)

@@ -29,7 +29,8 @@ from varreg import (
     symmetric_bregman,
     tv_aniso,
 )
-from varreg.regularizers import Regularizer
+from varreg import core
+from varreg.regularizers import Regularizer, Subgradient
 from varreg.estimates import solve_source_element
 from varreg.solvers import _STEP_SAFETY, accelerated_projected_gradient
 
@@ -818,6 +819,42 @@ def test_strided_data_solves_as_its_contiguous_copy(solve, reg):
         assert not V[:, j].flags.c_contiguous
         strided, copied = solve(op, V[:, j], reg), solve(op, V[:, j].copy(), reg)
         np.testing.assert_array_equal(strided.u_alpha, copied.u_alpha)
+
+
+def test_primal_dual_from_a_poor_dual_start_certifies_the_same_solution():
+    # a solution given as u0 starts the duals as well: the edge dual alpha*p.dual and the
+    # data dual F u0 - v; an edge dual of +alpha on every edge is far from the optimum's
+    op, reg, v = radon_phantom_problem(16)
+    cfg = SolverConfig(tol=1e-9)
+    cold = solve_primal_dual(op, v, 0.1, reg, cfg)
+    zero = np.zeros(op.in_dim)
+    poor = RegularizedSolution(zero, Subgradient(zero, np.ones(reg.D.shape[0])), 0.1, 0.0, 0.0, 0.0, 0)
+    sol = solve_primal_dual(op, v, 0.1, reg, cfg, u0=poor)
+    target = cfg.tol * (1.0 + np.linalg.norm(op.adjoint(v)))
+    assert sol.iterations != cold.iterations  # the dual start was taken
+    assert sol.optimality_defect <= target and is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
+    assert np.linalg.norm(sol.u_alpha - cold.u_alpha) <= target
+    short = RegularizedSolution(zero, Subgradient(zero, np.ones(reg.D.shape[0] - 1)), 0.1, 0.0, 0.0, 0.0, 0)
+    with pytest.raises(DimensionMismatchError, match="dual start"):
+        solve_primal_dual(op, v, 0.1, reg, cfg, u0=short)
+
+
+def test_primal_dual_loop_writes_its_products_into_two_buffers(monkeypatch):
+    # sigma*K and 2*tau*K^T write into buffers made once per solve, one call each per iteration
+    op, reg, v = radon_phantom_problem(16)
+    k_shape = (op.out_dim + reg.D.shape[0], op.in_dim)
+    outs = {k_shape: [], k_shape[::-1]: []}
+    kernel = core.csr_matvec
+
+    def recording(rows, cols, indptr, indices, data, x, out):
+        outs.get((rows, cols), []).append(out)
+        kernel(rows, cols, indptr, indices, data, x, out)
+
+    monkeypatch.setattr(core, "csr_matvec", recording)
+    assert solve_primal_dual(op, v, 0.1, reg).iterations == 1000
+    for shape, buffers in outs.items():
+        assert len(buffers) == 1000, shape
+        assert all(out is buffers[0] for out in buffers), shape
 
 
 def _count_sparse_matmul(monkeypatch):
