@@ -91,7 +91,9 @@ class LinearForwardMap:
     blocks without validation.
 
     Operators are immutable: ``_norm_cache`` memoizes
-    :func:`operator_norm_estimate` per ``(iters, seed)``, ``_population``
+    :func:`operator_norm_estimate` per ``(iters, seed)``, ``_primal_dual``
+    the read-only set-up of :func:`varreg.solvers.solve_primal_dual` per
+    ``repr(reg)`` of its regularizer, ``_population``
     holds the full-design map of :func:`varreg.operators.population_map`, and
     ``_sources`` the source instances :func:`varreg.risk.check_risk_theorem`
     forms on a population map, with their certificates.
@@ -117,6 +119,7 @@ class LinearForwardMap:
         self.out_dim, self.in_dim = a.shape
         self._apply, self._adjoint = _product(a), _product(at)
         self._norm_cache: dict[tuple[int, int], float] = {}
+        self._primal_dual: dict[str, tuple] = {}
         self._population: LinearForwardMap | None = None
         self._sources: dict = {}
 

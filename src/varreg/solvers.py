@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots, _freeze,
-                         _product, accelerated_projected_gradient, as_vector, norm, operator_norm_estimate)
+                         _product, _read_only_csr, accelerated_projected_gradient, as_vector, norm,
+                         operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient, quadratic
 
 __all__ = [
@@ -210,7 +211,10 @@ def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
     tau*alpha*J as its projection, then one certifying prox step: the
     subgradient it implies is an exact member of the subdifferential, and the
     optimality defect is measured against it.  ``data`` and ``u0`` are
-    validated once; the kernel runs on the raw operator kernels.
+    validated once; the kernel runs on the raw operator kernels.  For l1 with
+    max|F*v| <= alpha the solution is zero: the optimality condition at u = 0
+    reads F*v/alpha in dJ(0).  Such a solve returns u = 0 and p = F*v/alpha in
+    closed form, with 0 iterations and no norm estimate, whatever ``u0``.
     """
     if reg.kind not in ("quadratic", "l1"):
         raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
@@ -221,28 +225,36 @@ def _fista(op, v, alpha, reg, cfg, x0) -> RegularizedSolution:
     """FISTA and its certifying prox step on one data vector ``v``, or on the
     columns of a block ``v`` with one ``alpha`` per column."""
     fwd, adj = op._apply, op._adjoint
-    target = _rhs(op, v, cfg.tol)[1]
-    sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
-    lip = max((1.01 * sigma) ** 2, 1e-30)
-    tau = _STEP_SAFETY / lip
-    thresh = tau * alpha  # a scalar, or one per column of a block
+    b, target = _rhs(op, v, cfg.tol)
+    # u = 0 solves a column exactly when F*v/alpha is in dJ(0), for l1 when max|F*v| <= alpha; its
+    # p = F*v/alpha then has |p| <= 1 exactly, division being correctly rounded
+    zero = np.abs(b).max(axis=0) <= alpha if reg.kind == "l1" else np.False_
+    if zero.all():  # the closed form alone: no step size, no iteration
+        u, p, iterations = np.zeros_like(x0), b / alpha, np.zeros(zero.shape, int)
+    else:
+        sigma = operator_norm_estimate(op, iters=200, seed=cfg.seed)
+        lip = max((1.01 * sigma) ** 2, 1e-30)
+        tau = _STEP_SAFETY / lip
+        thresh = tau * alpha  # a scalar, or one per column of a block
 
-    def grad(x):
-        return adj(fwd(x) - v)
+        def grad(x):
+            return adj(fwd(x) - v)
 
-    def prox(x):
-        return reg._prox(thresh, x)
+        def prox(x):
+            return reg._prox(thresh, x)
 
-    # the prox-gradient map T is averaged, so the certifying step u = T(x) from
-    # the kernel's x = T(y) moves no further than its last one; the defect
-    # grad(u) - grad(x) + (x - u)/tau is then at most (1 + ||F||^2 tau) <= 2
-    # times the final mapping, so a mapping of target/2 certifies the target
-    x, _, iterations = accelerated_projected_gradient(grad, prox, 1.0 / tau, x0, 0.5 * target,
-                                                      cfg.max_iters)
-    x_pre = x - tau * grad(x)
-    u = prox(x_pre)
-    # the exact member (x_pre - u)/thresh of dJ(u), with l1's sign(u), which a thresh below ulp(x_pre) loses
-    p = u.copy() if reg.kind == "quadratic" else np.divide(x_pre, thresh, out=np.sign(u), where=u == 0.0)
+        # the prox-gradient map T is averaged, so the certifying step u = T(x) from
+        # the kernel's x = T(y) moves no further than its last one; the defect
+        # grad(u) - grad(x) + (x - u)/tau is then at most (1 + ||F||^2 tau) <= 2
+        # times the final mapping, so a mapping of target/2 certifies the target
+        x, _, iterations = accelerated_projected_gradient(grad, prox, 1.0 / tau, x0, 0.5 * target,
+                                                          cfg.max_iters)
+        x_pre = x - tau * grad(x)
+        u = prox(x_pre)
+        # the exact member (x_pre - u)/thresh of dJ(u), with l1's sign(u), which a thresh below ulp(x_pre) loses
+        p = u.copy() if reg.kind == "quadratic" else np.divide(x_pre, thresh, out=np.sign(u), where=u == 0.0)
+        if zero.any():  # a block's columns whose solution is zero take the closed form
+            u[:, zero], p[:, zero], iterations[zero] = 0.0, b[:, zero] / alpha[zero], 0
     residual = fwd(u) - v
     g = adj(residual) + alpha * p
     return _certified("FISTA", target, u, p, alpha, residual, reg, np.sqrt(_column_dots(g, g)), iterations)
@@ -274,13 +286,15 @@ def solve_columns(op: LinearForwardMap, data, alphas, reg: Regularizer,
 
 
 def _row_scaled(mat, scale: np.ndarray):
-    """diag(scale) @ mat without a sparse product: a CSR copy with scaled rows, or a dense array
-    in C order, so that its products sum along contiguous rows (a transposed layout rounds otherwise)."""
+    """diag(scale) @ mat without a sparse product, read-only: a CSR copy with scaled rows, or a dense
+    array in C order, so that its products sum along contiguous rows (a transposed layout rounds otherwise)."""
     if not sp.issparse(mat):
-        return np.ascontiguousarray(scale[:, None] * mat)
+        mat = np.ascontiguousarray(scale[:, None] * mat)
+        mat.flags.writeable = False
+        return mat
     mat = mat.tocsr(copy=True)
     mat.data *= np.repeat(scale, np.diff(mat.indptr))
-    return mat
+    return _read_only_csr(mat)
 
 
 def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
@@ -303,8 +317,9 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     stops once the optimality defect of p = D^T q / alpha is within
     tol*(1 + ||F*v||) and the slack alpha*||Du||_1 - <q, Du> within
     0.5*tol*alpha*(1 + ||Du||_1): the slack is alpha*eps for p in d_eps J(u),
-    so ``is_subgradient``'s eps/(1 + J(u)) is within tol/2.  The two stored
-    products write into buffers made once per solve.  A solution ``u0`` starts
+    so ``is_subgradient``'s eps/(1 + J(u)) is within tol/2.  The steps and the
+    two stored products are built once per operator and regularizer, and write
+    into buffers made once per solve.  A solution ``u0`` starts
     the duals too: q = alpha*p.dual, and y = F u0 - v, the optimum's y for u0.
     """
     if reg.kind != "tv_aniso":
@@ -321,16 +336,23 @@ def _primal_dual(op, v, alpha, reg, cfg, u, q0=None) -> RegularizedSolution:
         raise ValueError("regularizer shape does not match operator")
     fwd, adj = op._apply, op._adjoint
     target = _rhs(op, v, cfg.tol)[1]
-    k_mat = sp.vstack([op.matrix, reg.D]).tocsr() if sp.issparse(op.matrix) else np.vstack([op.matrix, reg.D.toarray()])
-    abs_k = abs(k_mat)
-    tau = _STEP_SAFETY / np.asarray(abs_k.sum(axis=0)).ravel()
-    # rows of F that see no pixel (rays missing the grid) get any finite step
-    sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
-    k_sig, kt_tau2 = _product(_row_scaled(k_mat, sig)), _product(_row_scaled(k_mat.T, 2.0 * tau))
+    # K = [F; D], its steps and the products sigma*K, 2*tau*K^T: built once per operator and repr(reg)
+    # (kind and shape, which fix D), and kept read-only
+    if (setup := op._primal_dual.get(repr(reg))) is None:
+        f = op.matrix
+        k_mat = sp.vstack([f, reg.D]).tocsr() if sp.issparse(f) else np.vstack([f, reg.D.toarray()])
+        abs_k = abs(k_mat)
+        tau = _STEP_SAFETY / np.asarray(abs_k.sum(axis=0)).ravel()
+        # rows of F that see no pixel (rays missing the grid) get any finite step
+        sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
+        sig.flags.writeable = False
+        setup = op._primal_dual[repr(reg)] = (sig, _product(_row_scaled(k_mat, sig)),
+                                              _product(_row_scaled(k_mat.T, 2.0 * tau)))
+    sig, k_sig, kt_tau2 = setup
 
     m, cols = op.out_dim, v.shape[1:]  # cols: () for a vector, (k,) for a block
     column = (-1,) + (1,) * len(cols)  # a per-row scalar, broadcast over a block's columns
-    z = np.zeros((k_mat.shape[0],) + cols)
+    z = np.zeros((sig.size,) + cols)
     if q0 is not None:
         z[:m], z[m:] = fwd(u) - v, q0
     u_ext, d, w = np.empty_like(u), np.empty_like(u), np.empty_like(z)

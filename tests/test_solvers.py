@@ -29,7 +29,7 @@ from varreg import (
     symmetric_bregman,
     tv_aniso,
 )
-from varreg import core
+from varreg import core, solvers
 from varreg.regularizers import Regularizer, Subgradient
 from varreg.estimates import solve_source_element
 from varreg.solvers import _STEP_SAFETY, accelerated_projected_gradient
@@ -139,6 +139,60 @@ def test_fista_zero_data_stops_immediately():
     sol = solve_fista(identity_map(5), np.zeros(5), 0.5, l1())
     np.testing.assert_array_equal(sol.u_alpha, np.zeros(5))
     assert sol.iterations <= 2
+
+
+def _zero_solution_problem():
+    """A dense l1 problem and max|F*v|, the least alpha at which its solution is zero."""
+    op = make_random_dense(14, 10, seed=5)
+    v = substream(5, "zero-solution").standard_normal(14)
+    return op, v, np.abs(op.adjoint(v)).max()
+
+
+def _spy_on_iterations(monkeypatch):
+    """Record every power iteration and every call of the accelerated kernel from here on."""
+    calls = []
+    power, apg = core._power_iteration, solvers.accelerated_projected_gradient
+    monkeypatch.setattr(core, "_power_iteration", lambda *a: calls.append("power") or power(*a))
+    monkeypatch.setattr(solvers, "accelerated_projected_gradient", lambda *a: calls.append("apg") or apg(*a))
+    return calls
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5], ids=["at-max", "above-max"])
+def test_fista_zero_solution_exits_in_closed_form(monkeypatch, scale):
+    # u = 0 solves the l1 problem exactly when F*v/alpha is in dJ(0), i.e. max|F*v| <= alpha:
+    # the solve returns it with p = F*v/alpha, after no norm estimate and no iteration
+    op, v, b_max = _zero_solution_problem()
+    calls = _spy_on_iterations(monkeypatch)
+    alpha = scale * b_max
+    sol = solve_fista(op, v, alpha, l1())
+    assert calls == []
+    assert sol.iterations == 0 and np.all(sol.u_alpha == 0.0)
+    np.testing.assert_array_equal(sol.p_alpha.p, op.adjoint(v) / alpha)
+    assert np.abs(sol.p_alpha.p).max() == (1.0 if scale == 1.0 else 1.0 / scale)
+    assert sol.data_residual == 0.5 * np.dot(v, v)
+    assert sol.optimality_defect <= 1e-15 * np.linalg.norm(op.adjoint(v))
+    assert is_subgradient(l1(), sol.u_alpha, sol.p_alpha).ok
+
+
+@pytest.mark.parametrize("scale", [0.9, 0.995])
+def test_fista_below_the_zero_threshold_iterates(monkeypatch, scale):
+    # just below max|F*v| the solution is not zero: the solve iterates (0.995 is within a
+    # threshold loosened by 1%, whose F*v/alpha would leave dJ(0))
+    op, v, b_max = _zero_solution_problem()
+    calls = _spy_on_iterations(monkeypatch)
+    sol = solve_fista(op, v, scale * b_max, l1())
+    assert calls == ["power", "apg"]
+    assert sol.iterations >= 1 and np.any(sol.u_alpha != 0.0)
+    assert is_subgradient(l1(), sol.u_alpha, sol.p_alpha).ok
+
+
+def test_fista_zero_solution_ignores_a_warm_start():
+    op, v, b_max = _zero_solution_problem()
+    start = solve_fista(op, v, 0.5 * b_max, l1())
+    for u0 in (np.ones(op.in_dim), start):
+        sol = solve_fista(op, v, 2.0 * b_max, l1(), u0=u0)
+        assert sol.iterations == 0 and np.all(sol.u_alpha == 0.0)
+        np.testing.assert_array_equal(sol.p_alpha.p, op.adjoint(v) / (2.0 * b_max))
 
 
 def test_fista_rejects_tv():
@@ -719,6 +773,20 @@ def test_solve_columns_matches_single_solves(kind):
     _assert_columns_match(op, data, alphas, reg, cfg, solve_columns(op, data, alphas, reg, cfg), 1e-13)
 
 
+def test_solve_columns_mixes_zero_and_iterated_l1_columns():
+    # each column takes its vector solve's path and count: the closed form where
+    # max|F*v_j| <= alpha_j (above, at, and on zero data), FISTA elsewhere
+    op, data, _ = _block_problem(k=5)
+    data[:, 3] = 0.0
+    b_max = np.array([np.abs(op.adjoint(col)).max() for col in data.T])
+    alphas = np.array([2.0, 0.5, 1.0, 1.0, 0.995]) * b_max
+    alphas[3] = 0.1
+    cfg = SolverConfig(tol=1e-10)
+    sol = solve_columns(op, data, alphas, l1(), cfg)
+    np.testing.assert_array_equal(sol.iterations == 0, [True, False, True, True, False])
+    _assert_columns_match(op, data, alphas, l1(), cfg, sol, 1e-13)
+
+
 @pytest.mark.parametrize("kind", ["l1-convolution", "tv-radon16"])
 def test_solve_columns_on_sparse_operators(kind):
     # CSR products sum each column as a matvec does: the block matches the vector solves bit for bit
@@ -855,6 +923,28 @@ def test_primal_dual_loop_writes_its_products_into_two_buffers(monkeypatch):
     for shape, buffers in outs.items():
         assert len(buffers) == 1000, shape
         assert all(out is buffers[0] for out in buffers), shape
+
+
+@pytest.mark.parametrize("make_op", [lambda: make_random_dense(10, 10, seed=3),
+                                     lambda: make_convolution([0.25, 0.5, 0.25], 10)], ids=["dense", "csr"])
+def test_primal_dual_builds_its_setup_once_per_operator_and_regularizer(monkeypatch, make_op):
+    # K = [F; D], its steps and the two row-scaled copies are built by the first solve on an
+    # operator and regularizer; a solve at another alpha, or with an equal regularizer, builds none
+    op, v = make_op(), substream(3, "setup").standard_normal(10)
+    built, row_scaled = [], solvers._row_scaled
+    monkeypatch.setattr(solvers, "_row_scaled", lambda m, s: built.append(row_scaled(m, s)) or built[-1])
+    first = solve_primal_dual(op, v, 0.2, tv_aniso(10))
+    assert len(built) == 2
+    assert all(not (m.data if sp.issparse(m) else m).flags.writeable for m in built)
+    solve_primal_dual(op, v, 0.05, tv_aniso(10))
+    again = solve_primal_dual(op, v, 0.2, tv_aniso(10))
+    assert len(built) == 2
+    fresh = solve_primal_dual(make_op(), v, 0.2, tv_aniso(10))
+    assert len(built) == 4
+    for sol in (again, fresh):
+        assert sol.iterations == first.iterations
+        np.testing.assert_array_equal(sol.u_alpha, first.u_alpha)
+        np.testing.assert_array_equal(sol.p_alpha.dual, first.p_alpha.dual)
 
 
 def _count_sparse_matmul(monkeypatch):
