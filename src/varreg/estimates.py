@@ -24,12 +24,13 @@ from varreg.regularizers import (
     Regularizer,
     Subgradient,
     SubgradientError,
+    _box_fit,
     _check_membership,
     _clamp,
     _slack,
     bregman_distance,
 )
-from varreg.solvers import (SolverConfig, _cg, _check_finite, accelerated_projected_gradient, solve_columns,
+from varreg.solvers import (SolverConfig, _cg, _check_finite, _rhs, accelerated_projected_gradient, solve_columns,
                              solve_variational)
 
 __all__ = [
@@ -113,13 +114,13 @@ def solve_source_element(op: LinearForwardMap, p_star, config: SolverConfig | No
 
     Does not raise on a loose fit: the residual defect is reported and tells
     the caller whether p* is (numerically) in the range of F*.  Raises
-    SolverError if an iterate goes non-finite.
+    SolverError if an iterate goes non-finite, and ValueError naming p_star
+    if the target tol*(1 + ||F p*||) is not finite.
     """
     cfg = config or _TIGHT
     p = as_vector(p_star, op.in_dim, "p_star")
     fwd, adj = op._apply, op._adjoint
-    b = fwd(p)
-    target = cfg.tol * (1.0 + np.sqrt(float(np.dot(b, b))))
+    b, target = _rhs(fwd, p, cfg.tol, "p_star", "F p*")
     max_iters = min(cfg.max_iters, max(60, 4 * op.out_dim))
     z, _, _ = _cg(lambda x: fwd(adj(x)), b, np.zeros(op.out_dim), target, max_iters, "source-element CG")
     defect = norm(adj(z) - p)
@@ -133,12 +134,13 @@ def distance_function(op: LinearForwardMap, p_star, rho: float,
 
     d(0) = ||p*||; the function is nonincreasing in rho and reaches the
     unconstrained least-squares defect once rho exceeds the minimal-norm
-    source element.
+    source element.  A p* whose fit target is not finite is refused at any rho.
     """
     cfg = config or _TIGHT
     if not 0.0 <= rho < np.inf:
         raise ValueError(f"rho must be finite and nonnegative, got {rho}")
     p = as_vector(p_star, op.in_dim, "p_star")
+    target = _rhs(op._apply, p, cfg.tol, "p_star", "F p*")[1]
     if rho == 0.0:
         return norm(p)
     ls = solve_source_element(op, p, cfg)
@@ -154,7 +156,6 @@ def distance_function(op: LinearForwardMap, p_star, rho: float,
 
     sigma = operator_norm_estimate(op, seed=cfg.seed)
     lip = max((1.02 * sigma) ** 2, 1e-30)
-    target = cfg.tol * (1.0 + norm(op.apply(p)))
     z, _, _ = accelerated_projected_gradient(grad_fn, project, lip, ls.z, target, max_iters=cfg.max_iters)
     return norm(op.adjoint(z) - p)
 
@@ -231,17 +232,12 @@ def _tv_instance(op, reg, rng):
     if peak < 1e-12:
         raise _RetryDraw
     # rescale so the box constraint |q| <= 1 actually binds, then refit
-    target = w * (1.5 / peak)
-    lip = 1.02 * reg.edge_map_norm() ** 2
-    # the kernel starts from the box clip of its start point: two ufuncs, without np.clip's dispatch
-    q_hat, _, _ = accelerated_projected_gradient(lambda q: reg._d(reg._dt(q) - target),
-                                                 lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
-                                                 lip, q_free * (1.5 / peak), 1e-12, max_iters=100_000)
+    q_hat = _box_fit(reg, w * (1.5 / peak), q_free * (1.5 / peak), 1e-12, max_iters=100_000)
     active = np.abs(q_hat) >= SATURATION_THRESHOLD
     if not np.any(active):
         raise _RetryDraw
     q_t = np.where(active, np.sign(q_hat), q_hat)
-    p_target = reg._dt(q_t)
+    p_target = reg.D._adjoint(q_t)
     elem = solve_source_element(op, p_target, _TIGHT)
     if elem.defect > 1e-10 * (1.0 + norm(p_target)):
         raise _RetryDraw
@@ -406,6 +402,16 @@ def check_higher_order_estimate(op: LinearForwardMap, reg: Regularizer, u_star, 
 
 # -- parameter-choice studies ---------------------------------------------------
 
+def _alpha_grid(alphas, what: str) -> np.ndarray:
+    """A study's ``alphas`` as floats, refused unless 1-d, non-empty and each valid, before a bound divides by one."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or not alphas.size:
+        raise ValueError(f"the alpha {what} must be 1-d and non-empty, got shape {alphas.shape}")
+    for alpha in alphas:
+        _check_alpha(alpha)
+    return alphas
+
+
 @dataclass
 class ConvergenceRow:
     n: int
@@ -428,12 +434,9 @@ def convergence_study(op: LinearForwardMap, reg: Regularizer, instance: SourceIn
     Every row is solved in one ``solve_columns`` call.
     """
     cfg = config or SolverConfig()
-    deltas = np.asarray(deltas, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
+    deltas, alphas = np.asarray(deltas, dtype=float), _alpha_grid(alphas, "schedule")
     if deltas.shape != alphas.shape:
         raise ValueError("deltas and alphas must align")
-    if alphas.ndim != 1 or not alphas.size:
-        raise ValueError(f"the alpha schedule must be 1-d and non-empty, got shape {alphas.shape}")
     _check_instance(op, reg, instance)
     g = substream(seed, "noise").standard_normal(op.out_dim)
     g /= norm(g)
@@ -490,9 +493,7 @@ def bias_variance_study(op: LinearForwardMap, reg: Regularizer, instance: Source
     cfg = config or SolverConfig()
     _check_count(replicates, 2, "replicates")  # for a standard error
     _check_noise_sigma(noise_sigma, op.out_dim)
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or not alphas.size:
-        raise ValueError(f"the alpha grid must be 1-d and non-empty, got shape {alphas.shape}")
+    alphas = _alpha_grid(alphas, "grid")
     _check_instance(op, reg, instance)
     m = op.out_dim
     z_sq = instance.source_norm ** 2

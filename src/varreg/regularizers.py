@@ -4,7 +4,7 @@ Three functionals are supported:
 
 * ``quadratic``   J(u) = 0.5*||u||^2
 * ``l1``          J(u) = sum_i |u_i|
-* ``tv_aniso``    J(u) = sum_e |(D u)_e| with D the forward-difference edge map
+* ``tv_aniso``    J(u) = sum_e |(D u)_e| with D the forward-difference edge map, a LinearForwardMap
                   (replicate boundary, so constants have zero cost)
 
 Subgradient membership is certified in closed form: quadratic's subdifferential is
@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots,
-                         _product, _read_only_csr, accelerated_projected_gradient, as_vector, inner, norm)
+                         accelerated_projected_gradient, as_vector, inner, norm)
 
 __all__ = [
     "Regularizer",
@@ -95,24 +95,17 @@ def difference_matrix(shape) -> sp.csr_matrix:
 class Regularizer:
     kind: str
     shape: object = None
-    D: sp.csr_matrix | None = field(default=None, init=False, repr=False)
-    Dt: sp.csr_matrix | None = field(default=None, init=False, repr=False)
-    # the products with D and Dt, bound once (core._product); out of repr, which keys certificate records
-    _d: object = field(default=None, init=False, repr=False, compare=False)
-    _dt: object = field(default=None, init=False, repr=False, compare=False)
+    # tv_aniso's edge map, LinearForwardMap(difference_matrix(shape)); out of repr, which keys certificate records
+    D: LinearForwardMap | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("quadratic", "l1", "tv_aniso"):
             raise ValueError(f"unknown regularizer kind {self.kind!r}")
         if self.kind == "tv_aniso":
-            self.D = _read_only_csr(difference_matrix(self.shape))
-            self.Dt = _read_only_csr(self.D.T.tocsr())
-            self._d, self._dt = _product(self.D), _product(self.Dt)
+            self.D = LinearForwardMap(difference_matrix(self.shape))
 
     def value(self, u) -> float:
-        u = as_vector(u, name="u")
-        self._check_dim(u)
-        return self._value(u)
+        return self._value(as_vector(u, None if self.D is None else self.D.in_dim, "u"))
 
     def _value(self, u: np.ndarray) -> float:
         """J(u) without validation."""
@@ -120,7 +113,7 @@ class Regularizer:
             return 0.5 * float(np.dot(u, u))
         if self.kind == "l1":
             return float(np.abs(u).sum())
-        return float(np.abs(self._d(u)).sum())
+        return float(np.abs(self.D._apply(u)).sum())
 
     def value_batch(self, U: np.ndarray) -> np.ndarray:
         """Values for each row of a 2-d array of candidates."""
@@ -129,7 +122,7 @@ class Regularizer:
             return 0.5 * np.einsum("ij,ij->i", U, U)
         if self.kind == "l1":
             return np.abs(U).sum(axis=1)
-        return np.abs(self._d(U.T)).sum(axis=0)
+        return np.abs(self.D._apply(U.T)).sum(axis=0)
 
     def prox(self, tau: float, x) -> np.ndarray:
         """Proximal map argmin_u 0.5*||u - x||^2 + tau*J(u)."""
@@ -153,10 +146,6 @@ class Regularizer:
             raise ValueError("regularizer has no edge map")
         axes = (self.shape,) if isinstance(self.shape, (int, np.integer)) else self.shape
         return math.sqrt(sum(4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2 for n in axes))
-
-    def _check_dim(self, u):
-        if self.D is not None and u.size != self.D.shape[1]:
-            raise DimensionMismatchError(f"expected dimension {self.D.shape[1]}, got {u.size}")
 
 
 def quadratic() -> Regularizer:
@@ -190,13 +179,16 @@ def _resolve(p, dual=None):
     return np.asarray(p, dtype=float), dual
 
 
+def _box_fit(reg: Regularizer, t: np.ndarray, q0: np.ndarray, tol: float, max_iters: int = 20_000) -> np.ndarray:
+    """argmin_{|q| <= 1} ||D^T q - t|| by projected gradient from q0's box clip to a mapping of tol, at 1.02*||D||^2."""
+    d, dt, lip = reg.D._apply, reg.D._adjoint, 1.02 * reg.edge_map_norm() ** 2
+    return accelerated_projected_gradient(lambda q: d(dt(q) - t), lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
+                                          lip, q0, tol, max_iters)[0]
+
+
 def _tv_dual_fit(reg: Regularizer, p: np.ndarray) -> float:
-    """Distance from p to dJ(0) = {D^T q : |q| <= 1}: min ||D^T q - p|| over the box, by the shared accelerated
-    projected gradient (default budget, gradient mapping 1e-14*(1 + ||p||), 2% margin on ||D||^2)."""
-    d, dt, lip = reg._d, reg._dt, 1.02 * reg.edge_map_norm() ** 2
-    q, _, _ = accelerated_projected_gradient(lambda q: d(dt(q) - p), lambda q: np.maximum(np.minimum(q, 1.0), -1.0),
-                                             lip, np.zeros(reg.D.shape[0]), 1e-14 * (1.0 + norm(p)))
-    return norm(dt(q) - p)
+    """Distance from p to dJ(0) = {D^T q : |q| <= 1}: ``_box_fit``'s residual from 0 to a mapping 1e-14*(1 + ||p||)."""
+    return norm(reg.D._adjoint(_box_fit(reg, p, np.zeros(reg.D.out_dim), 1e-14 * (1.0 + norm(p)))) - p)
 
 
 def _slack(reg: Regularizer, j_u, u: np.ndarray, p: np.ndarray):
@@ -215,24 +207,26 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
     dist is max|p| - 1 (l1), or max(||D^T q - p||, max|q| - 1) by the witness ``dual`` q, else
     ``_tv_dual_fit``'s residual (TV).  Returns the decision and the largest observed violation,
     or for (n, k) blocks ``u``, ``p`` (``dual`` None or (edges, k)) (k,) arrays of them, each
-    column's as its own vector call gives them.
+    column's as its own vector call gives them.  ``tol`` must be finite and >= 0 (else ValueError).
     """
     _check_count(samples, 1, "samples")
+    if not 0.0 <= tol < math.inf:  # an infinite tol would pass any violation, a NaN none
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     p, dual = _resolve(p, dual)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.ndim > 2 or 0 in u.shape:
         raise ValueError(f"u must be a non-empty vector or (n, k) block, got shape {u.shape}")
-    us, ps = _columns(u, u.shape, "u"), _columns(p, u.shape, "p")
-    reg._check_dim(us[0])
+    shape = u.shape if reg.D is None else (reg.D.in_dim,) + u.shape[1:]  # TV's u must fit D
+    us, ps = _columns(u, shape, "u"), _columns(p, shape, "p")
     j_u = np.array([reg._value(uj) for uj in us])
     if reg.kind == "quadratic":
         violation = np.abs(ps - us).max(axis=1)
     elif reg.kind == "l1":
         violation = np.abs(ps).max(axis=1) - 1.0
     else:  # by the witness q, or else a fitted one
-        qs = [None] * len(us) if dual is None else _columns(dual, reg.D.shape[:1] + u.shape[1:], "dual witness")
+        qs = [None] * len(us) if dual is None else _columns(dual, (reg.D.out_dim,) + u.shape[1:], "dual witness")
         violation = np.array([_tv_dual_fit(reg, pj) if q is None else
-                              max(norm(reg._dt(q) - pj), float(np.abs(q).max()) - 1.0) for pj, q in zip(ps, qs)])
+                              max(norm(reg.D._adjoint(q) - pj), float(np.abs(q).max()) - 1.0) for pj, q in zip(ps, qs)])
     violation = np.maximum(violation, _slack(reg, j_u, us.T, ps.T) / (1.0 + j_u))  # 0 for quadratic
 
     # randomized check of the subgradient inequality at w = u + radius*g

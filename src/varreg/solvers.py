@@ -98,22 +98,22 @@ def _solve(core, op: LinearForwardMap, data, alpha: float, reg, config: SolverCo
     start = {}
     if isinstance(u0, RegularizedSolution):
         if core is _primal_dual and u0.p_alpha.dual is not None:
-            start["q0"] = as_vector(u0.alpha * u0.p_alpha.dual, reg.D.shape[0], "dual start")
+            start["q0"] = as_vector(u0.alpha * u0.p_alpha.dual, reg.D.out_dim, "dual start")
         u0 = u0.u_alpha
     u = np.zeros(op.in_dim) if u0 is None else as_vector(u0, op.in_dim, "u0").copy()
     return core(op, v, alpha, reg, cfg, u, **start)
 
 
-def _rhs(op: LinearForwardMap, v: np.ndarray, tol: float):
-    """F*v and the defect target tol*(1 + ||F*v||), a block's column by column as its vector solves round them.
-    Data whose target is not finite (||F*v|| overflows) is as unusable as non-finite data, since any defect
-    would meet it: ValueError naming it, and a block's column."""
-    with np.errstate(over="ignore"):  # an overflowing ||F*v|| is refused below, not warned on
-        bs = [op._adjoint(col) for col in (v.T.copy() if v.ndim == 2 else [v])]
+def _rhs(product, v: np.ndarray, tol: float, name: str = "data", image: str = "F*v"):
+    """``image`` = product(v) (F*v of data) and the defect target tol*(1 + ||image||), a block's column by column
+    as its vector solves round them.  Input whose target is not finite (the norm overflows) is as unusable as
+    non-finite input, since any defect would meet it: ValueError naming ``name``, and a block's column."""
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below, not warned on
+        bs = [product(col) for col in (v.T.copy() if v.ndim == 2 else [v])]
         target = tol * (1.0 + np.array([norm(b) for b in bs]))
     if not np.isfinite(target).all():
         column = f" column {np.flatnonzero(~np.isfinite(target))[0]}" if v.ndim == 2 else ""
-        raise ValueError(f"data{column} is too large: its defect target tol*(1 + ||F*v||) is not finite")
+        raise ValueError(f"{name}{column} is too large: its defect target tol*(1 + ||{image}||) is not finite")
     return (bs[0], float(target[0])) if v.ndim == 1 else (np.column_stack(bs), target)
 
 
@@ -192,7 +192,7 @@ def solve_tikhonov_exact(op: LinearForwardMap, data, alpha: float,
 def _tikhonov(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
     """CG on one data vector ``v``, or on each column of a block ``v`` in turn."""
     fwd, adj = op._apply, op._adjoint
-    b, target = _rhs(op, v, cfg.tol)
+    b, target = _rhs(adj, v, cfg.tol)
     if v.ndim == 1:
         u, defect, iterations = _cg(lambda x: adj(fwd(x)) + alpha * x, b, u, target, cfg.max_iters, "CG")
     else:  # one column at a time: u.T.copy() gives each its own contiguous start
@@ -205,19 +205,19 @@ def _tikhonov(op, v, alpha, reg, cfg, u) -> RegularizedSolution:
 
 def solve_fista(op: LinearForwardMap, data, alpha: float, reg: Regularizer,
                 config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
-    """Accelerated proximal gradient with adaptive restart (quadratic or l1).
+    """Accelerated proximal gradient with adaptive restart, for l1 only (quadratic J is solved by CG).
 
-    One call to ``accelerated_projected_gradient`` with the prox of
-    tau*alpha*J as its projection, then one certifying prox step: the
+    One call to ``accelerated_projected_gradient`` with the soft threshold of
+    tau*alpha as its projection, then one certifying prox step: the
     subgradient it implies is an exact member of the subdifferential, and the
     optimality defect is measured against it.  ``data`` and ``u0`` are
-    validated once; the kernel runs on the raw operator kernels.  For l1 with
+    validated once; the kernel runs on the raw operator kernels.  With
     max|F*v| <= alpha the solution is zero: the optimality condition at u = 0
     reads F*v/alpha in dJ(0).  Such a solve returns u = 0 and p = F*v/alpha in
     closed form, with 0 iterations and no norm estimate, whatever ``u0``.
     """
-    if reg.kind not in ("quadratic", "l1"):
-        raise ValueError(f"solve_fista supports quadratic and l1, not {reg.kind!r}")
+    if reg.kind != "l1":
+        raise ValueError(f"solve_fista supports l1 only, not {reg.kind!r}")
     return _solve(_fista, op, data, alpha, reg, config, u0)
 
 
@@ -225,10 +225,10 @@ def _fista(op, v, alpha, reg, cfg, x0) -> RegularizedSolution:
     """FISTA and its certifying prox step on one data vector ``v``, or on the
     columns of a block ``v`` with one ``alpha`` per column."""
     fwd, adj = op._apply, op._adjoint
-    b, target = _rhs(op, v, cfg.tol)
-    # u = 0 solves a column exactly when F*v/alpha is in dJ(0), for l1 when max|F*v| <= alpha; its
+    b, target = _rhs(adj, v, cfg.tol)
+    # u = 0 solves a column exactly when F*v/alpha is in dJ(0), that is when max|F*v| <= alpha; its
     # p = F*v/alpha then has |p| <= 1 exactly, division being correctly rounded
-    zero = np.abs(b).max(axis=0) <= alpha if reg.kind == "l1" else np.False_
+    zero = np.abs(b).max(axis=0) <= alpha
     if zero.all():  # the closed form alone: no step size, no iteration
         u, p, iterations = np.zeros_like(x0), b / alpha, np.zeros(zero.shape, int)
     else:
@@ -251,8 +251,8 @@ def _fista(op, v, alpha, reg, cfg, x0) -> RegularizedSolution:
                                                           cfg.max_iters)
         x_pre = x - tau * grad(x)
         u = prox(x_pre)
-        # the exact member (x_pre - u)/thresh of dJ(u), with l1's sign(u), which a thresh below ulp(x_pre) loses
-        p = u.copy() if reg.kind == "quadratic" else np.divide(x_pre, thresh, out=np.sign(u), where=u == 0.0)
+        # the exact member (x_pre - u)/thresh of dJ(u), with sign(u), which a thresh below ulp(x_pre) loses
+        p = np.divide(x_pre, thresh, out=np.sign(u), where=u == 0.0)
         if zero.any():  # a block's columns whose solution is zero take the closed form
             u[:, zero], p[:, zero], iterations[zero] = 0.0, b[:, zero] / alpha[zero], 0
     residual = fwd(u) - v
@@ -332,15 +332,15 @@ def _primal_dual(op, v, alpha, reg, cfg, u, q0=None) -> RegularizedSolution:
     block ``v`` with one ``alpha`` per column, from ``u`` and the dual zero, or
     (F u - v, ``q0``) given an edge dual ``q0``: each column's certified pair is
     recorded at the first check that certifies it."""
-    if reg.D.shape[1] != op.in_dim:
+    if reg.D.in_dim != op.in_dim:
         raise ValueError("regularizer shape does not match operator")
     fwd, adj = op._apply, op._adjoint
-    target = _rhs(op, v, cfg.tol)[1]
+    target = _rhs(adj, v, cfg.tol)[1]
     # K = [F; D], its steps and the products sigma*K, 2*tau*K^T: built once per operator and repr(reg)
     # (kind and shape, which fix D), and kept read-only
     if (setup := op._primal_dual.get(repr(reg))) is None:
         f = op.matrix
-        k_mat = sp.vstack([f, reg.D]).tocsr() if sp.issparse(f) else np.vstack([f, reg.D.toarray()])
+        k_mat = sp.vstack([f, reg.D.matrix]).tocsr() if sp.issparse(f) else np.vstack([f, reg.D.matrix.toarray()])
         abs_k = abs(k_mat)
         tau = _STEP_SAFETY / np.asarray(abs_k.sum(axis=0)).ravel()
         # rows of F that see no pixel (rays missing the grid) get any finite step
@@ -377,8 +377,8 @@ def _primal_dual(op, v, alpha, reg, cfg, u, q0=None) -> RegularizedSolution:
         if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
             u_hat = u - 0.5 * d
             residual = fwd(u_hat) - v
-            du = reg._d(u_hat)
-            p = reg._dt(q) / alpha
+            du = reg.D._apply(u_hat)
+            p = reg.D._adjoint(q) / alpha
             g = adj(residual) + alpha * p
             defect = np.sqrt(_column_dots(g, g))
             tv_val = np.abs(du).sum(axis=0)

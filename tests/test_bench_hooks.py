@@ -1,24 +1,32 @@
 """The benchmark's tracer wraps library functions by name; a renamed or
 removed one would silently fall into ``<module>.other``, so every name it
-relies on is pinned here."""
+relies on is pinned here.  Each workload's first block runs here too, so a
+changed call shape fails the suite rather than only a benchmark run."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+import pytest
+
+import varreg
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("varreg_bench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"varreg_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+WORKLOADS = _load("workloads").WORKLOADS
+
+
 def test_tracer_span_names_resolve():
-    tracer = _load_tracer()
+    tracer = _load("tracer")
     for key in tracer.SPAN_OF:
         mod_name, attr = key.split(".")
         assert mod_name in tracer.MODULES, key
@@ -38,3 +46,10 @@ def test_tracer_class_hooks_are_plain_functions():
     for cls, name in ((LinearForwardMap, "apply"), (LinearForwardMap, "adjoint"),
                       (Regularizer, "prox"), (Regularizer, "edge_map_norm")):
         assert inspect.isfunction(vars(cls).get(name)), f"{cls.__name__}.{name}"
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_first_block_certifies(name, tmp_path):
+    workload = WORKLOADS[name](varreg, tmp_path)
+    block = next(workload.blocks(workload.setup(0)))
+    assert block and [fn() for _, _, fn in block] == [True] * len(block)

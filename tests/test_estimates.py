@@ -79,7 +79,7 @@ def test_tv_instance_is_piecewise_constant_with_witness():
     reg = tv_aniso(12)
     op = make_random_dense(16, 12, seed=21)
     inst = construct_source_instance(op, reg, seed=4)
-    du = reg.D @ inst.u_star
+    du = reg.D.matrix @ inst.u_star
     assert np.any(du != 0.0)  # at least one jump
     assert inst.p_star.dual is not None
     q = inst.p_star.dual
@@ -164,14 +164,15 @@ def _dense_l1_instance(op, reg, rng, singular):
 
 def _lstsq_tv_instance(op, reg, rng):
     """The TV builder with its free edge dual an SVD least-squares fit on the dense D^T."""
-    Dt = reg.Dt.toarray()
+    Dt = reg.D.matrix.T.toarray()
     w = op.adjoint(rng.standard_normal(op.out_dim))
     q_free = np.linalg.lstsq(Dt, w, rcond=None)[0]
     peak = float(np.max(np.abs(q_free)))
     if peak < 1e-12:
         raise estimates._RetryDraw
     target = w * (1.5 / peak)
-    q_hat, _, _ = accelerated_projected_gradient(lambda q: reg.D @ (Dt @ q - target), lambda q: np.clip(q, -1.0, 1.0),
+    q_hat, _, _ = accelerated_projected_gradient(lambda q: reg.D.matrix @ (Dt @ q - target),
+                                                 lambda q: np.clip(q, -1.0, 1.0),
                                                  1.02 * reg.edge_map_norm() ** 2, q_free * (1.5 / peak), 1e-12,
                                                  max_iters=100_000)
     active = np.abs(q_hat) >= estimates.SATURATION_THRESHOLD
@@ -265,6 +266,18 @@ def test_distance_function_endpoints():
     for rho in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="rho must be finite and nonnegative"):
             distance_function(op, p, rho)
+
+
+def test_source_fits_refuse_a_p_star_whose_target_overflows():
+    # ||F p*||^2 overflows for this finite p*, so the target tol*(1 + ||F p*||) would be inf and accept any
+    # defect: the source element and the distance function (at any radius) refuse it, naming p_star, warning-free
+    op, big = make_random_dense(8, 6, seed=1), 1e300 * np.ones(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fit in (lambda: solve_source_element(op, big), lambda: distance_function(op, big, 0.0),
+                    lambda: distance_function(op, big, 1.0)):
+            with pytest.raises(ValueError, match="p_star is too large"):
+                fit()
 
 
 def test_distance_function_matches_ridge_sweep():
@@ -867,7 +880,10 @@ def test_studies_reject_an_empty_alpha_grid():
         convergence_study(op, quadratic(), inst, [], [])
 
 
-BAD_GRIDS = {"negative-alpha": [0.1, -1.0], "infinite-alpha": [0.1, np.inf], "nan-alpha": [0.1, np.nan]}
+# a zero alpha would divide a bound by zero, and a NaN or infinite one leave it not finite: each is named as
+# the alpha it is, before any bound is formed, not blamed on noise_sigma
+BAD_GRIDS = {"negative-alpha": [0.1, -1.0], "infinite-alpha": [0.1, np.inf], "nan-alpha": [0.1, np.nan],
+             "zero-alpha": [0.0, 0.1], "nan-first": [np.nan, 0.1], "infinite-only": [np.inf]}
 
 
 def _no_solves(monkeypatch):
@@ -881,12 +897,13 @@ def _no_solves(monkeypatch):
     return solved, op, inst
 
 
-@pytest.mark.parametrize("sigma, alphas", [(0.1, grid) for grid in BAD_GRIDS.values()] + [
-    (np.nan, [0.1, 0.2]), (np.inf, [0.1, 0.2]), (-0.1, [0.1, 0.2])],
+@pytest.mark.parametrize("sigma, alphas, match", [(0.1, grid, "^alpha must be positive and finite")
+                                                  for grid in BAD_GRIDS.values()] + [
+    (np.nan, [0.1, 0.2], "noise_sigma"), (np.inf, [0.1, 0.2], "noise_sigma"), (-0.1, [0.1, 0.2], "noise_sigma")],
     ids=list(BAD_GRIDS) + ["nan-sigma", "infinite-sigma", "negative-sigma"])
-def test_bias_variance_study_checks_its_inputs_before_solving(monkeypatch, sigma, alphas):
+def test_bias_variance_study_checks_its_inputs_before_solving(monkeypatch, sigma, alphas, match):
     solved, op, inst = _no_solves(monkeypatch)
-    with pytest.raises(ValueError, match="alpha|noise_sigma"):
+    with pytest.raises(ValueError, match=match):
         bias_variance_study(op, quadratic(), inst, sigma, alphas, 2)
     assert solved == []
 
@@ -909,8 +926,8 @@ def test_bias_variance_study_refuses_a_bound_that_overflows(monkeypatch):
 @pytest.mark.parametrize("alphas", BAD_GRIDS.values(), ids=list(BAD_GRIDS))
 def test_convergence_study_checks_its_alphas_before_solving(monkeypatch, alphas):
     solved, op, inst = _no_solves(monkeypatch)
-    with pytest.raises(ValueError, match="alpha"):
-        convergence_study(op, quadratic(), inst, [0.1, 0.05], alphas)
+    with pytest.raises(ValueError, match="^alpha must be positive and finite"):
+        convergence_study(op, quadratic(), inst, np.full(len(alphas), 0.1), alphas)
     assert solved == []
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from varreg import (
     DimensionMismatchError,
+    LinearForwardMap,
     Subgradient,
     SubgradientError,
     bregman_distance,
@@ -113,7 +114,7 @@ def test_is_subgradient_tv_with_and_without_witness():
     assert is_subgradient(reg, u, p).ok  # feasibility solve, no witness
     bad = q.copy()
     bad[0] = 3.0
-    assert not is_subgradient(reg, u, reg.D.T @ bad, dual=bad).ok
+    assert not is_subgradient(reg, u, reg.D.matrix.T @ bad, dual=bad).ok
     # p far from range(D^T): constants are invisible to TV, so a constant
     # vector with nonzero mean cannot be a subgradient
     assert not is_subgradient(reg, u, np.ones(9)).ok
@@ -126,7 +127,7 @@ def test_tv_membership_is_continuous_across_a_tiny_jump():
     reg = tv_aniso(9)
     u = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0])
     q = np.array([0.2, -0.5, 1.0, 0.3, 0.7, -0.1, 1.0, 0.4])
-    p = reg.D.T @ q
+    p = reg.D.matrix.T @ q
     for dual in (q, None):
         small, large = (is_subgradient(reg, u + t * (np.arange(9) > 3), p, dual=dual).max_violation
                         for t in (0.5e-7, 2e-7))
@@ -162,13 +163,27 @@ def test_is_subgradient_invariants_at_random_sizes(shape, push, seed):
     # TV: a witness q = sign(Du) on the jumps and in the box elsewhere
     reg = tv_aniso(shape)
     u = rng.integers(0, 3, n).astype(float)
-    du = reg.D @ u
+    du = reg.D.matrix @ u
     q = np.where(du != 0.0, np.sign(du), rng.uniform(-1.0, 1.0, du.size))
-    assert is_subgradient(reg, u, reg.D.T @ q, dual=q).ok
-    assert is_subgradient(reg, u, reg.D.T @ q).ok
+    assert is_subgradient(reg, u, reg.D.matrix.T @ q, dual=q).ok
+    assert is_subgradient(reg, u, reg.D.matrix.T @ q).ok
     e = rng.integers(du.size)
     q[e] = np.copysign(1.0 + push, q[e])
-    assert not is_subgradient(reg, u, reg.D.T @ q, dual=q).ok
+    assert not is_subgradient(reg, u, reg.D.matrix.T @ q, dual=q).ok
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+def test_membership_tol_must_be_finite_and_nonnegative(tol):
+    # an infinite tol certified p = 5 on l1, a violation of 51.9; a NaN or negative one could certify nothing
+    u, p = np.ones(8), 5.0 * np.ones(8)
+    assert is_subgradient(l1(), u, p).max_violation > 50.0
+    with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+        is_subgradient(l1(), u, p, tol=tol)
+    with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+        bregman_distance(l1(), u, u, p, membership_tol=tol)
+    with pytest.raises(ValueError, match="^tol must be finite and nonnegative"):
+        symmetric_bregman(l1(), u, u, p, p, membership_tol=tol)
+    assert is_subgradient(l1(), u, np.sign(u), tol=0.0).ok  # a tol of 0 asks for exact membership
 
 
 @pytest.mark.parametrize("samples", [0, -1])
@@ -190,7 +205,7 @@ def _reference_is_subgradient(reg, u, p, tol=1e-8, *, dual=None, samples=100, se
             dist = float(np.max(np.abs(p))) - 1.0
         elif dual is not None:
             q = np.asarray(dual, dtype=float)
-            dist = max(np.linalg.norm(reg.D.T @ q - p), float(np.max(np.abs(q))) - 1.0)
+            dist = max(np.linalg.norm(reg.D.matrix.T @ q - p), float(np.max(np.abs(q))) - 1.0)
         else:
             dist = _tv_dual_fit(reg, p)
         eps = max(j_u - float(np.einsum("ij,ij->j", u[:, None], p[:, None])[0]), 0.0)  # as core._column_dots
@@ -223,9 +238,9 @@ def _membership_case(case, dim, rng, noise):
     elif reg.kind == "l1":
         p = np.where(u != 0.0, np.sign(u), rng.uniform(-1.0, 1.0, dim))
     else:
-        du = reg.D @ u
+        du = reg.D.matrix @ u
         q = np.where(du != 0.0, np.sign(du), rng.uniform(-1.0, 1.0, du.size))
-        p = reg.D.T @ q
+        p = reg.D.matrix.T @ q
     p = p + noise * rng.standard_normal(dim)
     return reg, u, p, (q if case.endswith("witness") else None)
 
@@ -304,7 +319,7 @@ def test_tv_dual_fit_matches_replaced_loop(case, dim, noise, data_seed):
     got = is_subgradient(reg, u, p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regularizers, "_tv_dual_fit", lambda reg, p: _reference_tv_dual_fit(
-            reg.D, p, np.zeros(reg.D.shape[0]), np.inf, reg.edge_map_norm() ** 2))
+            reg.D.matrix, p, np.zeros(reg.D.out_dim), np.inf, reg.edge_map_norm() ** 2))
         ref = is_subgradient(reg, u, p)
     assert got.ok == ref.ok
     if noise == 0.0:
@@ -318,7 +333,7 @@ def test_tv_dual_fit_steps_within_one_over_lipschitz(monkeypatch, shape):
     axes = (shape,) if isinstance(shape, int) else shape
     exact = sum(4.0 * math.sin(math.pi * (n - 1) / (2 * n)) ** 2 for n in axes)
     reg = tv_aniso(shape)
-    u = np.zeros(reg.D.shape[1])
+    u = np.zeros(reg.D.in_dim)
     lips = []
     real = regularizers.accelerated_projected_gradient
 
@@ -345,9 +360,9 @@ def test_tv_dual_fit_certifies_valid_48x48_subgradient():
         img[r0:r1 + 1, c0:c1 + 1] += rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.5)
     reg = tv_aniso((n, n))
     u = img.ravel()
-    du = reg.D @ u
+    du = reg.D.matrix @ u
     q = np.where(np.abs(du) > 0.0, np.sign(du), rng.uniform(-1.0, 1.0, du.size))
-    p = reg.D.T @ q
+    p = reg.D.matrix.T @ q
     assert is_subgradient(reg, u, p, dual=q).ok
     assert is_subgradient(reg, u, p).ok
 
@@ -498,8 +513,8 @@ def test_symmetric_clamp_band_grows_with_the_certified_slack():
     sol = solve_primal_dual(op, v, 0.1, reg)
     eps = sol.J_value - float(np.dot(sol.p_alpha.p, sol.u_alpha))
     assert eps > 1e-8
-    q = np.sign(reg.D @ sol.u_alpha)
-    zero, exact = np.zeros_like(sol.u_alpha), Subgradient(reg.D.T @ q, q)
+    q = np.sign(reg.D.matrix @ sol.u_alpha)
+    zero, exact = np.zeros_like(sol.u_alpha), Subgradient(reg.D.matrix.T @ q, q)
     assert float(np.dot(sol.p_alpha.p - exact.p, sol.u_alpha)) < -NEGATIVE_TOLERANCE
     assert symmetric_bregman(reg, sol.u_alpha, zero, sol.p_alpha, exact) == 0.0
     assert bregman_distance(reg, zero, sol.u_alpha, sol.p_alpha) >= 0.0
@@ -593,7 +608,7 @@ def test_edge_map_norm_matches_dense_svd():
     # the closed form is the exact top singular value of D
     for shape in (2, 3, 16, 200, (1, 5), (5, 1), (2, 3), (24, 24)):
         reg = tv_aniso(shape)
-        dense = float(np.linalg.svd(reg.D.toarray(), compute_uv=False)[0])
+        dense = float(np.linalg.svd(reg.D.matrix.toarray(), compute_uv=False)[0])
         assert reg.edge_map_norm() == pytest.approx(dense, rel=1e-13, abs=0.0), shape
         if isinstance(shape, int):  # a 1-d signal is the 1 x n image
             one, row = difference_matrix(shape), difference_matrix((1, shape))
@@ -603,23 +618,23 @@ def test_edge_map_norm_matches_dense_svd():
 
 def test_tv_edge_map_is_built_once_read_only():
     reg = tv_aniso((3, 4))
-    for m in (reg.D, reg.Dt):
-        assert m.format == "csr"
-        assert not any(a.flags.writeable for a in (m.data, m.indices, m.indptr))
-    assert (reg.Dt != reg.D.T).nnz == 0
+    assert isinstance(reg.D, LinearForwardMap)
+    m = reg.D.matrix
+    assert m.format == "csr"
+    assert not any(a.flags.writeable for a in (m.data, m.indices, m.indptr))
+    assert (m != difference_matrix((3, 4))).nnz == 0
     with pytest.raises(TypeError):
         Regularizer(kind="tv_aniso", shape=(3, 4), D=reg.D)
 
 
 def test_tv_edge_map_products_are_bound_once_outside_repr():
-    # repr(reg) keys the certificate records, so the bound products stay out of it
+    # repr(reg) keys the certificate records, so the edge map and its products stay out of it
     reg = tv_aniso((3, 4))
     assert repr(reg) == "Regularizer(kind='tv_aniso', shape=(3, 4))"
     rng = np.random.default_rng(0)
-    u, q = rng.standard_normal(12), rng.standard_normal(reg.D.shape[0])
-    assert np.array_equal(reg._d(u), reg.D @ u) and np.array_equal(reg._dt(q), reg.Dt @ q)
+    u, q = rng.standard_normal(12), rng.standard_normal(reg.D.out_dim)
+    m = reg.D.matrix
+    assert np.array_equal(reg.D._apply(u), m @ u) and np.array_equal(reg.D._adjoint(q), m.T.tocsr() @ q)
     U = rng.standard_normal((5, 12))
-    np.testing.assert_array_equal(reg.value_batch(U), np.abs(reg.D @ U.T).sum(axis=0))
-    assert l1()._d is None and l1()._dt is None
-    with pytest.raises(TypeError):
-        Regularizer(kind="tv_aniso", shape=(3, 4), _d=reg._d)
+    np.testing.assert_array_equal(reg.value_batch(U), np.abs(m @ U.T).sum(axis=0))
+    assert l1().D is None

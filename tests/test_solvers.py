@@ -126,15 +126,6 @@ def test_fista_soft_threshold_exact():
     assert is_subgradient(l1(), sol.u_alpha, sol.p_alpha, tol=1e-6).ok
 
 
-def test_fista_quadratic_matches_exact_solver():
-    rng = substream(1, "fista")
-    a = rng.standard_normal((8, 5))
-    v = rng.standard_normal(8)
-    f = solve_fista(make_dense(a), v, 0.2, quadratic(), SolverConfig(tol=1e-10))
-    t = solve_tikhonov_exact(make_dense(a), v, 0.2, TIGHT)
-    np.testing.assert_allclose(f.u_alpha, t.u_alpha, atol=1e-7)
-
-
 def test_fista_zero_data_stops_immediately():
     sol = solve_fista(identity_map(5), np.zeros(5), 0.5, l1())
     np.testing.assert_array_equal(sol.u_alpha, np.zeros(5))
@@ -196,8 +187,14 @@ def test_fista_zero_solution_ignores_a_warm_start():
 
 
 def test_fista_rejects_tv():
-    with pytest.raises(ValueError, match="quadratic and l1"):
+    with pytest.raises(ValueError, match="l1 only, not 'tv_aniso'"):
         solve_fista(identity_map(4), np.ones(4), 0.1, tv_aniso(4))
+
+
+def test_fista_rejects_quadratic():
+    # quadratic J has one solver, CG: solve_variational and solve_columns never sent it to FISTA
+    with pytest.raises(ValueError, match="l1 only, not 'quadratic'"):
+        solve_fista(identity_map(4), np.ones(4), 0.1, quadratic())
 
 
 def _fista_problem(name):
@@ -213,18 +210,15 @@ def _fista_problem(name):
 # restart that the shared accelerated kernel replaced, run at tol 1e-12
 REPLACED_FISTA_OBJECTIVE = {
     ("dense-14x10", "l1"): 2.96478803520821,
-    ("dense-14x10", "quadratic"): 2.3513747052953047,
     ("identity-4", "l1"): 0.35,
-    ("identity-4", "quadratic"): 0.13846153846153847,
     ("one-row", "l1"): 0.195,
-    ("one-row", "quadratic"): 0.09523809523809525,
 }
 
 
 @pytest.mark.parametrize("name, kind", sorted(REPLACED_FISTA_OBJECTIVE))
 def test_fista_matches_replaced_loop(name, kind):
     op, v, alpha = _fista_problem(name)
-    reg, cfg = (l1() if kind == "l1" else quadratic()), SolverConfig(tol=1e-12)
+    reg, cfg = l1(), SolverConfig(tol=1e-12)
     sol = solve_fista(op, v, alpha, reg, cfg)
     obj = sol.data_residual + alpha * sol.J_value
     ref = REPLACED_FISTA_OBJECTIVE[name, kind]
@@ -234,15 +228,14 @@ def test_fista_matches_replaced_loop(name, kind):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(m=st.integers(1, 12), n=st.integers(1, 10), kind=st.sampled_from(["l1", "quadratic"]),
-       alpha=st.floats(1e-3, 10.0), tol=st.sampled_from([1e-8, 1e-10, 1e-12]),
-       seed=st.integers(0, 2**32 - 1))
-def test_fista_certificate_property(m, n, kind, alpha, tol, seed):
+@given(m=st.integers(1, 12), n=st.integers(1, 10), alpha=st.floats(1e-3, 10.0),
+       tol=st.sampled_from([1e-8, 1e-10, 1e-12]), seed=st.integers(0, 2**32 - 1))
+def test_fista_certificate_property(m, n, alpha, tol, seed):
     # the certifying prox step meets the defect target, its subgradient is a
     # member, and the returned pair reproduces the reported defect
     op = make_random_dense(m, n, seed=seed)
     v = substream(seed, "fista-property").standard_normal(m)
-    reg, cfg = (l1() if kind == "l1" else quadratic()), SolverConfig(tol=tol)
+    reg, cfg = l1(), SolverConfig(tol=tol)
     sol = solve_fista(op, v, alpha, reg, cfg)
     assert sol.optimality_defect <= tol * (1.0 + np.linalg.norm(op.adjoint(v)))
     assert is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
@@ -376,7 +369,7 @@ def _diag_product_primal_dual(op, v, alpha, reg, cfg):
     and ufunc clipping replaced them, with the solver's exit rule (the slack
     within 0.5*tol*alpha*(1 + ||Du||_1)).  Returns (iterations, u_hat, p,
     defect) at its first certified check."""
-    d_mat, dt_mat, f_mat = reg.D, reg.Dt, op.matrix
+    d_mat, dt_mat, f_mat = reg.D.matrix, reg.D.matrix.T.tocsr(), op.matrix
     if sp.issparse(f_mat):
         k_mat = sp.vstack([f_mat, d_mat]).tocsr()
     else:
@@ -896,13 +889,13 @@ def test_primal_dual_from_a_poor_dual_start_certifies_the_same_solution():
     cfg = SolverConfig(tol=1e-9)
     cold = solve_primal_dual(op, v, 0.1, reg, cfg)
     zero = np.zeros(op.in_dim)
-    poor = RegularizedSolution(zero, Subgradient(zero, np.ones(reg.D.shape[0])), 0.1, 0.0, 0.0, 0.0, 0)
+    poor = RegularizedSolution(zero, Subgradient(zero, np.ones(reg.D.out_dim)), 0.1, 0.0, 0.0, 0.0, 0)
     sol = solve_primal_dual(op, v, 0.1, reg, cfg, u0=poor)
     target = cfg.tol * (1.0 + np.linalg.norm(op.adjoint(v)))
     assert sol.iterations != cold.iterations  # the dual start was taken
     assert sol.optimality_defect <= target and is_subgradient(reg, sol.u_alpha, sol.p_alpha).ok
     assert np.linalg.norm(sol.u_alpha - cold.u_alpha) <= target
-    short = RegularizedSolution(zero, Subgradient(zero, np.ones(reg.D.shape[0] - 1)), 0.1, 0.0, 0.0, 0.0, 0)
+    short = RegularizedSolution(zero, Subgradient(zero, np.ones(reg.D.out_dim - 1)), 0.1, 0.0, 0.0, 0.0, 0)
     with pytest.raises(DimensionMismatchError, match="dual start"):
         solve_primal_dual(op, v, 0.1, reg, cfg, u0=short)
 
@@ -910,7 +903,7 @@ def test_primal_dual_from_a_poor_dual_start_certifies_the_same_solution():
 def test_primal_dual_loop_writes_its_products_into_two_buffers(monkeypatch):
     # sigma*K and 2*tau*K^T write into buffers made once per solve, one call each per iteration
     op, reg, v = radon_phantom_problem(16)
-    k_shape = (op.out_dim + reg.D.shape[0], op.in_dim)
+    k_shape = (op.out_dim + reg.D.out_dim, op.in_dim)
     outs = {k_shape: [], k_shape[::-1]: []}
     kernel = core.csr_matvec
 
