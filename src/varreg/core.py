@@ -75,7 +75,16 @@ def inner(a, b) -> float:
 
 
 def norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a, dtype=float)))
+    """Euclidean norm with ``np.linalg.norm``'s bits: the root of ``vdot`` over ``ravel(order="K")``, which
+    sums as ``dot`` does but does not warn on overflow.  A sum of squares that overflows for finite entries
+    is redone on ``a / max|a|``, so a finite norm comes back finite."""
+    a = np.asarray(a, dtype=float).ravel(order="K")
+    n = math.sqrt(np.vdot(a, a))
+    if n == math.inf and np.isfinite(a).all():
+        scale = float(np.abs(a).max())
+        a = a / scale
+        n = scale * math.sqrt(np.vdot(a, a))
+    return n
 
 
 class LinearForwardMap:

@@ -56,6 +56,9 @@ _PROBE_BLOCK = 8192
 # seed or more entries replaces it.  Sharing a fixed sequence changes no result.
 _PROBE_DRAWS: dict[int, np.ndarray] = {}
 
+# max_s ||g_s|| over the probe's directions per (seed, samples, dim) of the draw in _PROBE_DRAWS.
+_PROBE_NORMS: dict[tuple[int, int, int], float] = {}
+
 
 class SubgradientError(ValueError):
     """A claimed subgradient failed its membership certificate."""
@@ -105,7 +108,7 @@ class Regularizer:
             self.D = LinearForwardMap(difference_matrix(self.shape))
 
     def value(self, u) -> float:
-        return self._value(as_vector(u, None if self.D is None else self.D.in_dim, "u"))
+        return float(_values(self, as_vector(u, None if self.D is None else self.D.in_dim, "u")[None])[0])
 
     def _value(self, u: np.ndarray) -> float:
         """J(u) without validation."""
@@ -201,13 +204,21 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
     """Certify p in the subdifferential of J at u, within ``tol``.
 
     Combines the closed-form characterization of the subdifferential with a randomized check
-    of the defining inequality J(w) >= J(u) + <p, w-u> over ``samples`` seeded points, each
-    gap less 4*eps*(J(u) + J(w)) of roundoff.  Quadratic's measure is |p - u|_inf; l1's and
-    TV's, continuous in u and p, is max(dist(p, dJ(0)), eps/(1 + J(u))), eps = J(u) - <p, u>:
-    dist is max|p| - 1 (l1), or max(||D^T q - p||, max|q| - 1) by the witness ``dual`` q, else
-    ``_tv_dual_fit``'s residual (TV).  Returns the decision and the largest observed violation,
-    or for (n, k) blocks ``u``, ``p`` (``dual`` None or (edges, k)) (k,) arrays of them, each
+    of the defining inequality J(w) >= J(u) + <p, w-u> over ``samples`` seeded points
+    w_s = u + r*g_s, r = 1 + max|u|, each gap less 4*eps*(J(u) + J(w)) of roundoff.  Quadratic's
+    measure is |p - u|_inf; l1's and TV's, continuous in u and p, is max(dist(p, dJ(0)), eps/(1 + J(u))),
+    eps = J(u) - <p, u>: dist is max|p| - 1 (l1), or max(||D^T q - p||, max|q| - 1) by the witness
+    ``dual`` q, else ``_tv_dual_fit``'s residual (TV).  Returns the decision and the largest observed
+    violation, or for (n, k) blocks ``u``, ``p`` (``dual`` None or (edges, k)) (k,) arrays of them, each
     column's as its own vector call gives them.  ``tol`` must be finite and >= 0 (else ValueError).
+
+    The probe is skipped for a column whose closed form passes and whose every gap J(u) + <p, w - u> - J(w)
+    is within ``tol`` by a bound; the column then reports the closed-form measure.  With d = w - u, and
+    e = p - D^T q for a q with max|q| <= 1, so <q, Dw> <= J(w) (l1: D = I, q = p, e = 0, if max|p| <= 1):
+    quadratic's gap <p - u, d> - ||d||^2/2 is at most ||p - u||^2/2; l1's and TV's, eps + <q, Dw> - J(w) + <e, w>,
+    at most eps + ||e|| (||u|| + r*max_s ||g_s||).  Each bound adds the probe's allowance 4*eps on its terms
+    (||p - u||^2/2, or J(u), sum |p_i u_i| and the ||e|| term), so a skip passes no column the probe fails;
+    a bound that overflows decides nothing.
     """
     _check_count(samples, 1, "samples")
     if not 0.0 <= tol < math.inf:  # an infinite tol would pass any violation, a NaN none
@@ -218,37 +229,74 @@ def is_subgradient(reg: Regularizer, u, p, tol: float = 1e-8, *, dual=None,
         raise ValueError(f"u must be a non-empty vector or (n, k) block, got shape {u.shape}")
     shape = u.shape if reg.D is None else (reg.D.in_dim,) + u.shape[1:]  # TV's u must fit D
     us, ps = _columns(u, shape, "u"), _columns(p, shape, "p")
-    j_u = np.array([reg._value(uj) for uj in us])
+    j_u = _values(reg, us)
+    residual = None  # ||e|| for a witness q in the box, inf without one
     if reg.kind == "quadratic":
         violation = np.abs(ps - us).max(axis=1)
     elif reg.kind == "l1":
         violation = np.abs(ps).max(axis=1) - 1.0
-    else:  # by the witness q, or else a fitted one
+        residual = np.where(violation <= 0.0, 0.0, np.inf)
+    else:  # by the witness q, or else a fitted one, which is in the box
         qs = [None] * len(us) if dual is None else _columns(dual, (reg.D.out_dim,) + u.shape[1:], "dual witness")
-        violation = np.array([_tv_dual_fit(reg, pj) if q is None else
-                              max(norm(reg.D._adjoint(q) - pj), float(np.abs(q).max()) - 1.0) for pj, q in zip(ps, qs)])
-    violation = np.maximum(violation, _slack(reg, j_u, us.T, ps.T) / (1.0 + j_u))  # 0 for quadratic
-
-    # randomized check of the subgradient inequality at w = u + radius*g
-    probe = _probe_directions(seed, samples, u.shape[0])
+        residual = np.array([_tv_dual_fit(reg, pj) if q is None else norm(reg.D._adjoint(q) - pj)
+                             for pj, q in zip(ps, qs)])
+        over = 0.0 if dual is None else np.abs(qs).max(axis=1) - 1.0
+        violation = np.maximum(residual, over)
+        residual = np.where(over <= 0.0, residual, np.inf)
+    slack = _slack(reg, j_u, us.T, ps.T)
+    violation = np.maximum(violation, slack / (1.0 + j_u))  # 0 for quadratic
     radius = 1.0 + np.abs(us).max(axis=1)
-    for cols, row_slices in _probe_blocks(len(us), samples, u.shape[0]):
-        if cols.stop - cols.start == 1:  # one column: a vector call's scalar and 1-d operands, which cost less
-            r, uc, pc, jc = radius[cols.start], us[cols.start], ps[cols.start], j_u[cols.start]
-        else:
-            r, uc, pc, jc = radius[cols, None, None], us[cols, None], ps[cols, :, None], j_u[cols, None, None]
-        best = violation[cols]
-        for rows in row_slices:
-            w = probe[rows] * r
-            w += uc
-            values = reg.value_batch(w.reshape(-1, w.shape[-1]))
-            w -= uc  # the same rounded w - u as forming it out of place
-            gaps = np.matmul(w, pc)
-            gaps += jc * (1.0 - _PROBE_ROUNDOFF)  # less the roundoff allowance on J(u) and J(w)
-            gaps -= values.reshape(gaps.shape) * (1.0 + _PROBE_ROUNDOFF)
-            np.fmax(best, gaps.reshape(len(best), -1).max(axis=1), out=best)  # skips a NaN (overflow)
+    bound = _probe_gap_bound(reg, us, ps, j_u, slack, residual, radius, seed, samples)
+    probed = np.flatnonzero(~((violation <= tol) & (bound <= tol)))  # a NaN bound decides nothing either
+
+    # randomized check of the subgradient inequality at w = u + radius*g, on the columns not decided above
+    if probed.size:
+        probe = _probe_directions(seed, samples, u.shape[0])
+        us, ps, radius, j_u, worst = us[probed], ps[probed], radius[probed], j_u[probed], violation[probed]
+        for cols, row_slices in _probe_blocks(probed.size, samples, u.shape[0]):
+            if cols.stop - cols.start == 1:  # one column: a vector call's scalar and 1-d operands, which cost less
+                r, uc, pc, jc = radius[cols.start], us[cols.start], ps[cols.start], j_u[cols.start]
+            else:
+                r, uc, pc, jc = radius[cols, None, None], us[cols, None], ps[cols, :, None], j_u[cols, None, None]
+            best = worst[cols]
+            for rows in row_slices:
+                w = probe[rows] * r
+                w += uc
+                values = reg.value_batch(w.reshape(-1, w.shape[-1]))
+                w -= uc  # the same rounded w - u as forming it out of place
+                gaps = np.matmul(w, pc)
+                gaps += jc * (1.0 - _PROBE_ROUNDOFF)  # less the roundoff allowance on J(u) and J(w)
+                gaps -= values.reshape(gaps.shape) * (1.0 + _PROBE_ROUNDOFF)
+                np.fmax(best, gaps.reshape(len(best), -1).max(axis=1), out=best)  # skips a NaN (overflow)
+        violation[probed] = worst
     violation = np.maximum(violation, 0.0) if u.ndim == 2 else max(float(violation[0]), 0.0)
     return MembershipResult(ok=violation <= tol, max_violation=violation)
+
+
+def _values(reg: Regularizer, us: np.ndarray) -> np.ndarray:
+    """J of each row of ``us``, rounding as a vector's J does; a J that overflows is refused with a ValueError."""
+    with np.errstate(over="ignore"):
+        j = [reg._value(uj) for uj in us]
+    if not all(map(math.isfinite, j)):
+        raise ValueError("u is too large: J(u) overflows")
+    return np.array(j)
+
+
+def _probe_gap_bound(reg: Regularizer, us, ps, j_u, slack, residual, radius, seed: int, samples: int) -> np.ndarray:
+    """Per column, a bound on every gap the probe would form, with its roundoff allowance (see ``is_subgradient``);
+    ``residual`` is ||e|| (inf: no witness in the box).  Overflow gives inf or NaN, without a warning."""
+    if reg.kind == "quadratic":  # einsum does not warn on overflow
+        e = ps - us
+        return 0.5 * np.einsum("ij,ij->i", e, e) * (1.0 + _PROBE_ROUNDOFF)
+    if reg.kind == "l1":  # e is 0 (or inf: no bound), and sum |p_i u_i| <= J(u)
+        return slack + residual + 2.0 * _PROBE_ROUNDOFF * j_u
+    key = (seed, samples, us.shape[1])
+    if key not in _PROBE_NORMS:
+        g = _probe_directions(*key)
+        _PROBE_NORMS[key] = float(np.sqrt(np.einsum("ij,ij->i", g, g).max()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = residual * (np.sqrt(np.einsum("ij,ij->i", us, us)) + radius * _PROBE_NORMS[key])
+        return slack + reach + _PROBE_ROUNDOFF * (j_u + np.einsum("ij,ij->i", np.abs(ps), np.abs(us)) + reach)
 
 
 def _columns(x, shape: tuple, name: str) -> np.ndarray:
@@ -273,6 +321,7 @@ def _probe_directions(seed: int, samples: int, dim: int) -> np.ndarray:
         flat = np.random.default_rng(seed).standard_normal(need)
         flat.flags.writeable = False
         _PROBE_DRAWS.clear()
+        _PROBE_NORMS.clear()
         _PROBE_DRAWS[seed] = flat
     return flat[:need].reshape(samples, dim)
 

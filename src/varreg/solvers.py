@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots, _freeze,
-                         _product, _read_only_csr, accelerated_projected_gradient, as_vector, norm,
+                         _product, _read_only_csr, accelerated_projected_gradient, as_vector,
                          operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient, quadratic
 
@@ -106,11 +106,12 @@ def _solve(core, op: LinearForwardMap, data, alpha: float, reg, config: SolverCo
 
 def _rhs(product, v: np.ndarray, tol: float, name: str = "data", image: str = "F*v"):
     """``image`` = product(v) (F*v of data) and the defect target tol*(1 + ||image||), a block's column by column
-    as its vector solves round them.  Input whose target is not finite (the norm overflows) is as unusable as
-    non-finite input, since any defect would meet it: ValueError naming ``name``, and a block's column."""
+    as its vector solves round them.  Input whose target is not finite (||image||^2 overflows, as the solvers'
+    squared residuals then would) is as unusable as non-finite input, since any defect would meet it: ValueError
+    naming ``name``, and a block's column.  The norm is the plain sqrt(<b, b>), ``np.linalg.norm``'s bits."""
     with np.errstate(over="ignore"):  # an overflowing norm is refused below, not warned on
         bs = [product(col) for col in (v.T.copy() if v.ndim == 2 else [v])]
-        target = tol * (1.0 + np.array([norm(b) for b in bs]))
+        target = tol * (1.0 + np.array([math.sqrt(np.dot(b, b)) for b in bs]))
     if not np.isfinite(target).all():
         column = f" column {np.flatnonzero(~np.isfinite(target))[0]}" if v.ndim == 2 else ""
         raise ValueError(f"{name}{column} is too large: its defect target tol*(1 + ||{image}||) is not finite")

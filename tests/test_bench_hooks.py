@@ -53,3 +53,14 @@ def test_benchmark_workload_first_block_certifies(name, tmp_path):
     workload = WORKLOADS[name](varreg, tmp_path)
     block = next(workload.blocks(workload.setup(0)))
     assert block and [fn() for _, _, fn in block] == [True] * len(block)
+
+
+def test_sampled_radon_first_block_certifies_without_the_membership_probe(tmp_path, monkeypatch):
+    # both classes' subgradients bound every probe gap by 0 (CG's p = u, and the l1 zero exit's u = 0 with
+    # max|p| <= 1), so the closed form decides each membership check and no probe point's J is evaluated
+    workload = WORKLOADS["sampled-radon"](varreg, tmp_path)
+    block = next(workload.blocks(workload.setup(0)))
+    calls, real = [], varreg.Regularizer.value_batch
+    monkeypatch.setattr(varreg.Regularizer, "value_batch", lambda self, U: calls.append(len(U)) or real(self, U))
+    assert [fn() for _, _, fn in block] == [True] * len(block)
+    assert calls == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -32,6 +34,23 @@ def test_inner_dimension_mismatch():
 
 def test_norm_pythagorean():
     assert norm([3.0, 4.0]) == 5.0
+
+
+def test_norm_keeps_its_bits_and_is_finite_where_the_norm_is():
+    # ordinary inputs give np.linalg.norm's bits; a sum of squares that overflows for finite entries is redone
+    # on a / max|a|, so a finite norm comes back finite, and an infinite one as inf, without a warning
+    rng = np.random.default_rng(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (1, 7, 1000):
+            for e in (-150, 0, 150):
+                x = rng.standard_normal(n) * 10.0 ** e
+                for view in (x, x[::3], x.reshape(1, -1), np.asfortranarray(np.outer(x, rng.standard_normal(5)))):
+                    assert norm(view) == float(np.linalg.norm(view))
+        assert norm(1e200 * np.ones(4)) == 2e200
+        assert norm(-1e300 * np.ones((2, 2))) == 2e300
+        assert norm(np.full(4, 1e308)) == np.inf
+        assert norm([np.inf, 1.0]) == np.inf
 
 
 def test_as_vector_coercion():

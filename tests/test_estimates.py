@@ -280,6 +280,15 @@ def test_source_fits_refuse_a_p_star_whose_target_overflows():
                 fit()
 
 
+def test_distance_function_at_radius_zero_is_a_finite_norm_whose_square_overflows():
+    # d(0) = ||p*|| = 2e200 though ||p*||^2 overflows; F p* = (4, 4, 4), so the fit's target is finite and
+    # p* is accepted, and the norm comes back finite with no RuntimeWarning
+    op = make_dense(1e-200 * np.ones((3, 4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert distance_function(op, 1e200 * np.ones(4), 0.0) == 2e200
+
+
 def test_distance_function_matches_ridge_sweep():
     # KKT: for mu > 0, z(mu) = (F F* + mu I)^{-1} F p* solves the constrained
     # problem at its own radius, tracing the exact trade-off curve

@@ -193,27 +193,40 @@ def test_is_subgradient_rejects_nonpositive_samples(samples):
 
 
 def _reference_is_subgradient(reg, u, p, tol=1e-8, *, dual=None, samples=100, seed=0):
-    """is_subgradient with the probe drawn afresh and evaluated as one product."""
+    """is_subgradient with the probe drawn afresh and evaluated as one product, and skipped, as there,
+    where the closed form passes and a bound on every probe gap is within tol."""
     u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
     j_u = reg.value(u)
-    if reg.kind == "quadratic":
-        violation = float(np.max(np.abs(p - u)))
-    else:
-        # distance from p to dJ(0), and the slack eps = J(u) - <p, u> relative to 1 + J(u)
-        if reg.kind == "l1":
-            dist = float(np.max(np.abs(p))) - 1.0
-        elif dual is not None:
-            q = np.asarray(dual, dtype=float)
-            dist = max(np.linalg.norm(reg.D.matrix.T @ q - p), float(np.max(np.abs(q))) - 1.0)
-        else:
-            dist = _tv_dual_fit(reg, p)
-        eps = max(j_u - float(np.einsum("ij,ij->j", u[:, None], p[:, None])[0]), 0.0)  # as core._column_dots
-        violation = max(dist, eps / (1.0 + j_u))
+    allowance = 4.0 * np.finfo(float).eps  # each gap's roundoff allowance, relative to J(u) + J(w)
     rng = np.random.default_rng(seed)
     radius = 1.0 + float(np.max(np.abs(u)))
-    w = u[None, :] + radius * rng.standard_normal((samples, u.size))
-    allowance = 4.0 * np.finfo(float).eps  # each gap's roundoff allowance, relative to J(u) + J(w)
+    g = rng.standard_normal((samples, u.size))
+    if reg.kind == "quadratic":
+        violation = float(np.max(np.abs(p - u)))
+        # 0.5||u||^2 + <p, d> - 0.5||u + d||^2 = <p - u, d> - 0.5||d||^2, at most 0.5||p - u||^2
+        bound = 0.5 * float(np.sum((p - u) ** 2)) * (1.0 + allowance)
+    else:
+        # distance from p to dJ(0), and the slack eps = J(u) - <p, u> relative to 1 + J(u); ``box`` is the
+        # residual ||D^T q - p|| of a witness q with |q| <= 1 (l1: q = p), inf without one
+        if reg.kind == "l1":
+            dist = float(np.max(np.abs(p))) - 1.0
+            box = 0.0 if dist <= 0.0 else np.inf
+        elif dual is not None:
+            q = np.asarray(dual, dtype=float)
+            residual = np.linalg.norm(reg.D.matrix.T @ q - p)
+            dist = max(residual, float(np.max(np.abs(q))) - 1.0)
+            box = residual if np.max(np.abs(q)) <= 1.0 else np.inf
+        else:
+            dist = box = _tv_dual_fit(reg, p)
+        eps = max(j_u - float(np.einsum("ij,ij->j", u[:, None], p[:, None])[0]), 0.0)  # as core._column_dots
+        violation = max(dist, eps / (1.0 + j_u))
+        # the gap is eps + <q, Dw> - J(w) + <p - D^T q, w> <= eps + box*||w||, and ||w|| <= ||u|| + r max_s ||g_s||
+        reach = box * (np.linalg.norm(u) + radius * max(np.linalg.norm(row) for row in g)) if box else 0.0
+        bound = eps + reach + allowance * (j_u + float(np.abs(p) @ np.abs(u)) + reach)
+    if violation <= tol and bound <= tol:
+        return MembershipResult(ok=True, max_violation=max(violation, 0.0))
+    w = u[None, :] + radius * g
     gaps = j_u * (1.0 - allowance) + (w - u[None, :]) @ p - reg.value_batch(w) * (1.0 + allowance)
     violation = max(violation, float(np.max(gaps)), 0.0)
     return MembershipResult(ok=bool(violation <= tol), max_violation=violation)
@@ -423,6 +436,102 @@ def test_block_is_subgradient_matches_vector_calls_at_few_samples(case, samples)
     for data_seed in range(4):
         for block in (8192, 1):
             _assert_block_matches_vector_calls(case, 64, 4, samples, 1, block, data_seed)
+
+
+def _spy_value_batch(monkeypatch):
+    """Record the number of points each probe evaluation of J gets."""
+    calls, real = [], Regularizer.value_batch
+    monkeypatch.setattr(Regularizer, "value_batch", lambda self, U: calls.append(len(U)) or real(self, U))
+    return calls
+
+
+def test_exact_members_skip_the_probe(monkeypatch):
+    # CG's p = u (quadratic), FISTA's zero exit u = 0 with max|p| <= 1 (l1) and p = D^T q at a constant u with
+    # |q| <= 1 (TV) bound every probe gap by 0: no J is evaluated, and the closed-form measure is reported
+    calls = _spy_value_batch(monkeypatch)
+    rng = np.random.default_rng(3)
+    u = rng.standard_normal(40)
+    assert is_subgradient(quadratic(), u, u.copy()) == (True, 0.0)
+    assert is_subgradient(l1(), np.zeros(40), rng.uniform(-1.0, 1.0, 40)) == (True, 0.0)
+    reg = tv_aniso(40)
+    q = rng.uniform(-1.0, 1.0, 39)
+    assert is_subgradient(reg, np.full(40, 2.0), reg.D.matrix.T @ q, dual=q).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_probe_still_rejects_an_l1_p_just_outside_the_box(monkeypatch, n):
+    # the closed form passes (max|p| - 1 = 0.9e-6 <= tol) but p is not in the box, so no bound decides and the
+    # probe runs: at u = 10, points w > 0 have gap 0.9e-6*(sum w - 10n), above tol
+    calls = _spy_value_batch(monkeypatch)
+    res = is_subgradient(l1(), 10.0 * np.ones(n), (1.0 + 0.9e-6) * np.ones(n), tol=1e-6)
+    assert not res.ok and res.max_violation > 1e-5
+    assert calls == [100]
+
+
+def test_probe_still_rejects_a_tv_witness_far_from_p(monkeypatch):
+    # q = sign(D g_0) for the probe's first direction and p = D^T q + e with ||e|| = 0.9 tol along g_0: the closed
+    # form passes at u = 0, the bound ||e||*max_s ||g_s|| is 8.8 tol, and the probe's gap at w = g_0 is
+    # ||e|| ||g_0|| = 6.6 tol
+    calls = _spy_value_batch(monkeypatch)
+    reg, tol = tv_aniso(64), 1e-6
+    g0 = np.random.default_rng(0).standard_normal(64)
+    q = np.sign(reg.D.matrix @ g0)
+    p = reg.D.matrix.T @ q + 0.9 * tol * g0 / np.linalg.norm(g0)
+    res = is_subgradient(reg, np.zeros(64), p, tol=tol, dual=q)
+    assert not res.ok and res.max_violation > 5.0 * tol
+    assert calls == [100]
+
+
+def test_quadratic_bound_that_overflows_falls_back_to_the_probe(monkeypatch):
+    # ||p - u||^2 overflows though |p - u|_inf = 1e160 is within tol: the bound decides nothing, without a
+    # warning, and the probe (whose points stay near u = 0) certifies
+    calls = _spy_value_batch(monkeypatch)
+    res = is_subgradient(quadratic(), np.zeros(4), 1e160 * np.ones(4), tol=1e161)
+    assert res.ok and 1e160 < res.max_violation <= 1e161
+    assert calls == [100]
+
+
+@pytest.mark.parametrize("call", ["is_subgradient", "bregman_distance", "unchecked bregman_distance", "value"])
+def test_quadratic_j_that_overflows_is_refused_naming_u(call):
+    # 0.5*<u, u> overflows at u ~ 1e300: refused, not warned on and not certified
+    u = 1e300 * np.random.default_rng(0).standard_normal(5)
+    run = {"is_subgradient": lambda: is_subgradient(quadratic(), u, u),
+           "bregman_distance": lambda: bregman_distance(quadratic(), u, u, u),
+           "unchecked bregman_distance": lambda: bregman_distance(quadratic(), u, u, u, check=False),
+           "value": lambda: quadratic().value(u)}[call]
+    with pytest.raises(ValueError, match=r"^u is too large: J\(u\) overflows"):
+        run()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=st.sampled_from(MEMBERSHIP_CASES), dim=st.integers(2, 120), k=st.integers(1, 5),
+       log_scale=st.floats(-3.0, 3.0), noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),
+       shift=st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5]), tol=st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 1e-4]),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_skipping_the_probe_changes_no_verdict(case, dim, k, log_scale, noise, shift, tol, data_seed):
+    # against the probe run on every column (the gap bound patched to inf), vector and block calls decide alike;
+    # ``noise`` moves p off dJ(u) and ``shift`` moves u, so eps and ||D^T q - p|| straddle tol
+    rng = np.random.default_rng(data_seed)
+    cols = []
+    for _ in range(k):
+        reg, u, p, dual = _membership_case(case, dim, rng, noise)
+        scale = 10.0 ** log_scale
+        u = u * scale + shift * scale * rng.standard_normal(u.size)
+        cols.append((u, p * scale if reg.kind == "quadratic" else p, dual))
+    us, ps = (np.column_stack(c) for c in list(zip(*cols))[:2])
+    duals = None if cols[0][2] is None else np.column_stack([c[2] for c in cols])
+
+    def verdicts():
+        return ([is_subgradient(reg, u, p, tol, dual=q).ok for u, p, q in cols],
+                is_subgradient(reg, us, ps, tol, dual=duals).ok.tolist())
+
+    skipping = verdicts()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "_probe_gap_bound", lambda *args: np.inf)
+        probed = verdicts()
+    assert skipping == probed
+    assert skipping[0] == skipping[1]
 
 
 @pytest.mark.parametrize("samples", [2.5, True, "3"])
