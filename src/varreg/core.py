@@ -16,7 +16,7 @@ import zlib
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs
 
 __all__ = [
     "DimensionMismatchError",
@@ -66,12 +66,13 @@ def _check_alpha(alpha: float) -> None:
 
 
 def inner(a, b) -> float:
-    """Euclidean inner product; dimensions must match exactly."""
+    """Euclidean inner product; dimensions must match exactly.  ``vdot`` sums a vector as ``dot`` does, but
+    returns ``inf`` for a product that overflows instead of warning."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"inner product of shapes {a.shape} and {b.shape}")
-    return float(np.dot(a, b))
+    return float(np.vdot(a, b))
 
 
 def norm(a) -> float:
@@ -93,11 +94,11 @@ class LinearForwardMap:
     ``matrix`` is a non-empty, finite dense array or scipy.sparse matrix whose
     squared entries have a sum with a finite square, ||F||_F^4, which bounds
     ||F*F x||^2 for a unit x (every defect target squares such a product); it
-    is marked read-only, a sparse one stored as CSR.  The
-    adjoint is stored beside it: ``matrix.T`` for a dense array, the CSR
-    transpose for a sparse one.  The raw kernels ``_apply``/``_adjoint`` are
-    the products with these two (:func:`_product`) and take vectors or (n, k)
-    blocks without validation.
+    is marked read-only, a sparse one stored as CSR.  A sparse map keeps one
+    CSR copy; the adjoint runs the CSC kernel on the same arrays, in the same
+    summation order as a product with the CSR transpose.  The raw kernels
+    ``_apply``/``_adjoint`` are the products with ``matrix`` and its transpose
+    (:func:`_product`) and take vectors or (n, k) blocks without validation.
 
     Operators are immutable: ``_norm_cache`` memoizes
     :func:`operator_norm_estimate` per ``(iters, seed)``, ``_primal_dual``
@@ -120,13 +121,11 @@ class LinearForwardMap:
             raise ValueError("matrix contains non-finite entries, or the sum of their squares overflows when squared")
         if sparse:
             a = _read_only_csr(a)
-            at = _read_only_csr(a.T.tocsr())
         else:
             a.flags.writeable = False
-            at = a.T
         self.matrix = a
         self.out_dim, self.in_dim = a.shape
-        self._apply, self._adjoint = _product(a), _product(at)
+        self._apply, self._adjoint = _product(a), _product(a, transpose=True)
         self._norm_cache: dict[tuple[int, int], float] = {}
         self._primal_dual: dict[str, tuple] = {}
         self._population: LinearForwardMap | None = None
@@ -152,14 +151,21 @@ def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
-def _product(m):
-    """``m @ x`` for a vector or (n, k) block ``x``, bound once for hot loops, into a fresh array or into ``out=``, a
-    C-contiguous float buffer a loop makes once: ``np.dot`` for a dense ``m`` (``@``'s bits on a C- or F-contiguous
-    ``x``), or for a CSR ``m`` a direct call of the scipy kernel ``@`` ends in, on the same contiguous float operand
-    (the same bits, without ``@``'s dispatch).  The kernel reads ``x`` and writes ``out`` unchecked: both checked."""
+def _product(m, transpose: bool = False):
+    """``m @ x``, or ``m.T @ x`` with ``transpose``, for a vector or (n, k) block ``x``, bound once for hot loops, into
+    a fresh array or into ``out=``, a C-contiguous float buffer a loop makes once: ``np.dot`` for a dense ``m``
+    (``@``'s bits on a C- or F-contiguous ``x``), or for a CSR ``m`` a direct call of the scipy kernel ``@`` ends in,
+    on the same contiguous float operand (the same bits, without ``@``'s dispatch).  The transpose of a CSR ``m`` is
+    the CSC matrix on its own arrays, so ``m.T @ x`` runs the CSC kernel on them and needs no second copy; it sums
+    each output in the order a product with the CSR transpose does.  A vector through it is a scatter, slower than
+    the CSR gather; a block is faster.  The kernel reads ``x`` and writes ``out`` unchecked: both checked."""
     if not sp.issparse(m):
-        return functools.partial(np.dot, m)
-    (rows, cols), indptr, indices, data = m.shape, m.indptr, m.indices, m.data
+        return functools.partial(np.dot, m.T if transpose else m)
+    if transpose:
+        matvec, matvecs, (cols, rows) = csc_matvec, csc_matvecs, m.shape
+    else:
+        matvec, matvecs, (rows, cols) = csr_matvec, csr_matvecs, m.shape
+    indptr, indices, data = m.indptr, m.indices, m.data
 
     def product(x, out=None):
         x = np.ascontiguousarray(x, dtype=float)
@@ -170,10 +176,10 @@ def _product(m):
             out = np.zeros(shape)
         else:
             out.fill(0.0)  # the kernel adds into its output
-        if x.size == cols:  # a vector or a single column, which scipy's @ sends to csr_matvec
-            csr_matvec(rows, cols, indptr, indices, data, x, out)
+        if x.size == cols:  # a vector or a single column, which scipy's @ sends to the matvec kernel
+            matvec(rows, cols, indptr, indices, data, x, out)
         else:
-            csr_matvecs(rows, cols, x.shape[1], indptr, indices, data, x, out)
+            matvecs(rows, cols, x.shape[1], indptr, indices, data, x, out)
         return out
     return product
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_row_index
 
 from varreg.core import LinearForwardMap, _check_count, _check_noise_sigma, as_vector
 
@@ -239,13 +240,20 @@ def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMa
     if rows.min() < 0 or rows.max() >= op.out_dim:
         raise ValueError("sample_rows out of range for base operator")
     sqw = np.sqrt(design.weights)
-    a = op.matrix[rows]
-    if sp.issparse(a):
-        # scale rows in place on the fresh row selection, keeping its sorted indices
-        a.data *= np.repeat(sqw, np.diff(a.indptr))
-    else:
-        a = sqw[:, None] * a
-    return LinearForwardMap(a)
+    m = op.matrix
+    if not sp.issparse(m):
+        return LinearForwardMap(sqw[:, None] * m[rows])
+    # m[rows] without scipy's indexing dispatch: its row-gather kernel, into index arrays of scipy's dtype for the
+    # gathered nnz and shape; each row is then scaled in place, keeping its indices' order
+    counts = np.diff(m.indptr)[rows]
+    nnz = int(counts.sum(dtype=np.int64))
+    idx = sp.get_index_dtype(maxval=max(nnz, rows.size, m.shape[1]))
+    indptr, indices, data = np.zeros(rows.size + 1, dtype=idx), np.empty(nnz, dtype=idx), np.empty(nnz)
+    np.cumsum(counts, out=indptr[1:])
+    csr_row_index(rows.size, rows.astype(idx), m.indptr.astype(idx, copy=False), m.indices.astype(idx, copy=False),
+                  m.data, indices, data)
+    data *= np.repeat(sqw, counts)
+    return LinearForwardMap(sp.csr_matrix((data, indices, indptr), shape=(rows.size, m.shape[1])))
 
 
 def population_map(op: LinearForwardMap) -> LinearForwardMap:

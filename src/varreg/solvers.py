@@ -309,8 +309,10 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
     Chambolle, ICCV 2011) need no norm estimate; they are folded into the
     stored products sigma*K and 2*tau*K^T by scaling the rows of K and K^T,
     and the box clip of q is two in-place ufuncs.  On a CSR K they, like the
-    products with D and D^T, call scipy's CSR kernel directly
-    (``core._product``).  Each step is moved a factor ``_RELAX`` along its
+    products with D and D^T, call scipy's kernels directly
+    (``core._product``); K^T is a row-scaled CSR copy of its own, since a
+    vector product gathers through it faster than K's CSC kernel scatters.
+    Each step is moved a factor ``_RELAX`` along its
     direction (Condat, JOTA 2013; Chambolle & Pock, Math. Prog. 2016), which
     keeps the fixed point and the step condition.  The
     certified pair is the unrelaxed one, (u_hat, clipped q): a relaxed q can

@@ -19,12 +19,24 @@ from varreg import (
     substream,
 )
 from varreg.core import _product
-from varreg.operators import RadonGeometry, make_radon, make_random_dense
+from varreg.operators import RadonGeometry, draw_design, make_radon, make_random_dense, make_sampled
+from varreg.regularizers import tv_aniso
 
 
 def test_inner_examples():
     assert inner([1.0, 2.0], [3.0, 4.0]) == 11.0
     assert inner([1.0, 0.0], [0.0, 5.0]) == 0.0
+
+
+def test_inner_of_an_overflowing_product_is_inf_without_a_warning():
+    # RuntimeWarning is an error in this suite; the product of two finite vectors may still overflow
+    u = np.random.default_rng(0).standard_normal(12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert inner(1e300 * u, 1e300 * u) == np.inf
+    for n in (1, 7, 64, 1000):
+        a, b = np.random.default_rng(n).standard_normal((2, n))
+        assert inner(a, b) == float(np.dot(a, b))
 
 
 def test_inner_dimension_mismatch():
@@ -228,6 +240,41 @@ def test_product_matches_matmul_bit_for_bit(case):
     assert _product(dense)(x).tobytes() == (dense @ x).tobytes()
 
 
+def _adjoint_cases():
+    """Sparse maps whose adjoint runs the CSC kernel on their own CSR arrays: Radon 32^2, the TV edge maps of a
+    24^2 image and a 1-d signal, a sampled map with repeated rows, and a CSR with unsorted, duplicate entries."""
+    radon = make_radon(RadonGeometry.regular(32, 40, 50))
+    design = draw_design(radon.out_dim, 3 * radon.out_dim, 0.0, seed=5)
+    assert np.unique(design.sample_rows).size < design.size
+    messy = sp.csr_matrix((np.array([1.0, -2.0, 0.5, 3.0, 0.25, -1.5]), np.array([3, 0, 3, 2, 1, 2]),
+                           np.array([0, 3, 3, 6])), shape=(3, 4))
+    assert not messy.has_sorted_indices and not messy.has_canonical_format
+    return {"radon-32": radon, "tv-24x24": tv_aniso((24, 24)).D, "tv-1d": tv_aniso(40).D,
+            "sampled-repeated": make_sampled(radon, design), "unsorted-duplicates": LinearForwardMap(messy)}
+
+
+@pytest.mark.parametrize("case", ["radon-32", "tv-24x24", "tv-1d", "sampled-repeated", "unsorted-duplicates"])
+def test_sparse_adjoint_matches_scipy_transpose_product_bit_for_bit(case):
+    # one CSR copy: the adjoint is the CSC product on the same arrays, with scipy's own bits for matrix.T @ x,
+    # and those of the CSR transpose's product, so iterates do not move
+    op = _adjoint_cases()[case]
+    m, n = op.matrix, op.out_dim
+    mt, mt_csr = m.T, m.T.tocsr()
+    block = np.random.default_rng(4).standard_normal((n, 6))
+    operands = {"vector": block[:, 0], "one-column": block[:, 1:2].copy(), "block-C": block,
+                "block-F": np.asfortranarray(block)}
+    for name, x in operands.items():
+        y = op._adjoint(x)
+        assert y.shape == (op.in_dim,) + x.shape[1:], name
+        assert y.tobytes() == (mt @ x).tobytes() == (mt_csr @ x).tobytes(), name
+    for xs in ((block[:, 2].copy(), block[:, 3].copy()), (block, block[:, ::-1].copy())):
+        out = np.full((op.in_dim,) + xs[0].shape[1:], np.nan)
+        for x in xs:  # the kernel adds into out, so a reused buffer must give a fresh product's bits
+            assert op._adjoint(x, out=out) is out
+            assert out.tobytes() == (mt @ x).tobytes()
+    assert op.adjoint(block[:, 0]).tobytes() == (mt @ block[:, 0]).tobytes()
+
+
 def test_product_returns_fresh_writable_arrays():
     # callers update results in place, so a product without out= makes a fresh buffer each call
     m = _csr_cases()["random"]
@@ -243,16 +290,19 @@ def test_product_returns_fresh_writable_arrays():
 
 
 def test_product_rejects_a_wrong_length_operand():
-    # the kernel reads its operand and writes its output without a bounds check, so both are checked here
-    product = _product(_csr_cases()["random"])
-    for x in (np.ones(6), np.ones(8), np.ones((6, 2))):
-        with pytest.raises(DimensionMismatchError):
-            product(x)
-        with pytest.raises(DimensionMismatchError):
-            product(x, out=np.empty((9,) + x.shape[1:]))
-    for out in (np.empty(8), np.empty((9, 2)), np.empty((9, 1))):
-        with pytest.raises(DimensionMismatchError):
-            product(np.ones(7), out=out)
+    # the kernel reads its operand and writes its output without a bounds check, so both are checked here,
+    # for the CSR product with the 9x7 matrix and the CSC product with its 7x9 transpose
+    m = _csr_cases()["random"]
+    for transpose, (rows, cols) in ((False, m.shape), (True, m.shape[::-1])):
+        product = _product(m, transpose)
+        for x in (np.ones(cols - 1), np.ones(cols + 1), np.ones((cols - 1, 2))):
+            with pytest.raises(DimensionMismatchError):
+                product(x)
+            with pytest.raises(DimensionMismatchError):
+                product(x, out=np.empty((rows,) + x.shape[1:]))
+        for out in (np.empty(rows - 1), np.empty((rows, 2)), np.empty((rows, 1))):
+            with pytest.raises(DimensionMismatchError):
+                product(np.ones(cols), out=out)
 
 
 @pytest.mark.parametrize("layout", ["dense-C", "dense-adjoint-view", "csr"])
@@ -275,12 +325,12 @@ def test_product_into_out_matches_a_fresh_product_bit_for_bit(layout):
 
 
 def test_scipy_csr_kernels_exist_with_the_argument_order_used():
-    # _product calls scipy's private CSR kernels; a scipy release that moves or
-    # reorders them fails here by name, not deep inside a solve
+    # _product and make_sampled call scipy's private CSR/CSC kernels; a scipy release that
+    # moves or reorders them fails here by name, not deep inside a solve
     try:
-        from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+        from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs, csr_row_index
     except ImportError as err:  # pragma: no cover - only on an incompatible scipy
-        pytest.fail(f"scipy.sparse._sparsetools.csr_matvec/csr_matvecs not importable: {err}")
+        pytest.fail(f"scipy.sparse._sparsetools kernels not importable: {err}")
     m = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 3.0, -1.0]]))
     x, block = np.array([1.0, 2.0, 3.0]), np.arange(6.0).reshape(3, 2)
     y = np.zeros(3)
@@ -289,6 +339,17 @@ def test_scipy_csr_kernels_exist_with_the_argument_order_used():
     yb = np.zeros((3, 2))
     csr_matvecs(3, 3, 2, m.indptr, m.indices, m.data, block, yb)
     assert np.array_equal(yb, m @ block), "scipy.sparse._sparsetools.csr_matvecs"
+    # the CSR arrays of m are the CSC arrays of m.T, of shape (cols, rows)
+    y = np.zeros(3)
+    csc_matvec(3, 3, m.indptr, m.indices, m.data, x, y)
+    assert np.array_equal(y, m.T @ x), "scipy.sparse._sparsetools.csc_matvec"
+    yb = np.zeros((3, 2))
+    csc_matvecs(3, 3, 2, m.indptr, m.indices, m.data, block, yb)
+    assert np.array_equal(yb, m.T @ block), "scipy.sparse._sparsetools.csc_matvecs"
+    rows, indices, data = np.array([2, 0, 2], dtype=m.indptr.dtype), np.empty(6, m.indices.dtype), np.empty(6)
+    csr_row_index(3, rows, m.indptr, m.indices, m.data, indices, data)
+    ref = m[[2, 0, 2]]
+    assert np.array_equal(indices, ref.indices) and np.array_equal(data, ref.data), "csr_row_index"
 
 
 def test_operator_norm_examples():

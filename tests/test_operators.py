@@ -425,6 +425,38 @@ def test_sampled_rejects_out_of_range_rows():
     design = full_design(6)
     with pytest.raises(ValueError, match="out of range"):
         make_sampled(base, design)
+    radon = make_radon(RadonGeometry.regular(4, 3, 4))
+    for rows in ([0, radon.out_dim], [-1, 0]):
+        design = operators.SampledDesign(np.array(rows), np.full(2, 0.5), np.zeros(2))
+        with pytest.raises(ValueError, match="out of range"):
+            make_sampled(radon, design)
+
+
+def _wide_index_radon():
+    """A Radon map whose CSR index arrays are int64, as a caller may hand one in."""
+    wide = make_radon(RadonGeometry.regular(8, 6, 7)).matrix.copy()
+    wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+    op = operators.LinearForwardMap(wide)
+    assert op.matrix.indptr.dtype == op.matrix.indices.dtype == np.int64
+    return op
+
+
+@pytest.mark.parametrize("base", ["radon", "convolution", "identity", "int64-index"])
+def test_sampled_csr_is_scipys_row_selection_with_scaled_rows(base):
+    # the row-gather kernel gives the arrays and index dtypes of op.matrix[rows], repeated rows included
+    op = {"radon": lambda: make_radon(RadonGeometry.regular(10, 8, 9)),
+          "convolution": lambda: make_convolution([0.1, 0.6, 0.3], 12),
+          "identity": lambda: identity_map(7),
+          "int64-index": _wide_index_radon}[base]()
+    design = draw_design(op.out_dim, 2 * op.out_dim, 0.1, seed=6)
+    assert np.unique(design.sample_rows).size < design.size
+    m = make_sampled(op, design).matrix
+    ref = op.matrix[design.sample_rows]
+    ref.data *= np.repeat(np.sqrt(design.weights), np.diff(ref.indptr))
+    assert m.shape == ref.shape and m.format == "csr"
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(m, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_draw_design_determinism_and_noise():

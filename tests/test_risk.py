@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from varreg import operators, regularizers, risk
 from varreg import (
@@ -229,6 +230,39 @@ def test_risk_theorem_holds_with_breakdown(kind):
         assert c["risk_gap"] - c["half_operator_gap"] == pytest.approx(
             0.5 * pair.noise_sigma**2, abs=1e-12
         )
+
+
+@pytest.mark.parametrize("offset, matches", [(2e-12, False), (5e-13, True)])
+def test_theta_star_match_refuses_beyond_its_tolerance(offset, matches):
+    # both certificates refuse a theta* more than 1e-12 from the pair's in any entry
+    base = make_random_dense(20, 6, seed=9)
+    inst = construct_source_instance(risk.population_map(base), quadratic(), seed=3)
+    pair = build_risk_pair(base, inst.u_star, draw_design(20, 10, 0.0, seed=1))
+    theta = inst.u_star.copy()
+    theta[2] += offset
+    if matches:
+        assert check_risk_theorem(pair, quadratic(), theta, inst.z_star, 0.1, CFG).holds
+    else:
+        with pytest.raises(ValueError, match="disagree on theta"):
+            check_risk_theorem(pair, quadratic(), theta, inst.z_star, 0.1, CFG)
+
+
+def test_sampled_radon_path_certifies_without_a_sparse_transpose(monkeypatch):
+    # a sparse map keeps one CSR copy and runs its adjoint on it: building a risk pair on a Radon
+    # map, solving on it and certifying it must transpose no CSR matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CSR matrix was transposed")
+
+    monkeypatch.setattr(sp.csr_matrix, "transpose", refuse)
+    base = make_radon(RadonGeometry.regular(12, 10, 14))
+    cfg = SolverConfig(tol=1e-10)
+    for reg in (quadratic(), l1()):
+        inst = construct_source_instance(risk.population_map(base), reg, seed=1)
+        pair = build_risk_pair(base, inst.u_star, draw_design(base.out_dim, 60, 0.01, seed=2))
+        sol = solve_variational(pair.empirical_map, pair.v_emp, 0.05, reg, cfg)
+        assert check_risk_theorem(pair, reg, inst.u_star, inst.z_star, 0.05, cfg, solution=sol).holds
+    with pytest.raises(AssertionError, match="transposed"):
+        base.matrix.T
 
 
 def test_risk_theorem_dominates_operator_bound():
