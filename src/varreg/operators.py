@@ -243,11 +243,12 @@ def make_sampled(op: LinearForwardMap, design: SampledDesign) -> LinearForwardMa
     m = op.matrix
     if not sp.issparse(m):
         return LinearForwardMap(sqw[:, None] * m[rows])
-    # m[rows] without scipy's indexing dispatch: its row-gather kernel, into index arrays of scipy's dtype for the
-    # gathered nnz and shape; each row is then scaled in place, keeping its indices' order
+    # m[rows] without scipy's indexing dispatch: its row-gather kernel, into index arrays of the base's dtype (never
+    # narrower, as scipy's rule), widened if the gathered nnz needs it; each row is then scaled in place, keeping
+    # its indices' order
     counts = np.diff(m.indptr)[rows]
     nnz = int(counts.sum(dtype=np.int64))
-    idx = sp.get_index_dtype(maxval=max(nnz, rows.size, m.shape[1]))
+    idx = sp.get_index_dtype((m.indptr, m.indices), maxval=max(nnz, rows.size))
     indptr, indices, data = np.zeros(rows.size + 1, dtype=idx), np.empty(nnz, dtype=idx), np.empty(nnz)
     np.cumsum(counts, out=indptr[1:])
     csr_row_index(rows.size, rows.astype(idx), m.indptr.astype(idx, copy=False), m.indices.astype(idx, copy=False),

@@ -459,6 +459,22 @@ def test_sampled_csr_is_scipys_row_selection_with_scaled_rows(base):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize("base", ["radon", "int64-index"])
+def test_sampled_gather_never_narrows_the_base_index_dtype(monkeypatch, base):
+    # the row-gather kernel reads the base's index arrays unchecked: a small sample of an int64 base must not cast
+    # them to int32, where an entry past 2^31 would wrap
+    op = _wide_index_radon() if base == "int64-index" else make_radon(RadonGeometry.regular(8, 6, 7))
+    kernel, seen = operators.csr_row_index, []
+
+    def spy(n_rows, rows, indptr, indices, data, out_indices, out_data):
+        seen.append({a.dtype for a in (rows, indptr, indices, out_indices)})
+        return kernel(n_rows, rows, indptr, indices, data, out_indices, out_data)
+
+    monkeypatch.setattr(operators, "csr_row_index", spy)
+    make_sampled(op, draw_design(op.out_dim, 5, 0.0, seed=0))
+    assert seen == [{op.matrix.indices.dtype}]
+
+
 def test_draw_design_determinism_and_noise():
     d1 = draw_design(50, 200, noise_sigma=0.1, seed=7)
     d2 = draw_design(50, 200, noise_sigma=0.1, seed=7)
