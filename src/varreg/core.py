@@ -94,11 +94,10 @@ class LinearForwardMap:
     ``matrix`` is a non-empty, finite dense array or scipy.sparse matrix whose
     squared entries have a sum with a finite square, ||F||_F^4, which bounds
     ||F*F x||^2 for a unit x (every defect target squares such a product); it
-    is marked read-only, a sparse one stored as CSR.  A sparse map keeps one
-    CSR copy; the adjoint runs the CSC kernel on the same arrays, in the same
-    summation order as a product with the CSR transpose.  The raw kernels
+    is marked read-only, a sparse one stored as one CSR copy.  The raw kernels
     ``_apply``/``_adjoint`` are the products with ``matrix`` and its transpose
-    (:func:`_product`) and take vectors or (n, k) blocks without validation.
+    into fresh arrays (:func:`_product`) and take vectors or (n, k) blocks
+    without validation; :func:`_bound_product` binds one to fixed buffers.
 
     Operators are immutable: ``_norm_cache`` memoizes
     :func:`operator_norm_estimate` per ``(iters, seed)``, ``_primal_dual``
@@ -151,36 +150,53 @@ def _read_only_csr(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
-def _product(m, transpose: bool = False):
-    """``m @ x``, or ``m.T @ x`` with ``transpose``, for a vector or (n, k) block ``x``, bound once for hot loops, into
-    a fresh array or into ``out=``, a C-contiguous float buffer a loop makes once: ``np.dot`` for a dense ``m``
-    (``@``'s bits on a C- or F-contiguous ``x``), or for a CSR ``m`` a direct call of the scipy kernel ``@`` ends in,
-    on the same contiguous float operand (the same bits, without ``@``'s dispatch).  The transpose of a CSR ``m`` is
-    the CSC matrix on its own arrays, so ``m.T @ x`` runs the CSC kernel on them and needs no second copy; it sums
-    each output in the order a product with the CSR transpose does.  A vector through it is a scatter, slower than
-    the CSR gather; a block is faster.  The kernel reads ``x`` and writes ``out`` unchecked: both checked."""
-    if not sp.issparse(m):
-        return functools.partial(np.dot, m.T if transpose else m)
-    if transpose:
-        matvec, matvecs, (cols, rows) = csc_matvec, csc_matvecs, m.shape
-    else:
-        matvec, matvecs, (rows, cols) = csr_matvec, csr_matvecs, m.shape
+def _sparse_kernel(m, transpose: bool = False):
+    """``(kernel, rows, cols)``: ``kernel(x, out)`` adds ``m @ x`` (``m.T @ x`` with ``transpose``) for a CSR ``m``
+    into a zeroed ``out``, unchecked, by the scipy kernel ``@`` ends in, with its bits: matvec for a vector or one
+    column, else matvecs.  ``m.T`` is the CSC matrix on ``m``'s own arrays, summing as the CSR transpose's product
+    does; a vector through it is a scatter, slower than the CSR gather, and a block is faster."""
+    matvec, matvecs = (csc_matvec, csc_matvecs) if transpose else (csr_matvec, csr_matvecs)
+    rows, cols = m.shape[::-1] if transpose else m.shape
     indptr, indices, data = m.indptr, m.indices, m.data
 
-    def product(x, out=None):
-        x = np.ascontiguousarray(x, dtype=float)
-        shape = (rows,) + x.shape[1:]
-        if len(x) != cols or out is not None and out.shape != shape:
-            raise DimensionMismatchError(f"operand of length {len(x)}, or out not {shape}, for a {rows}x{cols} matrix")
-        if out is None:
-            out = np.zeros(shape)
-        else:
-            out.fill(0.0)  # the kernel adds into its output
-        if x.size == cols:  # a vector or a single column, which scipy's @ sends to the matvec kernel
+    def kernel(x, out):
+        if x.size == cols:
             matvec(rows, cols, indptr, indices, data, x, out)
         else:
             matvecs(rows, cols, x.shape[1], indptr, indices, data, x, out)
+    return kernel, rows, cols
+
+
+def _product(m, transpose: bool = False):
+    """``m @ x``, or ``m.T @ x`` with ``transpose``, into a fresh array for a vector or (n, k) block ``x``, bound once
+    for hot loops: ``np.dot`` for a dense ``m`` (``@``'s bits on a C- or F-contiguous ``x``), or for a CSR ``m``
+    :func:`_sparse_kernel` on ``x`` made a contiguous float operand, its length checked."""
+    if not sp.issparse(m):
+        return functools.partial(np.dot, m.T if transpose else m)
+    kernel, rows, cols = _sparse_kernel(m, transpose)
+
+    def product(x):
+        x = np.ascontiguousarray(x, dtype=float)
+        if len(x) != cols:
+            raise DimensionMismatchError(f"operand of length {len(x)} for a {rows}x{cols} matrix")
+        kernel(x, out := np.zeros((rows,) + x.shape[1:]))
         return out
+    return product
+
+
+def _bound_product(m, x: np.ndarray, out: np.ndarray):
+    """``out = m @ x`` as a call without arguments for a dense or CSR ``m`` and a solve's fixed buffers, checked once
+    (C-contiguous, writable, float, matching): ``np.dot`` into ``out``, or a zero fill and :func:`_sparse_kernel`."""
+    if not (x.shape[:1] == m.shape[1:] and out.shape == m.shape[:1] + x.shape[1:] and x.dtype == out.dtype == float
+            and x.flags.c_contiguous and out.flags.c_contiguous and out.flags.writeable):
+        raise DimensionMismatchError(f"{x.shape} -> {out.shape} by a {m.shape} matrix, or not C-contiguous float")
+    if not sp.issparse(m):
+        return functools.partial(np.dot, m, x, out)
+    kernel = functools.partial(_sparse_kernel(m.tocsr())[0], x, out)  # the kernel reads m's arrays as CSR
+
+    def product():
+        out.fill(0.0)  # the kernel adds into its output
+        kernel()
     return product
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from varreg.core import (DimensionMismatchError, LinearForwardMap, _check_alpha, _check_count, _column_dots, _freeze,
-                         _product, _read_only_csr, accelerated_projected_gradient, as_vector,
+                         _bound_product, _read_only_csr, accelerated_projected_gradient, as_vector,
                          operator_norm_estimate)
 from varreg.regularizers import Regularizer, Subgradient, quadratic
 
@@ -302,28 +302,21 @@ def solve_primal_dual(op: LinearForwardMap, data, alpha: float, reg: Regularizer
                       config: SolverConfig | None = None, u0=None) -> RegularizedSolution:
     """Diagonally preconditioned, over-relaxed primal-dual (Chambolle-Pock) on [F; D].
 
-    Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>,
-    with both dual blocks stacked against K = [F; D], stored the way F is
-    (dense or CSR).  The diagonal steps
-    tau_j = _STEP_SAFETY / sum_i |K_ij| and sigma_i = 1 / sum_j |K_ij| (Pock &
-    Chambolle, ICCV 2011) need no norm estimate; they are folded into the
-    stored products sigma*K and 2*tau*K^T by scaling the rows of K and K^T,
-    and the box clip of q is two in-place ufuncs.  On a CSR K they, like the
-    products with D and D^T, call scipy's kernels directly
-    (``core._product``); K^T is a row-scaled CSR copy of its own, since a
-    vector product gathers through it faster than K's CSC kernel scatters.
-    Each step is moved a factor ``_RELAX`` along its
-    direction (Condat, JOTA 2013; Chambolle & Pock, Math. Prog. 2016), which
-    keeps the fixed point and the step condition.  The
-    certified pair is the unrelaxed one, (u_hat, clipped q): a relaxed q can
-    leave the box |q| <= alpha.  Every 25 iterations the solver checks it and
-    stops once the optimality defect of p = D^T q / alpha is within
-    tol*(1 + ||F*v||) and the slack alpha*||Du||_1 - <q, Du> within
-    0.5*tol*alpha*(1 + ||Du||_1): the slack is alpha*eps for p in d_eps J(u),
-    so ``is_subgradient``'s eps/(1 + J(u)) is within tol/2.  The steps and the
-    two stored products are built once per operator and regularizer, and write
-    into buffers made once per solve.  A solution ``u0`` starts
-    the duals too: q = alpha*p.dual, and y = F u0 - v, the optimum's y for u0.
+    Saddle form min_u max_{y, |q|<=alpha} <y, Fu - v> - 0.5*||y||^2 + <q, Du>, with both dual blocks stacked
+    against K = [F; D], stored the way F is (dense or CSR).  The diagonal steps tau_j = _STEP_SAFETY / sum_i |K_ij|
+    and sigma_i = 1 / sum_j |K_ij| (Pock & Chambolle, ICCV 2011) need no norm estimate; they are folded into the
+    stored matrices sigma*K and 2*tau*K^T by scaling the rows of K and K^T (a CSR copy of K^T of its own, since a
+    vector product gathers through it faster than K's CSC kernel scatters).  Each step is moved a factor
+    ``_RELAX`` along its direction (Condat, JOTA 2013; Chambolle & Pock, Math. Prog. 2016), which keeps the fixed
+    point and the step condition.  The certified pair is the unrelaxed one, (u_hat, clipped q): a relaxed q can
+    leave the box |q| <= alpha.  Every 25 iterations the solver checks it and stops once the optimality defect of
+    p = D^T q / alpha is within tol*(1 + ||F*v||) and the slack alpha*||Du||_1 - <q, Du> within
+    0.5*tol*alpha*(1 + ||Du||_1): the slack is alpha*eps for p in d_eps J(u), so ``is_subgradient``'s
+    eps/(1 + J(u)) is within tol/2.  The steps and the two matrices are built once per operator and regularizer.
+    A solve keeps its state (u, z) in one buffer and its step in another, binds the two products to them once
+    (``core._bound_product``: no checks or allocation per iteration), clips q in one ``ndarray.clip`` pass and
+    relaxes in two passes.  A solution ``u0`` starts the duals too: q = alpha*p.dual, and y = F u0 - v, the
+    optimum's y for u0.
     """
     if reg.kind != "tv_aniso":
         raise ValueError(f"solve_primal_dual requires tv_aniso, not {reg.kind!r}")
@@ -349,34 +342,39 @@ def _primal_dual(op, v, alpha, reg, cfg, u, q0=None) -> RegularizedSolution:
         # rows of F that see no pixel (rays missing the grid) get any finite step
         sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
         sig.flags.writeable = False
-        setup = op._primal_dual[repr(reg)] = (sig, _product(_row_scaled(k_mat, sig)),
-                                              _product(_row_scaled(k_mat.T, 2.0 * tau)))
+        setup = op._primal_dual[repr(reg)] = sig, _row_scaled(k_mat, sig), _row_scaled(k_mat.T, 2.0 * tau)
     sig, k_sig, kt_tau2 = setup
 
-    m, cols = op.out_dim, v.shape[1:]  # cols: () for a vector, (k,) for a block
+    n, m, cols = op.in_dim, op.out_dim, v.shape[1:]  # cols: () for a vector, (k,) for a block
     column = (-1,) + (1,) * len(cols)  # a per-row scalar, broadcast over a block's columns
-    z = np.zeros((sig.size,) + cols)
+    # the state (u, z) in one buffer s and the step (d, w) in one buffer t, so the relaxation is two passes
+    s = np.concatenate([u, np.zeros((sig.size,) + cols)])
+    u, z = s[:n], s[n:]
     if q0 is not None:
         z[:m], z[m:] = fwd(u) - v, q0
-    u_ext, d, w = np.empty_like(u), np.empty_like(u), np.empty_like(z)
+    t, u_ext = np.empty_like(s), np.empty_like(u)
+    d, w = t[:n], t[n:]
     y, q = w[:m], w[m:]  # views: the data dual and the edge dual
+    kt_tau2, k_sig = _bound_product(kt_tau2, z, d), _bound_product(k_sig, u_ext, w)
     sig_v = sig[:m].reshape(column) * v
     damp = (1.0 / (1.0 + sig[:m])).reshape(column)
     # 0-d arrays (or a block's per-column rows), which the in-place ufuncs take without converting a float
-    hi, lo, half_relax, relax = (np.asarray(c, dtype=float) for c in (alpha, -alpha, 0.5 * _RELAX, _RELAX))
+    hi, lo = np.asarray(alpha, dtype=float), np.asarray(-alpha, dtype=float)
+    # -_RELAX/2 on the rows of d, _RELAX on those of w: s += t rounds as u -= 0.85*d and z += 1.7*(w - z) do
+    relax = np.repeat([-0.5 * _RELAX, _RELAX], [n, sig.size]).reshape(column)
     live = np.ones(cols, dtype=bool)
     # each column's certified (u_hat, p, residual, q, defect, done, iterations), recorded as it stops
     out = [*map(np.empty_like, (u, u, v, z[m:])), np.empty(cols), np.zeros(cols, bool), np.zeros(cols, int)]
     for iterations in range(1, cfg.max_iters + 1):
         # u_hat = u - d/2 with d = 2*tau*K^T z; the dual step sees u_hat's
         # extrapolation 2*u_hat - u = u - d
-        kt_tau2(z, out=d)
-        k_sig(np.subtract(u, d, out=u_ext), out=w)
+        kt_tau2()
+        np.subtract(u, d, out=u_ext)
+        k_sig()
         w += z
         y -= sig_v
         y *= damp
-        np.minimum(q, hi, out=q)  # the box clip, without np.clip's dispatch
-        np.maximum(q, lo, out=q)
+        q.clip(lo, hi, out=q)  # the box clip
         if iterations % _CHECK_EVERY == 0 or iterations == cfg.max_iters:
             u_hat = u - 0.5 * d
             residual = fwd(u_hat) - v
@@ -397,11 +395,9 @@ def _primal_dual(op, v, alpha, reg, cfg, u, q0=None) -> RegularizedSolution:
                 live &= ~stop
                 if not live.any():
                     break
-        d *= half_relax
-        u -= d
         w -= z
-        w *= relax
-        z += w
+        t *= relax
+        s += t
     u_hat, p, residual, q, defect, done, iterations = out
     return _certified("primal-dual", target, u_hat, p, alpha, residual, reg, defect, iterations,
                       dual=q / alpha, done=done)

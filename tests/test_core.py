@@ -18,7 +18,7 @@ from varreg import (
     operator_norm_estimate,
     substream,
 )
-from varreg.core import _product
+from varreg.core import _bound_product, _product
 from varreg.operators import RadonGeometry, draw_design, make_radon, make_random_dense, make_sampled
 from varreg.regularizers import tv_aniso
 
@@ -267,16 +267,15 @@ def test_sparse_adjoint_matches_scipy_transpose_product_bit_for_bit(case):
         y = op._adjoint(x)
         assert y.shape == (op.in_dim,) + x.shape[1:], name
         assert y.tobytes() == (mt @ x).tobytes() == (mt_csr @ x).tobytes(), name
-    for xs in ((block[:, 2].copy(), block[:, 3].copy()), (block, block[:, ::-1].copy())):
-        out = np.full((op.in_dim,) + xs[0].shape[1:], np.nan)
-        for x in xs:  # the kernel adds into out, so a reused buffer must give a fresh product's bits
-            assert op._adjoint(x, out=out) is out
-            assert out.tobytes() == (mt @ x).tobytes()
+    for x in (block[:, 2].copy(), block[:, 3].copy(), block, block[:, ::-1].copy()):
+        # the kernel adds into its output, so each product must come out of a fresh zeroed array
+        y = op._adjoint(x)
+        assert y.flags.c_contiguous and y.tobytes() == (mt @ x).tobytes()
     assert op.adjoint(block[:, 0]).tobytes() == (mt @ block[:, 0]).tobytes()
 
 
 def test_product_returns_fresh_writable_arrays():
-    # callers update results in place, so a product without out= makes a fresh buffer each call
+    # callers update results in place, so a product makes a fresh buffer each call
     m = _csr_cases()["random"]
     product = _product(m)
     x = np.ones(m.shape[1])
@@ -290,42 +289,55 @@ def test_product_returns_fresh_writable_arrays():
 
 
 def test_product_rejects_a_wrong_length_operand():
-    # the kernel reads its operand and writes its output without a bounds check, so both are checked here,
-    # for the CSR product with the 9x7 matrix and the CSC product with its 7x9 transpose
+    # the kernel reads its operand and writes its output without a bounds check, so both are checked: on each
+    # call of the CSR product with the 9x7 matrix and the CSC product with its 7x9 transpose, and once, when
+    # it is bound, for a product into fixed buffers with the matrix and its CSR transpose
     m = _csr_cases()["random"]
     for transpose, (rows, cols) in ((False, m.shape), (True, m.shape[::-1])):
         product = _product(m, transpose)
+        matrix = m.T.tocsr() if transpose else m
         for x in (np.ones(cols - 1), np.ones(cols + 1), np.ones((cols - 1, 2))):
             with pytest.raises(DimensionMismatchError):
                 product(x)
             with pytest.raises(DimensionMismatchError):
-                product(x, out=np.empty((rows,) + x.shape[1:]))
-        for out in (np.empty(rows - 1), np.empty((rows, 2)), np.empty((rows, 1))):
+                _bound_product(matrix, x, np.empty((rows,) + x.shape[1:]))
+        strided = np.empty((rows, 2))[:, 0]
+        for out in (np.empty(rows - 1), np.empty((rows, 2)), np.empty((rows, 1)), strided, np.empty(rows, int)):
             with pytest.raises(DimensionMismatchError):
-                product(np.ones(cols), out=out)
+                _bound_product(matrix, np.ones(cols), out)
+        for x in (np.ones((cols, 2))[:, 0], np.ones((2, cols)).T, np.ones(cols, int)):
+            with pytest.raises(DimensionMismatchError):
+                _bound_product(matrix, x, np.empty((rows,) + x.shape[1:]))
+        read_only = np.empty(rows)
+        read_only.flags.writeable = False
+        with pytest.raises(DimensionMismatchError):
+            _bound_product(matrix, np.ones(cols), read_only)
 
 
 @pytest.mark.parametrize("layout", ["dense-C", "dense-adjoint-view", "csr"])
 def test_product_into_out_matches_a_fresh_product_bit_for_bit(layout):
-    # the primal-dual loop writes its two products into buffers made once; the
-    # CSR kernel adds into its output, so a buffer holding the last product must
-    # give the same bits as a fresh one
+    # the primal-dual loop binds its two products once to buffers made once per solve; the CSR kernel adds into
+    # its output, so a buffer holding the last product, or anything else, must give the bits of a fresh product
     m = _csr_cases()["radon-empty-rows"]
     op = LinearForwardMap(m if layout == "csr" else m.toarray())
     matrix = op.matrix.T if layout == "dense-adjoint-view" else op.matrix  # the view LinearForwardMap stores
     assert layout != "dense-adjoint-view" or not matrix.flags.c_contiguous
-    product = _product(matrix)
     rng = np.random.default_rng(3)
     for shape in [(matrix.shape[1],), (matrix.shape[1], 4)]:
-        out = np.full((matrix.shape[0],) + shape[1:], np.nan)
+        x, out = np.empty(shape), np.full((matrix.shape[0],) + shape[1:], np.nan)
+        product = _bound_product(matrix, x, out)
         for _ in range(3):
-            x = rng.standard_normal(shape)
-            assert product(x, out=out) is out
-            assert out.tobytes() == product(x).tobytes() == (matrix @ x).tobytes()
+            x[...] = rng.standard_normal(shape)
+            product()
+            assert out.tobytes() == _product(matrix)(x).tobytes() == (matrix @ x).tobytes()
+    if layout == "csr":  # a CSC matrix, the transpose view, is bound through its CSR form, not read as CSR arrays
+        x, out = rng.standard_normal(matrix.shape[0]), np.full(matrix.shape[1], np.nan)
+        _bound_product(matrix.T, x, out)()
+        assert out.tobytes() == (matrix.T @ x).tobytes()
 
 
 def test_scipy_csr_kernels_exist_with_the_argument_order_used():
-    # _product and make_sampled call scipy's private CSR/CSC kernels; a scipy release that
+    # _product, _bound_product and make_sampled call scipy's private CSR/CSC kernels; a scipy release that
     # moves or reorders them fails here by name, not deep inside a solve
     try:
         from scipy.sparse._sparsetools import csc_matvec, csc_matvecs, csr_matvec, csr_matvecs, csr_row_index

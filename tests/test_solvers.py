@@ -12,6 +12,7 @@ from varreg import (
     RegularizedSolution,
     SolverConfig,
     SolverError,
+    bregman_iterate,
     identity_map,
     is_subgradient,
     l1,
@@ -32,7 +33,7 @@ from varreg import (
 from varreg import core, solvers
 from varreg.regularizers import Regularizer, Subgradient
 from varreg.estimates import solve_source_element
-from varreg.solvers import _STEP_SAFETY, accelerated_projected_gradient
+from varreg.solvers import _RELAX, _STEP_SAFETY, accelerated_projected_gradient
 
 TIGHT = SolverConfig(tol=1e-12, max_iters=200_000)
 
@@ -446,6 +447,162 @@ def test_primal_dual_matches_diag_product_loop_on_csr():
     assert sol.iterations == iterations == 1000
     assert np.linalg.norm(sol.u_alpha - u) <= 1e-12 * np.linalg.norm(u)
     assert np.linalg.norm(sol.p_alpha.p - p) <= 1e-12 * np.linalg.norm(p)
+
+
+def _replaced_primal_dual(op, v, alpha, reg, cfg, u, q0=None):
+    """``solvers._primal_dual`` transcribed as it stood before its state and step went into one buffer each and
+    its products were bound once per solve: fresh ``@`` products (the bits its checked product wrappers gave),
+    the box clip as np.minimum then np.maximum, and the relaxation in five passes.  Returns what it records at
+    its exit: (u_hat, p, residual, q, defect, done, iterations)."""
+    f = op.matrix
+    k_mat = sp.vstack([f, reg.D.matrix]).tocsr() if sp.issparse(f) else np.vstack([f, reg.D.matrix.toarray()])
+    abs_k = abs(k_mat)
+    tau = _STEP_SAFETY / np.asarray(abs_k.sum(axis=0)).ravel()
+    sig = 1.0 / np.maximum(np.asarray(abs_k.sum(axis=1)).ravel(), 1e-30)
+    k_sig, kt_tau2 = solvers._row_scaled(k_mat, sig), solvers._row_scaled(k_mat.T, 2.0 * tau)
+    fwd, adj = (lambda x: f @ x), (lambda x: f.T @ x)
+    d_mat = reg.D.matrix
+    target = solvers._rhs(adj, v, cfg.tol)[1]
+    m, cols = op.out_dim, v.shape[1:]
+    column = (-1,) + (1,) * len(cols)
+    u = u.copy()
+    z = np.zeros((sig.size,) + cols)
+    if q0 is not None:
+        z[:m], z[m:] = fwd(u) - v, q0
+    u_ext, d, w = np.empty_like(u), np.empty_like(u), np.empty_like(z)
+    y, q = w[:m], w[m:]
+    sig_v = sig[:m].reshape(column) * v
+    damp = (1.0 / (1.0 + sig[:m])).reshape(column)
+    hi, lo, half_relax, relax = (np.asarray(c, dtype=float) for c in (alpha, -alpha, 0.5 * _RELAX, _RELAX))
+    live = np.ones(cols, dtype=bool)
+    out = [*map(np.empty_like, (u, u, v, z[m:])), np.empty(cols), np.zeros(cols, bool), np.zeros(cols, int)]
+    for iterations in range(1, cfg.max_iters + 1):
+        d[...] = kt_tau2 @ z
+        w[...] = k_sig @ np.subtract(u, d, out=u_ext)
+        w += z
+        y -= sig_v
+        y *= damp
+        np.minimum(q, hi, out=q)
+        np.maximum(q, lo, out=q)
+        if iterations % 25 == 0 or iterations == cfg.max_iters:
+            u_hat = u - 0.5 * d
+            residual = fwd(u_hat) - v
+            du = d_mat @ u_hat
+            p = (d_mat.T @ q) / alpha
+            g = adj(residual) + alpha * p
+            defect = np.sqrt(core._column_dots(g, g))
+            tv_val = np.abs(du).sum(axis=0)
+            compl = alpha * tv_val - core._column_dots(q, du)
+            done = (defect <= target) & (compl <= 0.5 * cfg.tol * alpha * (1.0 + tv_val))
+            if not cols:
+                if done or not defect < np.inf or iterations == cfg.max_iters:
+                    return u_hat, p, residual, q, defect, done, iterations
+            elif (stop := live & (done | ~np.isfinite(defect) | (iterations == cfg.max_iters))).any():
+                for rec, now in zip(out, (u_hat, p, residual, q, defect, done, iterations)):
+                    np.copyto(rec, now, where=stop)
+                live &= ~stop
+                if not live.any():
+                    break
+        d *= half_relax
+        u -= d
+        w -= z
+        w *= relax
+        z += w
+    return tuple(out)
+
+
+def _against_replaced_loop(monkeypatch):
+    """From here on, run every primal-dual solve through the replaced loop too, and assert that the solution has
+    its bits: u, p, the dual, the defect and the iterations.  Returns the list of solves compared."""
+    compared, loop = [], solvers._primal_dual
+
+    def both(op, v, alpha, reg, cfg, u, q0=None):
+        u_hat, p, _, q, defect, _, iterations = _replaced_primal_dual(op, v, alpha, reg, cfg, u, q0)
+        sol = loop(op, v, alpha, reg, cfg, u, q0)
+        assert sol.u_alpha.tobytes() == u_hat.tobytes()
+        assert sol.p_alpha.p.tobytes() == p.tobytes()
+        assert sol.p_alpha.dual.tobytes() == (q / alpha).tobytes()
+        assert np.asarray(sol.optimality_defect, float).tobytes() == np.asarray(defect, float).tobytes()
+        assert np.array_equal(sol.iterations, iterations)
+        compared.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(solvers, "_primal_dual", both)
+    return compared
+
+
+@pytest.mark.parametrize("grid_n", [16, 24])
+@pytest.mark.parametrize("alpha", [0.03, 0.1])
+def test_primal_dual_matches_the_replaced_loop_bit_for_bit_on_radon(monkeypatch, grid_n, alpha):
+    # one state buffer (u, z), one step buffer (d, w), products bound once: the relaxation -d/2 * 1.7 rounds as
+    # d * 0.85 did, and the single clip pass as the np.minimum/np.maximum pair
+    op, reg, v = radon_phantom_problem(grid_n)
+    compared = _against_replaced_loop(monkeypatch)
+    solve_primal_dual(op, v, alpha, reg, SolverConfig(tol=1e-8))
+    assert len(compared) == 1
+
+
+@pytest.mark.parametrize("i", [0, 5, 10, 23])
+def test_primal_dual_matches_the_replaced_loop_bit_for_bit_on_certify_dense_shapes(monkeypatch, i):
+    op, reg, v, alpha = _certify_dense_tv_problem(i)
+    compared = _against_replaced_loop(monkeypatch)
+    solve_primal_dual(op, v, alpha, reg, SolverConfig(tol=1e-10))
+    assert len(compared) == 1
+
+
+@pytest.mark.parametrize("name", ["certify-dense-5", "radon-16"])
+def test_primal_dual_matches_the_replaced_loop_bit_for_bit_on_a_block(monkeypatch, name):
+    if name == "radon-16":
+        (op, reg, v), alphas = radon_phantom_problem(16), [0.03, 0.1, 0.05]
+    else:
+        (op, reg, v, _), alphas = _certify_dense_tv_problem(5), [1.0, 0.1, 0.01]
+    block = np.column_stack([v, v[::-1], 0.5 * v])
+    compared = _against_replaced_loop(monkeypatch)
+    sol = solve_columns(op, block, alphas, reg, SolverConfig(tol=1e-8))
+    assert len(compared) == 1 and len(set(sol.iterations.tolist())) > 1  # the columns stop at different checks
+
+
+def test_primal_dual_matches_the_replaced_loop_bit_for_bit_on_bregman_warm_starts(monkeypatch):
+    # each Bregman step after the first starts from the last one's u and edge dual (q0)
+    op, reg, v = radon_phantom_problem(16)
+    noise_level = np.linalg.norm(0.01 * substream(0, "noise").standard_normal(op.out_dim))
+    compared = _against_replaced_loop(monkeypatch)
+    trace = bregman_iterate(op, v, 0.1, reg, 30, SolverConfig(tol=1e-8), noise_level=noise_level)
+    assert compared == [1200, 1100, 1625, 1450, 1525, 1475, 1525] and len(trace.steps) == len(compared)
+
+
+def test_ndarray_clip_matches_the_minimum_maximum_pair_bit_for_bit():
+    # the loop clips q onto [-alpha, alpha] in one ndarray.clip pass with 0-d bounds, or a block's per-column
+    # bounds, where it used np.minimum then np.maximum: signed zeros, the bounds themselves and NaN keep their bits
+    alpha = 0.03
+    values = [0.0, -0.0, alpha, -alpha, np.nextafter(alpha, 1.0), np.nextafter(-alpha, -1.0), 0.01, -2.0,
+              np.inf, -np.inf, np.nan, -np.nan]
+    for q, hi in ((np.array(values), np.asarray(alpha)),
+                  (np.column_stack([values, values[::-1]]), np.array([alpha, 0.5]))):
+        ref = q.copy()
+        np.minimum(ref, hi, out=ref)
+        np.maximum(ref, -hi, out=ref)
+        assert q.clip(-hi, hi, out=q) is q
+        assert q.tobytes() == ref.tobytes()
+    assert np.signbit(ref[:2, 0]).tolist() == [False, True] and np.isnan(ref[-2:, 0]).all()
+
+
+def test_primal_dual_loop_skips_the_checked_product_wrapper(monkeypatch):
+    # the loop's two products are bound to their buffers once per solve; the checked wrappers of core._product
+    # run only at the every-25 check (F, F^T, D, D^T) and in set-up, not twice an iteration
+    calls, product = [], core._product
+
+    def counting(*args, **kwargs):
+        kernel = product(*args, **kwargs)
+        return lambda *a, **k: calls.append(1) or kernel(*a, **k)
+
+    monkeypatch.setattr(core, "_product", counting)
+    monkeypatch.setattr(solvers, "_product", counting, raising=False)  # where solvers binds it by name
+    op, reg, v = radon_phantom_problem(16)
+    calls.clear()
+    sol = solve_primal_dual(op, v, 0.1, reg)
+    assert sol.iterations == 1000
+    assert 0 < len(calls) <= 4 * (1000 // 25) + 4, len(calls)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
